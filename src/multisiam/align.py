@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor, _accumulate, _coerce, _result, concat, flip_last
-from .views import ViewSpec
+from .views import ViewSpec, bilinear_sample
 
 __all__ = [
     "RelBox",
@@ -108,35 +108,15 @@ def roi_align(fmap: Tensor, roi: RelBox, out_h: int, out_w: int) -> Tensor:
     pixel-center hull clamp to the edge. Differentiable w.r.t. the map.
     """
     fmap = _coerce(fmap)
-    c, h, w = fmap.shape
+    _, h, w = fmap.shape
     xs = roi.x0 + (np.arange(out_w) + 0.5) / out_w * (roi.x1 - roi.x0)
     ys = roi.y0 + (np.arange(out_h) + 0.5) / out_h * (roi.y1 - roi.y0)
-    u = np.clip(xs * w - 0.5, 0.0, w - 1.0)
-    v = np.clip(ys * h - 0.5, 0.0, h - 1.0)
-    j0 = np.floor(u).astype(np.intp)
-    i0 = np.floor(v).astype(np.intp)
-    j1 = np.minimum(j0 + 1, w - 1)
-    i1 = np.minimum(i0 + 1, h - 1)
-    fx = u - j0
-    fy = v - i0
-
-    w00 = np.outer(1.0 - fy, 1.0 - fx)
-    w01 = np.outer(1.0 - fy, fx)
-    w10 = np.outer(fy, 1.0 - fx)
-    w11 = np.outer(fy, fx)
-
-    src = fmap.data
-    out = (src[:, i0[:, None], j0[None, :]] * w00
-           + src[:, i0[:, None], j1[None, :]] * w01
-           + src[:, i1[:, None], j0[None, :]] * w10
-           + src[:, i1[:, None], j1[None, :]] * w11)
+    out, taps = bilinear_sample(fmap.data, xs * w, ys * h)
 
     def bw(g):
-        grad = np.zeros_like(src)
-        np.add.at(grad, (slice(None), i0[:, None], j0[None, :]), g * w00)
-        np.add.at(grad, (slice(None), i0[:, None], j1[None, :]), g * w01)
-        np.add.at(grad, (slice(None), i1[:, None], j0[None, :]), g * w10)
-        np.add.at(grad, (slice(None), i1[:, None], j1[None, :]), g * w11)
+        grad = np.zeros_like(fmap.data)
+        for rows, cols, weights in taps:
+            np.add.at(grad, (slice(None), rows, cols), g * weights)
         _accumulate(fmap, grad)
 
     return _result(out, (fmap,), bw)

@@ -2,8 +2,8 @@
 
 Layout: magic (4 bytes), u32 version, u64 step, u32 tensor count, then per
 tensor: u32 name length, UTF-8 name, u32 ndim, ndim x u64 dims, u8 dtype tag
-(0 = f64, 1 = f32), raw values. A u32-length-prefixed UTF-8 block of
-key=value config lines closes the file.
+(0 = f64, the only tag defined), raw f64 values. A u32-length-prefixed UTF-8
+block of key=value config lines closes the file.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"MSIA"
 VERSION = 1
-_DTYPES = {0: "<f8", 1: "<f4"}
+F64_TAG = 0
 
 
 class CheckpointError(ValueError):
@@ -54,7 +54,7 @@ def save_checkpoint(state: TrainState, path) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(struct.pack("<B", 0))
+            fh.write(struct.pack("<B", F64_TAG))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         config_blob = config_to_text(state.config).encode("utf-8")
         fh.write(struct.pack("<I", len(config_blob)))
@@ -96,12 +96,10 @@ def load_checkpoint(path) -> TrainState:
         (ndim,) = r.unpack("<I")
         dims = r.unpack(f"<{ndim}Q") if ndim else ()
         (tag,) = r.unpack("<B")
-        if tag not in _DTYPES:
+        if tag != F64_TAG:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name}")
         n = int(np.prod(dims)) if dims else 1
-        raw = r.take(n * (8 if tag == 0 else 4))
-        arr = np.frombuffer(raw, dtype=_DTYPES[tag]).astype(np.float64).reshape(dims)
-        tensors[name] = arr.copy()
+        tensors[name] = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64).reshape(dims)
 
     (cfg_len,) = r.unpack("<I")
     cfg = config_from_text(r.take(cfg_len).decode("utf-8"))

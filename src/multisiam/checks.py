@@ -2,19 +2,26 @@
 
 Each case builds small random tensors (bounded away from relu kinks where the
 op has them), composes the operation into a scalar, and compares backward
-grads against central differences. The composed-loss cases run the whole
-training graph of a toy network, parameters included.
+grads against central differences. The full-loss cases run the training loss
+itself, ``train.image_loss``, on a toy network with every parameter checked:
+one case per loss mode (cluster, wo_kmeans, moco) and per alignment (offset,
+roi, none), with self-attention off, the dense loss and symmetrization among
+them.
 """
 
 from __future__ import annotations
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 
 from . import model as M
 from . import objectives as O
 from . import tensor as T
-from .align import RelBox, align_pair, flip_back, roi_align
+from .align import RelBox, flip_back, roi_align
 from .tensor import GradCheckReport, Tensor, finite_difference_check
+from .train import TrainConfig, image_loss
 from .views import Box, NEUTRAL_PHOTO, ViewSpec
 
 __all__ = ["run_gradient_suite", "GRADCHECK_TOLERANCE"]
@@ -24,9 +31,7 @@ GRADCHECK_TOLERANCE = 1e-4
 TOY = M.ModelConfig(widths=(4, 2), downsample=(True, False), proj2d_hidden=3,
                     proj2d_out=2, pred2d_hidden=3, proj1d_hidden=4, embed_dim=3,
                     pred1d_hidden=4, alignment="offset")
-TOY_ROI = M.ModelConfig(widths=(4, 2), downsample=(True, False), proj2d_hidden=3,
-                        proj2d_out=2, pred2d_hidden=3, proj1d_hidden=4, embed_dim=3,
-                        pred1d_hidden=4, alignment="roi", residual=True)
+TOY_ROI = replace(TOY, alignment="roi", residual=True)
 
 
 def _away_from_zero(rng, shape, margin=0.15):
@@ -252,34 +257,25 @@ def _case_loss_moco(rng):
     return finite_difference_check(f, [f_on], name="loss_moco_infonce")
 
 
-def _composed_loss(pair, cfg, loss_cfg, views, specs, kmeans_seed):
-    """The full per-image training loss of a toy network, one view ordering."""
-    f_on = M.backbone_forward(pair.online, views[0], cfg)
-    f_tg = M.backbone_forward(pair.target, views[1], cfg)
-    g_on = flip_back(M.project_2d(pair.online, f_on), specs[0].flipped)
-    g_tg = flip_back(M.project_2d(pair.target, f_tg), specs[1].flipped)
-    aligned = align_pair(g_on, g_tg, specs[0], specs[1], cfg.alignment)
-    local = M.predict_local(pair.online, aligned.online)
-    pred = M.self_attention_predict(aligned.online, local, residual=cfg.residual)
-    cluster = O.kmeans(aligned.target, loss_cfg["k"],
-                       rng=np.random.default_rng(kmeans_seed))
-    l2 = O.loss_2d_cluster(pred, cluster, dense=loss_cfg["dense"],
-                           target_map=aligned.target)
-    q = M.project_predict_1d(pair.online, f_on, with_predictor=True)
-    z = M.project_predict_1d(pair.target, f_tg, with_predictor=False)
-    return O.loss_total(O.loss_1d(q, z), l2, 0.5)
-
-
-def _case_full_loss(rng, cfg, name):
-    pair = _toy_pair(rng, cfg)
-    spec_a, spec_b = _overlapping_specs(rng)
+def _case_full_loss(rng, name, **overrides):
+    """The training loss of one image, as train_step builds it, on a toy
+    network whose parameters are all checked."""
+    cfg = replace(TrainConfig(), k=2, **overrides)
+    mcfg = replace(TOY, alignment=cfg.alignment, residual=cfg.resolved_residual)
+    pair = _toy_pair(rng, mcfg)
+    specs = _overlapping_specs(rng)
     views = [Tensor(rng.random((3, 8, 8))), Tensor(rng.random((3, 8, 8)))]
     seed = int(rng.integers(1 << 30))
-    loss_cfg = {"k": 2, "dense": False}
+    queue = None
+    if cfg.loss_mode == "moco":
+        queue = O.NegativeQueue(8, mcfg.proj2d_out)
+        queue.push(rng.standard_normal((6, mcfg.proj2d_out)))
     params = [pair.online[k] for k in sorted(pair.online)]
 
     def f(*_params):
-        return _composed_loss(pair, cfg, loss_cfg, views, (spec_a, spec_b), seed)
+        # every evaluation replays the same k-means seeding and queue contents
+        return image_loss(pair, cfg, mcfg, views, specs, np.random.default_rng(seed),
+                          copy.deepcopy(queue))[0]
 
     return finite_difference_check(f, params, name=name)
 
@@ -308,8 +304,15 @@ def run_gradient_suite(seeds=range(5)) -> list[GradCheckReport]:
             lambda r: _case_loss_cluster(r, dense=True),
             _case_loss_wo_kmeans,
             _case_loss_moco,
-            lambda r: _case_full_loss(r, TOY, "full_loss_offset"),
-            lambda r: _case_full_loss(r, TOY_ROI, "full_loss_roi_residual"),
+            lambda r: _case_full_loss(r, "full_loss_offset", symmetrize=False),
+            lambda r: _case_full_loss(r, "full_loss_roi_residual", alignment="roi",
+                                      symmetrize=False),
+            lambda r: _case_full_loss(r, "full_loss_wo_kmeans_none", loss_mode="wo_kmeans",
+                                      alignment="none", self_attention=False,
+                                      symmetrize=False),
+            lambda r: _case_full_loss(r, "full_loss_moco", loss_mode="moco",
+                                      symmetrize=False),
+            lambda r: _case_full_loss(r, "full_loss_dense_symmetrized", dense=True),
         ]
         for case in cases:
             reports.append(case(np.random.default_rng(seed * 1000 + 17)))

@@ -51,7 +51,6 @@ class ModelConfig:
     embed_dim: int = 64
     pred1d_hidden: int = 128
     alignment: str = "offset"
-    self_attention: bool = True
     residual: bool = False
 
     @property

@@ -22,8 +22,6 @@ __all__ = [
     "scale",
     "negate",
     "relu",
-    "solarize",
-    "pointwise",
     "conv2d",
     "subsample",
     "global_avg_pool",
@@ -78,12 +76,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def backward(self) -> None:
-        backward(self)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -207,33 +199,6 @@ def relu(t: Tensor) -> Tensor:
         _accumulate(t, g * mask)
 
     return _result(np.where(mask, t.data, 0.0), (t,), bw)
-
-
-def solarize(t: Tensor, threshold: float = 0.5) -> Tensor:
-    """Invert values at or above the threshold. Non-differentiated: the result
-    is detached from the tape (used only in the augmentation path)."""
-    t = _coerce(t)
-    return Tensor(np.where(t.data < threshold, t.data, 1.0 - t.data))
-
-
-_POINTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "relu": relu,
-    "scale": scale,
-    "negate": negate,
-    "solarize_threshold": solarize,
-}
-
-
-def pointwise(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a pointwise op by name."""
-    try:
-        fn = _POINTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown pointwise kind {kind!r}") from None
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +471,6 @@ class GradCheckReport:
     op_name: str
     max_relative_error: float
     worst_index: tuple
-
-    def ok(self, tol: float) -> bool:
-        return self.max_relative_error < tol
 
 
 def finite_difference_check(f, inputs, h: float = 1e-6, name: str = "op") -> GradCheckReport:

@@ -21,7 +21,7 @@ from .model import (HeadsOutput, ModelConfig, SiamesePair, backbone_forward,
                     project_2d, project_predict_1d, self_attention_predict)
 from .objectives import (LOSS_MODES, NegativeQueue, kmeans, loss_1d, loss_2d_cluster,
                          loss_2d_wo_kmeans, loss_total, moco_pixel_infonce)
-from .tensor import backward, global_avg_pool, scale, zero_grads
+from .tensor import backward, scale, zero_grads
 from .views import AugmentConfig, render_view, sample_view_pair
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "model_config_for",
     "augment_config_for",
     "init_state",
+    "image_loss",
     "train_step",
     "run_training",
     "config_to_text",
@@ -178,6 +179,10 @@ def _validate(cfg: TrainConfig) -> TrainConfig:
         if not cond:
             raise ConfigError(f"{key}: {why}")
 
+    for f in fields(TrainConfig):
+        if f.type == "float":
+            need(math.isfinite(getattr(cfg, f.name)), _FIELD_TO_CONFIG_KEY.get(f.name, f.name),
+                 "must be finite")
     need(cfg.steps >= 1, "steps", "must be at least 1")
     need(cfg.batch_size >= 1, "batch_size", "must be at least 1")
     need(cfg.accumulation_steps >= 1, "accumulation_steps", "must be at least 1")
@@ -272,8 +277,7 @@ def effective_lr(step: int, cfg: TrainConfig) -> float:
 
 
 def model_config_for(cfg: TrainConfig) -> ModelConfig:
-    return ModelConfig(alignment=cfg.alignment, self_attention=cfg.self_attention,
-                       residual=cfg.resolved_residual)
+    return ModelConfig(alignment=cfg.alignment, residual=cfg.resolved_residual)
 
 
 def augment_config_for(cfg: TrainConfig) -> AugmentConfig:
@@ -294,48 +298,75 @@ def init_state(cfg: TrainConfig) -> TrainState:
 # one training step
 
 
-def _term_loss(state: TrainState, krng, online_out: HeadsOutput,
-               target_out: HeadsOutput, online_spec, target_spec):
-    cfg = state.config
-    pair = state.pair
-    l1 = loss_1d(online_out.pooled, target_out.pooled)
+def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, specs,
+               krng: np.random.Generator, queue: NegativeQueue | None):
+    """The training loss of one image's two rendered views, averaged over the
+    view orderings (both when symmetrized).
 
-    if cfg.loss_mode == "moco":
-        # region alignment happens before projection; uses intersection pooling
-        feat_on = flip_back(online_out.feature_map, online_spec.flipped)
-        feat_tg = flip_back(target_out.feature_map, target_spec.flipped)
-        l2 = moco_pixel_infonce(
-            feat_on, feat_tg, online_spec, target_spec,
-            lambda r: project_2d(pair.online, r),
-            lambda r: project_2d(pair.target, r),
-            state.queue, cfg.k, temperature=cfg.temperature, metric=cfg.kmeans_metric,
-            max_iter=cfg.kmeans_iters, rng=krng, use_attention=cfg.self_attention)
-        return l1, l2
+    Returns the loss tensor, the per-ordering l1d and l2d values, and the
+    pooled online feature rows that ``feature_std`` is computed from. ``krng``
+    draws the k-means seeding; a MoCo ``queue`` receives the target pixels.
+    """
+    needs_map = cfg.loss_mode != "moco"
+    orders = ((0, 1), (1, 0)) if cfg.symmetrize else ((0, 1),)
+    online_outs: list[HeadsOutput | None] = [None, None]
+    target_outs: list[HeadsOutput | None] = [None, None]
+    pooled_rows: list[np.ndarray] = []
+    for v in range(2):
+        if v in {o for o, _ in orders}:
+            f = backbone_forward(pair.online, views[v], mcfg)
+            g = project_2d(pair.online, f) if needs_map else None
+            q = project_predict_1d(pair.online, f, with_predictor=True)
+            online_outs[v] = HeadsOutput(f, g, q)
+            pooled_rows.append(f.data.mean(axis=(1, 2)))
+        if v in {t for _, t in orders}:
+            f = backbone_forward(pair.target, views[v], mcfg)
+            g = project_2d(pair.target, f) if needs_map else None
+            z = project_predict_1d(pair.target, f, with_predictor=False)
+            target_outs[v] = HeadsOutput(f, g, z)
 
-    map_on = flip_back(online_out.projected_map, online_spec.flipped)
-    map_tg = flip_back(target_out.projected_map, target_spec.flipped)
-    aligned = align_pair(map_on, map_tg, online_spec, target_spec, cfg.alignment,
-                         normalize_offset=cfg.normalize_offset)
-    local = predict_local(pair.online, aligned.online)
-    if cfg.self_attention:
-        pred = self_attention_predict(aligned.online, local,
-                                      residual=state.model_config.residual)
-    else:
-        pred = local
-    if cfg.loss_mode == "cluster":
-        cluster = kmeans(aligned.target, cfg.k, metric=cfg.kmeans_metric,
-                         max_iter=cfg.kmeans_iters, rng=krng)
-        l2 = loss_2d_cluster(pred, cluster, dense=cfg.dense, target_map=aligned.target)
-    else:
-        l2 = loss_2d_wo_kmeans(pred, aligned.target)
-    return l1, l2
+    l1_values: list[float] = []
+    l2_values: list[float] = []
+    total = None
+    for online_view, target_view in orders:
+        on, tg = online_outs[online_view], target_outs[target_view]
+        spec_on, spec_tg = specs[online_view], specs[target_view]
+        l1 = loss_1d(on.pooled, tg.pooled)
+        if cfg.loss_mode == "moco":
+            # region alignment happens before projection; uses intersection pooling
+            l2 = moco_pixel_infonce(
+                flip_back(on.feature_map, spec_on.flipped),
+                flip_back(tg.feature_map, spec_tg.flipped), spec_on, spec_tg,
+                lambda r: project_2d(pair.online, r),
+                lambda r: project_2d(pair.target, r),
+                queue, cfg.k, temperature=cfg.temperature, metric=cfg.kmeans_metric,
+                max_iter=cfg.kmeans_iters, rng=krng, use_attention=cfg.self_attention)
+        else:
+            aligned = align_pair(flip_back(on.projected_map, spec_on.flipped),
+                                 flip_back(tg.projected_map, spec_tg.flipped),
+                                 spec_on, spec_tg, cfg.alignment,
+                                 normalize_offset=cfg.normalize_offset)
+            pred = predict_local(pair.online, aligned.online)
+            if cfg.self_attention:
+                pred = self_attention_predict(aligned.online, pred, residual=mcfg.residual)
+            if cfg.loss_mode == "cluster":
+                cluster = kmeans(aligned.target, cfg.k, metric=cfg.kmeans_metric,
+                                 max_iter=cfg.kmeans_iters, rng=krng)
+                l2 = loss_2d_cluster(pred, cluster, dense=cfg.dense,
+                                     target_map=aligned.target)
+            else:
+                l2 = loss_2d_wo_kmeans(pred, aligned.target)
+        l1_values.append(l1.item())
+        l2_values.append(l2.item())
+        term = loss_total(l1, l2, cfg.lambda_weight)
+        total = term if total is None else total + term
+    return scale(total, 1.0 / len(orders)), l1_values, l2_values, pooled_rows
 
 
 def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
     """Run one micro-step: sample, render, forward, losses, backward; on an
     accumulation boundary also the optimizer step and the EMA update."""
     cfg = state.config
-    mcfg = state.model_config
     pair = state.pair
     step = state.step
     if step >= cfg.steps:
@@ -350,49 +381,17 @@ def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
     l1_values: list[float] = []
     l2_values: list[float] = []
     pooled_rows: list[np.ndarray] = []
-
-    needs_map = cfg.loss_mode != "moco"
     for idx in indices:
         scene = corpus[int(idx)]
-        h, w = scene.instance_mask.shape
-        view_pair = sample_view_pair((h, w), aug, sampler_rng)
+        view_pair = sample_view_pair(scene.instance_mask.shape, aug, sampler_rng)
         specs = (view_pair.spec_a, view_pair.spec_b)
-        rendered = [render_view(scene.image, s) for s in specs]
-
-        online_outs = []
-        target_outs = []
-        orders = ((0, 1), (1, 0)) if cfg.symmetrize else ((0, 1),)
-        online_views = {o for o, _ in orders}
-        target_views = {t for _, t in orders}
-        for v in range(2):
-            if v in online_views:
-                f = backbone_forward(pair.online, rendered[v], mcfg)
-                g = project_2d(pair.online, f) if needs_map else None
-                q = project_predict_1d(pair.online, f, with_predictor=True)
-                online_outs.append(HeadsOutput(f, g, q))
-                pooled_rows.append(global_avg_pool(f).data.copy())
-            else:
-                online_outs.append(None)
-            if v in target_views:
-                f = backbone_forward(pair.target, rendered[v], mcfg)
-                g = project_2d(pair.target, f) if needs_map else None
-                z = project_predict_1d(pair.target, f, with_predictor=False)
-                target_outs.append(HeadsOutput(f, g, z))
-            else:
-                target_outs.append(None)
-
-        term_losses = []
-        for online_view, target_view in orders:
-            l1, l2 = _term_loss(state, kmeans_rng, online_outs[online_view],
-                                target_outs[target_view], specs[online_view],
-                                specs[target_view])
-            l1_values.append(l1.item())
-            l2_values.append(l2.item())
-            term_losses.append(loss_total(l1, l2, cfg.lambda_weight))
-        image_loss = term_losses[0]
-        for extra in term_losses[1:]:
-            image_loss = image_loss + extra
-        image_losses.append(scale(image_loss, 1.0 / len(term_losses)))
+        views = [render_view(scene.image, s) for s in specs]
+        loss, l1s, l2s, pooled = image_loss(pair, cfg, state.model_config, views, specs,
+                                            kmeans_rng, state.queue)
+        image_losses.append(loss)
+        l1_values += l1s
+        l2_values += l2s
+        pooled_rows += pooled
 
     batch_loss = image_losses[0]
     for extra in image_losses[1:]:

@@ -24,6 +24,7 @@ __all__ = [
     "sample_view_pair",
     "render_view",
     "resize_bilinear",
+    "bilinear_sample",
 ]
 
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -191,9 +192,14 @@ def sample_view_pair(image_size: tuple[int, int], cfg: AugmentConfig,
 # rendering
 
 
-def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample a [C,H,W] array at continuous (x, y) positions where source
-    pixel (r, c) has its center at (c + 0.5, r + 0.5). Edge-clamped."""
+def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Sample a [C,H,W] array on the grid of continuous positions ys x xs,
+    where source pixel (r, c) has its center at (c + 0.5, r + 0.5).
+    Edge-clamped.
+
+    Returns the samples and their four (rows, cols, weights) taps, which a
+    caller can reuse to scatter gradients back onto the source.
+    """
     _, h, w = img.shape
     u = np.clip(xs - 0.5, 0.0, w - 1.0)
     v = np.clip(ys - 0.5, 0.0, h - 1.0)
@@ -203,21 +209,21 @@ def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     i1 = np.minimum(i0 + 1, h - 1)
     fx = u - j0
     fy = v - i0
-    w00 = np.outer(1.0 - fy, 1.0 - fx)
-    w01 = np.outer(1.0 - fy, fx)
-    w10 = np.outer(fy, 1.0 - fx)
-    w11 = np.outer(fy, fx)
-    return (img[:, i0[:, None], j0[None, :]] * w00
-            + img[:, i0[:, None], j1[None, :]] * w01
-            + img[:, i1[:, None], j0[None, :]] * w10
-            + img[:, i1[:, None], j1[None, :]] * w11)
+    taps = ((i0[:, None], j0[None, :], np.outer(1.0 - fy, 1.0 - fx)),
+            (i0[:, None], j1[None, :], np.outer(1.0 - fy, fx)),
+            (i1[:, None], j0[None, :], np.outer(fy, 1.0 - fx)),
+            (i1[:, None], j1[None, :], np.outer(fy, fx)))
+    out = img[:, taps[0][0], taps[0][1]] * taps[0][2]
+    for rows, cols, weights in taps[1:]:
+        out += img[:, rows, cols] * weights
+    return out, taps
 
 
 def _crop_resize(img: np.ndarray, box: Box, out_size: tuple[int, int]) -> np.ndarray:
     out_h, out_w = out_size
     xs = box.x0 + (np.arange(out_w) + 0.5) / out_w * box.width
     ys = box.y0 + (np.arange(out_h) + 0.5) / out_h * box.height
-    return _bilinear_sample(img, xs, ys)
+    return bilinear_sample(img, xs, ys)[0]
 
 
 def resize_bilinear(img: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:

@@ -55,7 +55,8 @@ def test_criterion_1_gradient_suite():
                    "roi_align", "flip_back", "projector_2d", "predictor_2d",
                    "self_attention", "self_attention_residual", "loss_1d",
                    "loss_2d_cluster", "loss_2d_cluster_dense", "loss_2d_wo_kmeans",
-                   "loss_moco_infonce", "full_loss_offset", "full_loss_roi_residual"):
+                   "loss_moco_infonce", "full_loss_offset", "full_loss_roi_residual",
+                   "full_loss_wo_kmeans_none", "full_loss_moco", "full_loss_dense_symmetrized"):
         assert needed in covered, f"missing gradcheck case {needed}"
     announce(1, f"{len(reports)} gradient reports, worst {worst.max_relative_error:.2e} "
                 f"({worst.op_name}), {elapsed:.1f}s")

@@ -183,6 +183,7 @@ def test_cli_usage_and_runtime_errors(tmp_path):
     assert cli.main(["train"]) == 1  # no --out
     assert cli.main(["train", "--out", str(tmp_path), "--bogus_key=1"]) == 1
     assert cli.main(["train", "--out", str(tmp_path), "--lambda=2.0"]) == 1
+    assert cli.main(["train", "--out", str(tmp_path), "--lr_base=inf"]) == 1
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["--help"]) == 0

@@ -36,20 +36,6 @@ def test_scalar_broadcast_and_reverse_ops():
     assert np.allclose(t.grad, [2.0, 2.0])
 
 
-def test_solarize_is_detached():
-    t = Tensor([0.2, 0.7], requires_grad=True)
-    out = T.solarize(t, 0.5)
-    assert np.allclose(out.data, [0.2, 0.3])
-    assert not out.requires_grad
-
-
-def test_pointwise_dispatch():
-    out = T.pointwise("negate", Tensor([1.0, -4.0]))
-    assert np.array_equal(out.data, [-1.0, 4.0])
-    with pytest.raises(ValueError):
-        T.pointwise("banana", Tensor([1.0]))
-
-
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(0)
     x = Tensor(rng.random((3, 5, 5)))
@@ -149,7 +135,7 @@ def test_backward_linear_and_quadratic():
     T.backward(T.reduce_sum(w))
     assert np.array_equal(w.grad, np.ones(3))
 
-    w.zero_grad()
+    T.zero_grads([w])
     T.backward(T.reduce_sum(T.mul(w, w)))
     assert np.allclose(w.grad, 2.0 * w.data)
 

@@ -1,4 +1,5 @@
 import copy
+import struct
 import time
 
 import numpy as np
@@ -57,6 +58,15 @@ def test_config_parsing_and_overrides():
         TR.config_from_pairs([("lambda", "1.5")])
     with pytest.raises(TR.ConfigError, match="steps"):
         TR.config_from_pairs([("steps", "many")])
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["lr_base", "weight_decay", "momentum", "trust_coeff",
+                                 "lambda", "iou_threshold", "min_scale", "tau_base",
+                                 "temperature"])
+def test_config_rejects_non_finite_floats(key, value):
+    with pytest.raises(TR.ConfigError, match=f"{key}: must be finite"):
+        TR.config_from_pairs([(key, value)])
 
 
 def test_config_text_roundtrip():
@@ -268,6 +278,23 @@ def test_checkpoint_rejects_damage(tmp_path, small_corpus):
     trailing.write_bytes(blob + b"junk")
     with pytest.raises(CK.CheckpointError, match="trailing"):
         CK.load_checkpoint(trailing)
+
+
+def test_checkpoint_rejects_f32_dtype_tag(tmp_path):
+    path = tmp_path / "run.ckpt"
+    CK.save_checkpoint(TR.init_state(FAST), path)
+    blob = bytearray(path.read_bytes())
+    # magic, u32 version, u64 step, u32 count; then the first tensor's header
+    off = 4 + 16
+    (name_len,) = struct.unpack_from("<I", blob, off)
+    off += 4 + name_len
+    (ndim,) = struct.unpack_from("<I", blob, off)
+    off += 4 + 8 * ndim
+    assert blob[off] == 0
+    blob[off] = 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CK.CheckpointError, match="unknown dtype tag 1"):
+        CK.load_checkpoint(path)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path, small_corpus):
