@@ -15,7 +15,8 @@ import numpy as np
 from .model import init_params
 from .objectives import NegativeQueue
 from .tensor import Tensor
-from .train import TrainState, config_from_text, config_to_text, model_config_for
+from .train import (ConfigError, TrainState, config_from_text, config_to_text,
+                    model_config_for)
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -77,6 +78,12 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8 ({err.reason})") from None
+
 
 def load_checkpoint(path) -> TrainState:
     """Rebuild a full training state; raises CheckpointError on any damage."""
@@ -92,7 +99,7 @@ def load_checkpoint(path) -> TrainState:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<I")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len, "tensor name")
         (ndim,) = r.unpack("<I")
         dims = r.unpack(f"<{ndim}Q") if ndim else ()
         (tag,) = r.unpack("<B")
@@ -102,7 +109,10 @@ def load_checkpoint(path) -> TrainState:
         tensors[name] = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64).reshape(dims)
 
     (cfg_len,) = r.unpack("<I")
-    cfg = config_from_text(r.take(cfg_len).decode("utf-8"))
+    try:
+        cfg = config_from_text(r.text(cfg_len, "config block"))
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: config block: {err}") from None
     if r.off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes")
 

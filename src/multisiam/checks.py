@@ -65,10 +65,14 @@ def _case_conv2d(rng):
     b3 = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
     w1 = Tensor(rng.standard_normal((2, 3, 1, 1)) * 0.5, requires_grad=True)
     reduce = _dot_with(rng.standard_normal((2, 3, 3)))
+    # the backbone's downsampling op: stride 2, one row and column of padding
+    # before and none after
+    reduce_down = _dot_with(rng.standard_normal((3, 3, 3)))
 
     def f(x_, w3_, b3_, w1_):
         mid = T.conv2d(x_, w3_, stride=1, pad=1, bias=b3_)
-        return reduce(T.subsample(T.conv2d(mid, w1_), 2))
+        down = T.conv2d(x_, w3_, stride=2, pad=(1, 0), bias=b3_)
+        return T.add(reduce(T.subsample(T.conv2d(mid, w1_), 2)), reduce_down(down))
 
     return finite_difference_check(f, [x, w3, b3, w1], name="conv2d")
 

@@ -6,9 +6,10 @@ the stop-gradient boundary is structural: nothing downstream of the target can
 ever join the tape.
 
 Desk-scale backbone: four 3x3 conv stages with relu and no normalization
-layers. Downsampling is a stride-2 subsample after the first three stages,
-which matches a stride-2 convolution on even extents while keeping every
-convolution's output extent integral.
+layers. Each of the first three stages downsamples with a stride-2 conv
+padded by one row and column before and none after, ``pad=(1, 0)``: on even
+extents that computes every second row and column of the ``pad=1`` stride-1
+conv, and no other pixel, while keeping the output extent integral.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, add, conv2d, global_avg_pool, l2_normalize, matmul, mul,
-                     relu, reshape, subsample, transpose)
+                     relu, reshape, transpose)
 
 __all__ = [
     "ModelConfig",
@@ -149,12 +150,10 @@ def backbone_forward(params: dict[str, Tensor], view: Tensor,
     x = view
     last = len(cfg.downsample)
     for idx, down in enumerate(cfg.downsample, start=1):
-        x = conv2d(x, params[f"backbone.conv{idx}.w"], stride=1, pad=1,
-                   bias=params[f"backbone.conv{idx}.b"])
+        x = conv2d(x, params[f"backbone.conv{idx}.w"], stride=2 if down else 1,
+                   pad=(1, 0) if down else 1, bias=params[f"backbone.conv{idx}.b"])
         if idx != last:
             x = relu(x)
-        if down:
-            x = subsample(x, 2)
     return x
 
 

@@ -205,13 +205,26 @@ def relu(t: Tensor) -> Tensor:
 # structured ops
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
+def _pad_pair(pad) -> tuple[int, int]:
+    """Normalize conv2d's ``pad`` to (before, after); both must be ints >= 0."""
+    pair = (pad, pad) if isinstance(pad, (int, np.integer)) else pad
+    if (not isinstance(pair, (tuple, list)) or len(pair) != 2
+            or not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+                       and p >= 0 for p in pair)):
+        raise ShapeError(f"pad must be an int or a (before, after) pair of ints >= 0, got {pad!r}")
+    return int(pair[0]), int(pair[1])
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0,
            bias: Tensor | None = None) -> Tensor:
     """Cross-correlate a [C_in,H,W] map with a [C_out,C_in,kh,kw] kernel.
 
-    Output extents must come out integral: (H + 2*pad - kh) divisible by
-    stride. kh/kw are restricted to 1 or 3. Backward populates grads for the
-    input, the kernel and the optional per-channel bias.
+    ``pad`` is an int or a (before, after) pair, applied to rows and columns
+    alike: ``stride=2, pad=(1, 0)`` on an even extent computes every second
+    row and column of the ``stride=1, pad=1`` output. Output extents must come
+    out integral: (H + before + after - kh) divisible by stride. kh/kw are
+    restricted to 1 or 3. Backward populates grads for the input, the kernel
+    and the optional per-channel bias.
     """
     x, w = _coerce(x), _coerce(w)
     if x.ndim != 3 or w.ndim != 4:
@@ -222,16 +235,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         raise ShapeError(f"input channels {cin} do not match kernel channels {cin_w}")
     if kh not in (1, 3) or kw not in (1, 3):
         raise ShapeError(f"kernel extents must be 1 or 3, got {kh}x{kw}")
-    if (h + 2 * pad - kh) % stride or (wd + 2 * pad - kw) % stride:
+    before, after = _pad_pair(pad)
+    if (h + before + after - kh) % stride or (wd + before + after - kw) % stride:
         raise ShapeError(
             f"non-integral output extent for input {h}x{wd}, kernel {kh}x{kw}, "
             f"stride {stride}, pad {pad}")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
+    ho = (h + before + after - kh) // stride + 1
+    wo = (wd + before + after - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError("empty convolution output")
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    padded = before or after
+    xp = np.pad(x.data, ((0, 0), (before, after), (before, after))) if padded else x.data
     cols = np.empty((cin, kh, kw, ho, wo), dtype=np.float64)
     for di in range(kh):
         for dj in range(kw):
@@ -260,7 +275,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
                 for dj in range(kw):
                     dxp[:, di:di + (ho - 1) * stride + 1:stride,
                         dj:dj + (wo - 1) * stride + 1:stride] += dcols[:, di, dj]
-            _accumulate(x, dxp[:, pad:pad + h, pad:pad + wd] if pad else dxp)
+            _accumulate(x, dxp[:, before:before + h, before:before + wd] if padded else dxp)
 
     return _result(out.reshape(cout, ho, wo), parents, bw)
 

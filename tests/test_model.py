@@ -27,6 +27,24 @@ def test_backbone_output_shape_and_determinism():
     assert np.array_equal(out.data, again.data)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_backbone_matches_full_resolution_conv_then_subsample(seed):
+    # reference: every stage as a full-resolution conv, then every second row
+    # and column of each downsampling stage's output; the same bytes expected
+    pair = make_pair(seed=seed)
+    view = Tensor(np.random.default_rng(seed + 10).random((3, 64, 64)))
+    x = view
+    for idx, down in enumerate(DESK.downsample, start=1):
+        x = T.conv2d(x, pair.online[f"backbone.conv{idx}.w"], stride=1, pad=1,
+                     bias=pair.online[f"backbone.conv{idx}.b"])
+        if idx != len(DESK.downsample):
+            x = T.relu(x)
+        if down:
+            x = T.subsample(x, 2)
+    out = M.backbone_forward(pair.online, view, DESK)
+    assert out.data.tobytes() == x.data.tobytes()
+
+
 def test_backbone_rejects_indivisible_extents():
     pair = make_pair()
     with pytest.raises(ValueError):

@@ -60,6 +60,39 @@ def test_conv2d_rejects_non_integral_output():
         T.conv2d(x, w, stride=2, pad=1)
 
 
+# 64 and 48 output pixels, as in every downsampling stage of the 64x64 and
+# 32x32 backbones. Both graphs multiply the same kernel rows with the same
+# columns, so the values agree bit for bit as long as BLAS rounds a column
+# the same way whatever the matrix width; OpenBLAS does so for widths that
+# are a multiple of 8.
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("h,w", [(16, 16), (16, 12)])
+def test_strided_conv_equals_subsampled_conv(seed, h, w):
+    rng = np.random.default_rng(seed)
+    arrays = rng.standard_normal((3, h, w)), rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+    direction = Tensor(rng.standard_normal((4, h // 2, w // 2)))
+    graphs = []
+    for build in (lambda x, k, b: T.conv2d(x, k, 2, (1, 0), b),
+                  lambda x, k, b: T.subsample(T.conv2d(x, k, 1, 1, b), 2)):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = build(*leaves)
+        T.backward(T.reduce_sum(T.mul(out, direction)))
+        graphs.append((out, leaves))
+    (strided, s_leaves), (full, f_leaves) = graphs
+    assert strided.shape == (4, h // 2, w // 2)
+    assert strided.data.tobytes() == full.data.tobytes()
+    for a, b in zip(s_leaves, f_leaves):
+        assert np.allclose(a.grad, b.grad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("pad", [-1, (1, -1), (1,), (1, 0, 0), 1.0, (1.0, 0), "1", True, None])
+def test_conv2d_rejects_bad_pad(pad):
+    x = Tensor(np.zeros((1, 4, 4)))
+    w = Tensor(np.zeros((1, 1, 3, 3)))
+    with pytest.raises(T.ShapeError, match="pad must be"):
+        T.conv2d(x, w, stride=1, pad=pad)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_conv2d_gradient_finite_difference(seed):
     rng = np.random.default_rng(seed)

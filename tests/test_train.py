@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multisiam import checkpoint as CK
+from multisiam import cli
 from multisiam import scenes as S
 from multisiam import train as TR
 from multisiam.optim import lars_step, sgd_step
@@ -295,6 +296,46 @@ def test_checkpoint_rejects_f32_dtype_tag(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CK.CheckpointError, match="unknown dtype tag 1"):
         CK.load_checkpoint(path)
+
+
+def _saved_checkpoint_bytes(tmp_path):
+    path = tmp_path / "run.ckpt"
+    CK.save_checkpoint(TR.init_state(FAST), path)
+    return path, bytearray(path.read_bytes())
+
+
+def _eval_exit_code(tmp_path, path):
+    return cli.main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval")])
+
+
+def test_checkpoint_non_utf8_name_exits_runtime(tmp_path):
+    path, blob = _saved_checkpoint_bytes(tmp_path)
+    blob[24] = 0xFF  # magic, u32 version, u64 step, u32 count, u32 name length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CK.CheckpointError, match="tensor name is not UTF-8"):
+        CK.load_checkpoint(path)
+    assert _eval_exit_code(tmp_path, path) == 2
+
+
+def test_checkpoint_non_utf8_config_block_exits_runtime(tmp_path):
+    path, blob = _saved_checkpoint_bytes(tmp_path)
+    blob[-2] = 0xFF  # inside the final config line
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CK.CheckpointError, match="config block is not UTF-8"):
+        CK.load_checkpoint(path)
+    assert _eval_exit_code(tmp_path, path) == 2
+
+
+def test_checkpoint_invalid_config_block_exits_runtime(tmp_path):
+    path, blob = _saved_checkpoint_bytes(tmp_path)
+    line = b"\nsteps=%d\n" % FAST.steps
+    assert blob.count(line) == 1
+    at = blob.index(line)
+    blob[at:at + len(line)] = b"\nsteps=" + b"0" * (len(line) - 8) + b"\n"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CK.CheckpointError, match="config block: steps"):
+        CK.load_checkpoint(path)
+    assert _eval_exit_code(tmp_path, path) == 2
 
 
 def test_resume_matches_uninterrupted_run(tmp_path, small_corpus):

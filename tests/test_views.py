@@ -3,8 +3,8 @@ import pytest
 
 from multisiam.tensor import Tensor
 from multisiam.views import (AugmentConfig, Box, PhotoParams, NEUTRAL_PHOTO, ViewSpec,
-                             compute_iou, render_view, resize_bilinear, sample_view_pair,
-                             _sample_box)
+                             bilinear_sample, compute_iou, render_view, resize_bilinear,
+                             sample_view_pair, _sample_box)
 
 
 def full_spec(h, w, flipped=False, photo=NEUTRAL_PHOTO):
@@ -149,3 +149,17 @@ def test_resize_bilinear_identity_and_constant():
     assert np.array_equal(resize_bilinear(img, (8, 8)), img)
     up = resize_bilinear(np.full((1, 4, 4), 2.5), (16, 16))
     assert np.allclose(up, 2.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bilinear_sample_matches_broadcast_gather(seed):
+    rng = np.random.default_rng(seed)
+    img = rng.standard_normal((3, 9, 11))
+    xs = rng.uniform(-2.0, 13.0, size=7)  # past both edges: clamping included
+    ys = rng.uniform(-2.0, 11.0, size=5)
+    out, taps = bilinear_sample(img, xs, ys)
+    expect = img[:, taps[0][0], taps[0][1]] * taps[0][2]
+    for rows, cols, weights in taps[1:]:
+        assert rows.shape == (5, 1) and cols.shape == (1, 7) and weights.shape == (5, 7)
+        expect += img[:, rows, cols] * weights
+    assert out.tobytes() == expect.tobytes()
