@@ -5,6 +5,9 @@ Grid cells use the pixel-center convention: cell (i, j) of an HxW grid sits at
 native resolution is exactly the identity. All alignment runs on flip-backed
 maps, i.e. column j of an incoming map corresponds to column j of the
 unflipped crop.
+
+Every function takes either one [C,H,W] map with one view pair's specs, or a
+[C,N,H,W] batch with one spec (and box) per sample.
 """
 
 from __future__ import annotations
@@ -75,9 +78,13 @@ def _cell_xy(spec: ViewSpec, i, j, h: int, w: int):
     return x, y
 
 
-def flip_back(fmap: Tensor, flipped: bool) -> Tensor:
-    """Undo a horizontal flip on a [C,H,W] map; identity when not flipped."""
-    return flip_last(fmap) if flipped else fmap
+def flip_back(fmap: Tensor, flipped) -> Tensor:
+    """Undo horizontal flips: one flag for a [C,H,W] map, a flag per sample
+    for a [C,N,H,W] batch; identity when nothing is flipped."""
+    flags = np.asarray(flipped, dtype=bool)
+    if not flags.any():
+        return fmap
+    return flip_last(fmap, None if flags.ndim == 0 else flags)
 
 
 def intersection_relative(spec_a: ViewSpec, spec_b: ViewSpec) -> tuple[RelBox, RelBox]:
@@ -101,25 +108,36 @@ def intersection_relative(spec_a: ViewSpec, spec_b: ViewSpec) -> tuple[RelBox, R
     return rel(a), rel(b)
 
 
-def roi_align(fmap: Tensor, roi: RelBox, out_h: int, out_w: int) -> Tensor:
-    """Bilinearly sample a [C,H,W] map at out_h x out_w bin centers in roi.
+def roi_align(fmap: Tensor, roi, out_h: int, out_w: int) -> Tensor:
+    """Bilinearly sample a map at out_h x out_w bin centers in its roi: one
+    RelBox for a [C,H,W] map, one per sample for a [C,N,H,W] batch.
 
     One sample per bin, taken at the bin center; sample positions outside the
     pixel-center hull clamp to the edge. Differentiable w.r.t. the map.
     """
     fmap = _coerce(fmap)
-    _, h, w = fmap.shape
-    xs = roi.x0 + (np.arange(out_w) + 0.5) / out_w * (roi.x1 - roi.x0)
-    ys = roi.y0 + (np.arange(out_h) + 0.5) / out_h * (roi.y1 - roi.y0)
-    out, taps = bilinear_sample(fmap.data, xs * w, ys * h)
+    data = fmap.data if fmap.ndim == 4 else fmap.data[:, None]
+    rois = roi if fmap.ndim == 4 else [roi]
+    c, n, h, w = data.shape
+    if len(rois) != n:
+        raise AlignmentError(f"{len(rois)} boxes for {n} samples")
+    out = np.empty((c, n, out_h, out_w))
+    taps = []
+    for s, box in enumerate(rois):
+        xs = box.x0 + (np.arange(out_w) + 0.5) / out_w * (box.x1 - box.x0)
+        ys = box.y0 + (np.arange(out_h) + 0.5) / out_h * (box.y1 - box.y0)
+        out[:, s], sample_taps = bilinear_sample(data[:, s], xs * w, ys * h)
+        taps.append(sample_taps)
 
     def bw(g):
-        grad = np.zeros_like(fmap.data)
-        for rows, cols, weights in taps:
-            np.add.at(grad, (slice(None), rows, cols), g * weights)
-        _accumulate(fmap, grad)
+        g = g.reshape(c, n, out_h, out_w)
+        grad = np.zeros_like(data)
+        for s, sample_taps in enumerate(taps):
+            for rows, cols, weights in sample_taps:
+                np.add.at(grad[:, s], (slice(None), rows, cols), g[:, s] * weights)
+        _accumulate(fmap, grad.reshape(fmap.shape))
 
-    return _result(out, (fmap,), bw)
+    return _result(out.reshape((c,) + fmap.shape[1:-2] + (out_h, out_w)), (fmap,), bw)
 
 
 def offset_map(spec_a: ViewSpec, spec_b: ViewSpec, h: int, w: int,
@@ -146,9 +164,11 @@ def offset_map(spec_a: ViewSpec, spec_b: ViewSpec, h: int, w: int,
     return Tensor(np.stack([dx, dy]))
 
 
-def align_pair(online_map: Tensor, target_map: Tensor, spec_a: ViewSpec,
-               spec_b: ViewSpec, mode: str, normalize_offset: bool = True) -> AlignedPair:
-    """Restore pixel correspondence between two flip-backed projected maps.
+def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str,
+               normalize_offset: bool = True) -> AlignedPair:
+    """Restore pixel correspondence between two flip-backed projected maps:
+    [C,H,W] maps with one ViewSpec each, or [C,N,H,W] batches with a
+    sequence of N specs each.
 
     roi: both maps pooled over the intersection region at their native
     resolution. offset: the online map gains two coordinate-offset channels,
@@ -161,10 +181,15 @@ def align_pair(online_map: Tensor, target_map: Tensor, spec_a: ViewSpec,
             f"spatial extents differ: {online_map.shape} vs {target_map.shape}")
     if mode == "none":
         return AlignedPair(online_map, target_map, mode)
-    _, h, w = online_map.shape
+    batched = online_map.ndim == 4
+    pairs = list(zip(spec_a, spec_b)) if batched else [(spec_a, spec_b)]
+    h, w = online_map.shape[-2:]
     if mode == "offset":
-        offsets = offset_map(spec_a, spec_b, h, w, normalize=normalize_offset)
-        return AlignedPair(concat([online_map, offsets], axis=0), target_map, mode)
-    rel_a, rel_b = intersection_relative(spec_a, spec_b)
+        offsets = [offset_map(a, b, h, w, normalize=normalize_offset).data for a, b in pairs]
+        offsets = np.stack(offsets, axis=1) if batched else offsets[0]
+        return AlignedPair(concat([online_map, Tensor(offsets)], axis=0), target_map, mode)
+    rel_a, rel_b = zip(*(intersection_relative(a, b) for a, b in pairs))
+    if not batched:
+        rel_a, rel_b = rel_a[0], rel_b[0]
     return AlignedPair(roi_align(online_map, rel_a, h, w),
                        roi_align(target_map, rel_b, h, w), mode)

@@ -130,6 +130,13 @@ def load_checkpoint(path) -> TrainState:
 
     buffers = {name[len("opt."):]: arr for name, arr in tensors.items()
                if name.startswith("opt.")}
+    for name, buf in buffers.items():
+        if name not in online:
+            raise CheckpointError(f"{path}: optimizer buffer {name} names no parameter")
+        if buf.shape != online[name].shape:
+            raise CheckpointError(
+                f"{path}: optimizer buffer {name} has shape {buf.shape}, "
+                f"parameter has {online[name].shape}")
 
     queue = None
     if cfg.loss_mode == "moco":

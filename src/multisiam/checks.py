@@ -2,11 +2,13 @@
 
 Each case builds small random tensors (bounded away from relu kinks where the
 op has them), composes the operation into a scalar, and compares backward
-grads against central differences. The full-loss cases run the training loss
-itself, ``train.image_loss``, on a toy network with every parameter checked:
-one case per loss mode (cluster, wo_kmeans, moco) and per alignment (offset,
-roi, none), with self-attention off, the dense loss and symmetrization among
-them.
+grads against central differences. The ``*_batched`` and ``*_per_sample``
+cases run the ops on [C,N,H,W] batches, as training does. The full-loss cases
+run the training loss itself, ``train.image_loss``, on a batch of two images
+whose views differ in flip flags and boxes, on a toy network with every
+parameter checked: one case per loss mode (cluster, wo_kmeans, moco) and per
+alignment (offset, roi, none), with self-attention off, the dense loss and
+symmetrization among them.
 """
 
 from __future__ import annotations
@@ -77,11 +79,47 @@ def _case_conv2d(rng):
     return finite_difference_check(f, [x, w3, b3, w1], name="conv2d")
 
 
+def _case_conv2d_batched(rng):
+    x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+    w3 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True)
+    b3 = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
+    w1 = Tensor(rng.standard_normal((2, 3, 1, 1)) * 0.5, requires_grad=True)
+    reduce_same = _dot_with(rng.standard_normal((2, 3, 6, 6)))
+    reduce_down = _dot_with(rng.standard_normal((3, 3, 3, 3)))
+
+    def f(x_, w3_, b3_, w1_):
+        same = T.conv2d(T.conv2d(x_, w3_, stride=1, pad=1, bias=b3_), w1_)
+        down = T.conv2d(x_, w3_, stride=2, pad=(1, 0), bias=b3_)
+        return T.add(reduce_same(same), reduce_down(down))
+
+    return finite_difference_check(f, [x, w3, b3, w1], name="conv2d_batched")
+
+
 def _case_pool(rng):
     x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
     reduce = _dot_with(rng.standard_normal(3))
     return finite_difference_check(lambda x_: reduce(T.global_avg_pool(x_)), [x],
                                    name="global_avg_pool")
+
+
+def _case_pool_batched(rng):
+    x = Tensor(rng.standard_normal((3, 2, 4, 5)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((3, 2)))
+    return finite_difference_check(lambda x_: reduce(T.global_avg_pool(x_)), [x],
+                                   name="global_avg_pool_batched")
+
+
+def _case_broadcast(rng):
+    # the bias adds of the 1D heads: a [D,1] column against a [D,N] batch
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    col = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+    row = Tensor(rng.standard_normal(4), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((3, 4)))
+
+    def f(a_, col_, row_):
+        return reduce(T.sub(T.mul(T.add(a_, col_), row_), col_))
+
+    return finite_difference_check(f, [a, col, row], name="broadcast")
 
 
 def _case_l2_normalize(rng):
@@ -116,6 +154,28 @@ def _case_structured(rng):
     return finite_difference_check(f, [a, b], name="matmul_concat_reshape")
 
 
+def _case_matmul_stacked(rng):
+    a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((3, 2, 3)))
+
+    def f(a_, b_):
+        return reduce(T.transpose(T.matmul(a_, T.transpose(b_, (1, 0, 2))), (1, 0, 2)))
+
+    return finite_difference_check(f, [a, b], name="matmul_stacked")
+
+
+def _case_select(rng):
+    x = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+    reduce_a = _dot_with(rng.standard_normal((2, 4)))
+    reduce_b = _dot_with(rng.standard_normal((3, 4)))
+
+    def f(x_):
+        return T.add(reduce_a(T.select(x_, 2)), reduce_b(T.select(x_, 1, axis=1)))
+
+    return finite_difference_check(f, [x], name="select")
+
+
 def _case_logsumexp(rng):
     x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     reduce = _dot_with(rng.standard_normal(4))
@@ -130,14 +190,33 @@ def _case_flip_back(rng):
                                    name="flip_back")
 
 
+def _case_flip_back_per_sample(rng):
+    x = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((2, 3, 3, 4)))
+    return finite_difference_check(lambda x_: reduce(flip_back(x_, [True, False, True])),
+                                   [x], name="flip_back_per_sample")
+
+
+def _random_relbox(rng):
+    x0, y0 = rng.uniform(0.02, 0.4, 2)
+    return RelBox(float(x0), float(y0), float(x0 + rng.uniform(0.3, 0.55)),
+                  float(y0 + rng.uniform(0.3, 0.55)))
+
+
 def _case_roi_align(rng):
     x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
-    x0, y0 = rng.uniform(0.02, 0.4, 2)
-    roi = RelBox(float(x0), float(y0), float(x0 + rng.uniform(0.3, 0.55)),
-                 float(y0 + rng.uniform(0.3, 0.55)))
+    roi = _random_relbox(rng)
     reduce = _dot_with(rng.standard_normal((2, 3, 3)))
     return finite_difference_check(lambda x_: reduce(roi_align(x_, roi, 3, 3)), [x],
                                    name="roi_align")
+
+
+def _case_roi_align_per_sample(rng):
+    x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+    rois = [_random_relbox(rng) for _ in range(3)]
+    reduce = _dot_with(rng.standard_normal((2, 3, 3, 3)))
+    return finite_difference_check(lambda x_: reduce(roi_align(x_, rois, 3, 3)), [x],
+                                   name="roi_align_per_sample")
 
 
 def _toy_pair(rng, cfg=TOY):
@@ -262,13 +341,17 @@ def _case_loss_moco(rng):
 
 
 def _case_full_loss(rng, name, **overrides):
-    """The training loss of one image, as train_step builds it, on a toy
-    network whose parameters are all checked."""
+    """The training loss of a batch of two images, as train_step builds it,
+    on a toy network whose parameters are all checked. The two images' views
+    differ in boxes and flip flags, so the per-sample flips, offsets, boxes
+    and the pairing of online and target views are all exercised."""
     cfg = replace(TrainConfig(), k=2, **overrides)
     mcfg = replace(TOY, alignment=cfg.alignment, residual=cfg.resolved_residual)
     pair = _toy_pair(rng, mcfg)
-    specs = _overlapping_specs(rng)
-    views = [Tensor(rng.random((3, 8, 8))), Tensor(rng.random((3, 8, 8)))]
+    specs = [tuple(replace(spec, flipped=flip) for spec, flip in zip(_overlapping_specs(rng),
+                                                                      flips))
+             for flips in ((True, False), (False, True))]
+    views = [[Tensor(rng.random((3, 8, 8))) for _ in range(2)] for _ in specs]
     seed = int(rng.integers(1 << 30))
     queue = None
     if cfg.loss_mode == "moco":
@@ -291,13 +374,20 @@ def run_gradient_suite(seeds=range(5)) -> list[GradCheckReport]:
         cases = [
             _case_pointwise,
             _case_conv2d,
+            _case_conv2d_batched,
             _case_pool,
+            _case_pool_batched,
+            _case_broadcast,
             _case_l2_normalize,
             _case_cosine,
             _case_structured,
+            _case_matmul_stacked,
+            _case_select,
             _case_logsumexp,
             _case_flip_back,
+            _case_flip_back_per_sample,
             _case_roi_align,
+            _case_roi_align_per_sample,
             _case_projector,
             _case_predictor,
             _case_heads_1d,

@@ -18,6 +18,7 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .checks import GRADCHECK_TOLERANCE, run_gradient_suite
 from .model import init_params
+from .objectives import ClusteringError
 from .probe import full_resolution_clusters, paired_probe
 from .scenes import CorpusError, SceneSpec, generate, save_labeled_image
 from .train import (EVAL_SEED_OFFSET, PURPOSE_EVAL, PURPOSE_PARAMS, ConfigError,
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckpointError, CorpusError, TrainingError, OSError) as err:
+    except (CheckpointError, ClusteringError, CorpusError, TrainingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -25,7 +25,6 @@ from .tensor import (Tensor, add, conv2d, global_avg_pool, l2_normalize, matmul,
 __all__ = [
     "ModelConfig",
     "SiamesePair",
-    "HeadsOutput",
     "init_params",
     "init_siamese_pair",
     "backbone_forward",
@@ -74,15 +73,6 @@ class SiamesePair:
 
     online: dict[str, Tensor]
     target: dict[str, Tensor]
-
-
-@dataclass
-class HeadsOutput:
-    """Everything one branch produces for one view."""
-
-    feature_map: Tensor            # backbone output [C, H/S, W/S]
-    projected_map: Tensor | None   # 2D projector output (skipped in the contrastive mode)
-    pooled: Tensor                 # 1D head output (prediction online, projection target)
 
 
 def _conv_param(rng, cout, cin, k, centered=False):
@@ -137,14 +127,15 @@ def init_siamese_pair(cfg: ModelConfig, rng: np.random.Generator) -> SiamesePair
 
 def backbone_forward(params: dict[str, Tensor], view: Tensor,
                      cfg: ModelConfig) -> Tensor:
-    """Encode a [3,H,W] view into a [C, H/S, W/S] feature map.
+    """Encode a [3,N,H,W] batch of views into [C, N, H/S, W/S] feature maps,
+    or one [3,H,W] view into a [C, H/S, W/S] map.
 
     relu sits between stages; the final stage stays linear so feature
     directions are not pinned to the positive orthant (a zeroed final kernel
     maps everything to its bias exactly).
     """
     s = cfg.total_stride
-    _, h, w = view.shape
+    h, w = view.shape[-2:]
     if h % s or w % s:
         raise ValueError(f"view extents {h}x{w} not divisible by total stride {s}")
     x = view
@@ -176,44 +167,48 @@ def predict_local(params: dict[str, Tensor], aligned_map: Tensor) -> Tensor:
     return _mlp_conv_forward(params, "pred2d", aligned_map)
 
 
-def _mlp_fc_forward(params, prefix, vec):
-    col = reshape(vec, (vec.shape[0], 1))
-    h = relu(add(matmul(params[f"{prefix}.fc1.w"], col),
+def _mlp_fc_forward(params, prefix, cols):
+    # cols is [D, N]: one column per sample; the biases broadcast along N
+    h = relu(add(matmul(params[f"{prefix}.fc1.w"], cols),
                  reshape(params[f"{prefix}.fc1.b"], (-1, 1))))
-    out = add(matmul(params[f"{prefix}.fc2.w"], h),
-              reshape(params[f"{prefix}.fc2.b"], (-1, 1)))
-    return reshape(out, (out.shape[0],))
+    return add(matmul(params[f"{prefix}.fc2.w"], h),
+               reshape(params[f"{prefix}.fc2.b"], (-1, 1)))
 
 
 def project_predict_1d(params: dict[str, Tensor], fmap: Tensor,
                        with_predictor: bool) -> Tensor:
-    """Pool the feature map, project it, and (online branch only) predict."""
-    z = _mlp_fc_forward(params, "proj1d", global_avg_pool(fmap))
+    """Pool the feature map, project it, and (online branch only) predict:
+    [C,N,H,W] -> [E,N], or [C,H,W] -> [E]."""
+    pooled = global_avg_pool(fmap)
+    single = pooled.ndim == 1
+    z = _mlp_fc_forward(params, "proj1d", reshape(pooled, (-1, 1)) if single else pooled)
     if with_predictor:
         z = _mlp_fc_forward(params, "pred1d", z)
-    return z
+    return reshape(z, (-1,)) if single else z
 
 
 def self_attention_predict(aligned_map: Tensor, local_pred: Tensor,
                            residual: bool = False) -> Tensor:
     """Aggregate local predictions weighted by squared clamped cosine
-    similarity between aligned-map pixels; no softmax normalization.
+    similarity between aligned-map pixels of the same sample; no softmax
+    normalization. Takes [C,N,H,W] batches or single [C,H,W] maps.
 
     Optionally adds the local prediction back as a residual connection.
     """
     if aligned_map.shape[1:] != local_pred.shape[1:]:
         raise ValueError(
             f"spatial extents differ: {aligned_map.shape} vs {local_pred.shape}")
-    c, h, w = aligned_map.shape
-    n = h * w
-    keys = l2_normalize(reshape(aligned_map, (c, n)), axis=0)
-    sim = relu(matmul(transpose(keys), keys))
-    sim = mul(sim, sim)
-    values = reshape(local_pred, (local_pred.shape[0], n))
-    out = matmul(values, sim)  # sim is symmetric
+    c, d = aligned_map.shape[0], local_pred.shape[0]
+    *batch, h, w = aligned_map.shape[1:]
+    samples, n = (batch[0] if batch else 1), h * w
+    keys = l2_normalize(reshape(aligned_map, (c, samples, n)), axis=0)
+    sim = relu(matmul(transpose(keys, (1, 2, 0)), transpose(keys, (1, 0, 2))))
+    sim = mul(sim, sim)  # [N, n, n], symmetric per sample
+    values = transpose(reshape(local_pred, (d, samples, n)), (1, 0, 2))
+    out = matmul(values, sim)
     if residual:
         out = add(out, values)
-    return reshape(out, (local_pred.shape[0], h, w))
+    return reshape(transpose(out, (1, 0, 2)), local_pred.shape)
 
 
 def ema_update(pair: SiamesePair, tau: float) -> None:

@@ -4,6 +4,10 @@ K-means runs on the aligned target map and is always a stop-gradient target:
 its inputs carry no tape and its outputs are plain constants. The cosine
 losses stay in [-1, 1]; the pixel-contrastive loss is a softmax cross-entropy
 and is non-negative.
+
+Each loss takes a single sample ([E] vectors, [C,H,W] maps) and returns a
+scalar, or a batch ([E,N], [C,N,H,W]) and returns the N per-sample losses.
+K-means is intra-image and runs on one sample at a time.
 """
 
 from __future__ import annotations
@@ -15,10 +19,12 @@ import numpy as np
 from .align import intersection_relative, roi_align
 from .model import self_attention_predict
 from .tensor import (Tensor, concat, detach, l2_normalize, logsumexp, matmul, mul,
-                     negate, reduce_mean, reduce_sum, reshape, scale, sub, transpose)
+                     negate, reduce_mean, reduce_sum, reshape, scale, select, sub,
+                     transpose)
 
 __all__ = [
     "ClusterResult",
+    "ClusteringError",
     "NegativeQueue",
     "kmeans",
     "loss_1d",
@@ -30,6 +36,11 @@ __all__ = [
 ]
 
 LOSS_MODES = ("cluster", "wo_kmeans", "moco")
+
+
+class ClusteringError(RuntimeError):
+    """Raised when a Lloyd iteration raises the clustering cost, which exact
+    arithmetic rules out."""
 
 
 @dataclass
@@ -130,8 +141,8 @@ def kmeans(target_map, k: int, metric: str = "cosine", max_iter: int = 10,
         history.append(cost)
 
     for prev, cur in zip(history, history[1:]):
-        assert cur <= prev + 1e-9 * max(1.0, abs(prev)), \
-            f"Lloyd cost increased: {prev} -> {cur}"
+        if cur > prev + 1e-9 * max(1.0, abs(prev)):
+            raise ClusteringError(f"Lloyd cost increased: {prev} -> {cur}")
 
     centroid_map = centroids[assignments].T.reshape(c, h, w)
     return ClusterResult(centroids=Tensor(centroids),
@@ -145,6 +156,12 @@ def kmeans(target_map, k: int, metric: str = "cosine", max_iter: int = 10,
 # losses
 
 
+def _mean_pixels(per_pixel: Tensor) -> Tensor:
+    """Spatial mean of an [H,W] or [N,H,W] map: a scalar or an [N] vector."""
+    *batch, h, w = per_pixel.shape
+    return reduce_mean(reshape(per_pixel, tuple(batch) + (h * w,)), axis=-1)
+
+
 def _cosine_map(pred_map: Tensor, const_map: Tensor) -> Tensor:
     """Per-pixel cosine between a predicted map and a constant target map."""
     return reduce_sum(mul(l2_normalize(pred_map, axis=0),
@@ -153,48 +170,63 @@ def _cosine_map(pred_map: Tensor, const_map: Tensor) -> Tensor:
 
 def loss_1d(online_pred: Tensor, target_proj: Tensor) -> Tensor:
     """Negated cosine between the online prediction and the (stopped) target
-    projection; lies in [-1, 1]."""
+    projection, per column of [E,N] inputs; lies in [-1, 1]."""
     q = l2_normalize(online_pred, axis=0)
     z = l2_normalize(detach(target_proj), axis=0)
-    return negate(reduce_sum(mul(q, z)))
+    return negate(reduce_sum(mul(q, z), axis=0))
 
 
-def loss_2d_cluster(pred_map: Tensor, cluster: ClusterResult, dense: bool = False,
-                    target_map: Tensor | None = None) -> Tensor:
-    """Mean negated cosine between predictions and their cluster targets.
-
-    dense=False compares each pixel with its assigned centroid; dense=True
-    compares with every member pixel of its cluster (averaged), which reduces
-    to a dot product with the mean of the unit-normalized member pixels.
-    """
-    if pred_map.shape[1:] != cluster.centroid_map.shape[1:]:
-        raise ValueError(f"extent mismatch: {pred_map.shape} vs {cluster.centroid_map.shape}")
-    if not dense:
-        return negate(reduce_mean(reshape(_cosine_map(pred_map, cluster.centroid_map),
-                                          (pred_map.shape[1] * pred_map.shape[2],))))
-    if target_map is None:
-        raise ValueError("dense clustering needs the aligned target map")
-    h, w = cluster.assignments.shape
+def _dense_target(cluster: ClusterResult, target: np.ndarray) -> np.ndarray:
+    # the mean of the unit-normalized member pixels of each pixel's cluster
+    c, h, w = target.shape
     flat_assign = cluster.assignments.reshape(-1)
-    pix = _normalize_rows(target_map.data.reshape(target_map.shape[0], h * w).T)
+    pix = _normalize_rows(target.reshape(c, h * w).T)
     k = cluster.centroids.shape[0]
-    member_means = np.zeros((k, pix.shape[1]))
+    member_means = np.zeros((k, c))
     for idx in range(k):
         members = pix[flat_assign == idx]
         if members.size:
             member_means[idx] = members.mean(axis=0)
-    dense_targets = Tensor(member_means[flat_assign].T.reshape(target_map.shape))
-    per_pixel = reduce_sum(mul(l2_normalize(pred_map, axis=0), dense_targets), axis=0)
-    return negate(reduce_mean(reshape(per_pixel, (h * w,))))
+    return member_means[flat_assign].T.reshape(c, h, w)
+
+
+def loss_2d_cluster(pred_map: Tensor, cluster, dense: bool = False,
+                    target_map: Tensor | None = None) -> Tensor:
+    """Mean negated cosine between predictions and their cluster targets.
+
+    ``cluster`` is one ClusterResult for a [C,H,W] map, or a sequence with
+    one per sample of a [C,N,H,W] batch. dense=False compares each pixel with
+    its assigned centroid; dense=True compares with every member pixel of its
+    cluster (averaged), which reduces to a dot product with the mean of the
+    unit-normalized member pixels.
+    """
+    batched = pred_map.ndim == 4
+    clusters = list(cluster) if batched else [cluster]
+    if len(clusters) != (pred_map.shape[1] if batched else 1):
+        raise ValueError(f"{len(clusters)} cluster results for a batch of {pred_map.shape}")
+    for result in clusters:
+        if pred_map.shape[-2:] != result.centroid_map.shape[1:]:
+            raise ValueError(
+                f"extent mismatch: {pred_map.shape} vs {result.centroid_map.shape}")
+    if dense and target_map is None:
+        raise ValueError("dense clustering needs the aligned target map")
+    if dense:
+        data = target_map.data if batched else target_map.data[:, None]
+        targets = [_dense_target(r, data[:, s]) for s, r in enumerate(clusters)]
+    else:
+        targets = [r.centroid_map.data for r in clusters]
+    const = Tensor(np.stack(targets, axis=1) if batched else targets[0])
+    if not dense:
+        return negate(_mean_pixels(_cosine_map(pred_map, const)))
+    return negate(_mean_pixels(reduce_sum(mul(l2_normalize(pred_map, axis=0), const),
+                                          axis=0)))
 
 
 def loss_2d_wo_kmeans(pred_map: Tensor, target_map: Tensor) -> Tensor:
     """Mean negated per-pixel cosine against the raw aligned target map."""
     if pred_map.shape[1:] != target_map.shape[1:]:
         raise ValueError(f"extent mismatch: {pred_map.shape} vs {target_map.shape}")
-    _, h, w = pred_map.shape
-    cos = _cosine_map(pred_map, detach(target_map))
-    return negate(reduce_mean(reshape(cos, (h * w,))))
+    return negate(_mean_pixels(_cosine_map(pred_map, detach(target_map))))
 
 
 def loss_total(l1d: Tensor, l2d: Tensor, weight: float) -> Tensor:
@@ -251,11 +283,18 @@ def moco_pixel_infonce(online_feat: Tensor, target_feat: Tensor, spec_a, spec_b,
     local projector outputs with self-attention. The positive for each pixel
     is its cluster centroid on the target projection; negatives come from the
     queue. Afterwards the target pixels are pushed into the queue (FIFO).
+    For a [C,N,H,W] batch (with N specs each) the samples are clustered,
+    scored and pushed one after another, so sample s sees the queue as the
+    samples before it left it.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    _, h, w = online_feat.shape
-    rel_a, rel_b = intersection_relative(spec_a, spec_b)
+    batched = online_feat.ndim == 4
+    pairs = list(zip(spec_a, spec_b)) if batched else [(spec_a, spec_b)]
+    h, w = online_feat.shape[-2:]
+    rel_a, rel_b = zip(*(intersection_relative(a, b) for a, b in pairs))
+    if not batched:
+        rel_a, rel_b = rel_a[0], rel_b[0]
     region_on = roi_align(online_feat, rel_a, h, w)
     region_tg = roi_align(target_feat, rel_b, h, w)
 
@@ -264,20 +303,23 @@ def moco_pixel_infonce(online_feat: Tensor, target_feat: Tensor, spec_a, spec_b,
                    if use_attention else local)
     target_proj = target_projector(region_tg)
 
-    cluster = kmeans(target_proj, k, metric=metric, max_iter=max_iter, rng=rng)
-
     n = h * w
     dim = online_proj.shape[0]
-    pixels = transpose(l2_normalize(reshape(online_proj, (dim, n)), axis=0))  # [n, dim]
-    positives = Tensor(_normalize_rows(
-        cluster.centroid_map.data.reshape(dim, n).T))
-    pos_logits = scale(reduce_sum(mul(pixels, positives), axis=1), 1.0 / temperature)
-
-    negs = queue.negatives()
-    neg_logits = scale(matmul(pixels, Tensor(negs.T)), 1.0 / temperature)
-    logits = concat([reshape(pos_logits, (n, 1)), neg_logits], axis=1)
-    loss = reduce_mean(sub(logsumexp(logits, axis=1), pos_logits))
-
-    if update_queue:
-        queue.push(target_proj.data.reshape(dim, n).T)
-    return loss
+    # [N, n, dim]: unit-normalized online pixels, sample by sample
+    pixels = transpose(l2_normalize(reshape(online_proj, (dim, len(pairs), n)), axis=0),
+                       (1, 2, 0))
+    targets = target_proj.data if batched else target_proj.data[:, None]
+    losses = []
+    for s in range(len(pairs)):
+        cluster = kmeans(targets[:, s], k, metric=metric, max_iter=max_iter, rng=rng)
+        sample = select(pixels, s)
+        positives = Tensor(_normalize_rows(cluster.centroid_map.data.reshape(dim, n).T))
+        pos_logits = scale(reduce_sum(mul(sample, positives), axis=1), 1.0 / temperature)
+        neg_logits = scale(matmul(sample, Tensor(queue.negatives().T)), 1.0 / temperature)
+        logits = concat([reshape(pos_logits, (n, 1)), neg_logits], axis=1)
+        losses.append(reduce_mean(sub(logsumexp(logits, axis=1), pos_logits)))
+        if update_queue:
+            queue.push(targets[:, s].reshape(dim, n).T)
+    if not batched:
+        return losses[0]
+    return concat([reshape(loss, (1,)) for loss in losses], axis=0)

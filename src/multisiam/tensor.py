@@ -4,6 +4,9 @@ Every numeric building block of the training pipeline lives here: pointwise
 arithmetic, 2D cross-correlation, pooling, normalization, reductions and the
 backward pass itself. The tape is a per-forward DAG of closures that is freed
 as soon as backward() has consumed it; no higher-order derivatives.
+
+Feature maps are channel-major batches [C,N,H,W]; the structured ops also take
+a single [C,H,W] map.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "reshape",
     "concat",
     "flip_last",
+    "select",
     "reduce_sum",
     "reduce_mean",
     "logsumexp",
@@ -126,17 +130,20 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _check_binary_shapes(a: Tensor, b: Tensor) -> None:
-    # Only scalar-vs-tensor and exact-shape broadcasting are supported.
-    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
-        return
-    raise ShapeError(f"operand shapes {a.shape} and {b.shape} are incompatible")
+    # numpy broadcasting, e.g. a [O,1] bias against an [O,N] batch
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"operand shapes {a.shape} and {b.shape} are incompatible") from None
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Collapse the upstream grad onto a scalar operand.
-    if shape == ():
-        return np.asarray(g.sum(), dtype=np.float64)
-    return g
+    # Sum the upstream grad over the axes an operand was broadcast along.
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +224,12 @@ def _pad_pair(pad) -> tuple[int, int]:
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0,
            bias: Tensor | None = None) -> Tensor:
-    """Cross-correlate a [C_in,H,W] map with a [C_out,C_in,kh,kw] kernel.
+    """Cross-correlate a [C_in,N,H,W] batch, or one [C_in,H,W] map, with a
+    [C_out,C_in,kh,kw] kernel.
 
+    The batch is channel-major, so one GEMM covers every sample: the im2col
+    slices copy without transposes and the [C_out, N*Ho*Wo] product reshapes
+    straight into the [C_out,N,Ho,Wo] output. A single map runs as N = 1.
     ``pad`` is an int or a (before, after) pair, applied to rows and columns
     alike: ``stride=2, pad=(1, 0)`` on an even extent computes every second
     row and column of the ``stride=1, pad=1`` output. Output extents must come
@@ -227,9 +238,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     and the optional per-channel bias.
     """
     x, w = _coerce(x), _coerce(w)
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects [C,H,W] and [O,C,kh,kw], got {x.shape} and {w.shape}")
-    cin, h, wd = x.shape
+    if x.ndim not in (3, 4) or w.ndim != 4:
+        raise ShapeError(
+            f"conv2d expects [C,N,H,W] or [C,H,W] and [O,C,kh,kw], got {x.shape} and {w.shape}")
+    xd = x.data if x.ndim == 4 else x.data[:, None]
+    cin, n, h, wd = xd.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
         raise ShapeError(f"input channels {cin} do not match kernel channels {cin_w}")
@@ -245,20 +258,25 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     if ho < 1 or wo < 1:
         raise ShapeError("empty convolution output")
 
-    padded = before or after
-    xp = np.pad(x.data, ((0, 0), (before, after), (before, after))) if padded else x.data
-    cols = np.empty((cin, kh, kw, ho, wo), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, di, dj] = xp[:, di:di + (ho - 1) * stride + 1:stride,
-                                 dj:dj + (wo - 1) * stride + 1:stride]
-    mat = cols.reshape(cin * kh * kw, ho * wo)
+    direct = kh == kw == 1 and stride == 1 and not (before or after)
+    if direct:
+        mat = xd.reshape(cin, n * h * wd)
+    else:
+        xp = np.zeros((cin, n, h + before + after, wd + before + after))
+        xp[:, :, before:before + h, before:before + wd] = xd
+        cols = np.empty((cin, kh, kw, n, ho, wo))
+        for di in range(kh):
+            for dj in range(kw):
+                cols[:, di, dj] = xp[:, :, di:di + (ho - 1) * stride + 1:stride,
+                                     dj:dj + (wo - 1) * stride + 1:stride]
+        del xp
+        mat = cols.reshape(cin * kh * kw, n * ho * wo)
     out = w.data.reshape(cout, -1) @ mat
     if bias is not None:
         bias = _coerce(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
 
     parents = (x, w) if bias is None else (x, w, bias)
 
@@ -268,16 +286,23 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
             _accumulate(w, (gm @ mat.T).reshape(w.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gm.sum(axis=1))
-        if x.requires_grad:
-            dcols = (w.data.reshape(cout, -1).T @ gm).reshape(cin, kh, kw, ho, wo)
-            dxp = np.zeros_like(xp)
-            for di in range(kh):
-                for dj in range(kw):
-                    dxp[:, di:di + (ho - 1) * stride + 1:stride,
-                        dj:dj + (wo - 1) * stride + 1:stride] += dcols[:, di, dj]
-            _accumulate(x, dxp[:, before:before + h, before:before + wd] if padded else dxp)
+        if not x.requires_grad:
+            return
+        if direct:
+            _accumulate(x, (w.data.reshape(cout, cin).T @ gm).reshape(x.shape))
+            return
+        # scatter tap by tap: no [C_in*kh*kw, N*Ho*Wo] buffer for the whole kernel
+        dxp = np.zeros((cin, n, h + before + after, wd + before + after))
+        for di in range(kh):
+            for dj in range(kw):
+                dxp[:, :, di:di + (ho - 1) * stride + 1:stride,
+                    dj:dj + (wo - 1) * stride + 1:stride] += (
+                        w.data[:, :, di, dj].T @ gm).reshape(cin, n, ho, wo)
+        dx = dxp[:, :, before:before + h, before:before + wd]
+        _accumulate(x, dx if x.ndim == 4 else dx[:, 0])
 
-    return _result(out.reshape(cout, ho, wo), parents, bw)
+    shape = (cout, n, ho, wo) if x.ndim == 4 else (cout, ho, wo)
+    return _result(out.reshape(shape), parents, bw)
 
 
 def subsample(t: Tensor, stride: int) -> Tensor:
@@ -295,16 +320,16 @@ def subsample(t: Tensor, stride: int) -> Tensor:
 
 
 def global_avg_pool(t: Tensor) -> Tensor:
-    """Per-channel spatial mean of a [C,H,W] map."""
+    """Per-channel spatial mean: [C,H,W] -> [C], or [C,N,H,W] -> [C,N]."""
     t = _coerce(t)
-    if t.ndim != 3:
-        raise ShapeError(f"global_avg_pool expects [C,H,W], got {t.shape}")
-    _, h, w = t.shape
+    if t.ndim not in (3, 4):
+        raise ShapeError(f"global_avg_pool expects [C,H,W] or [C,N,H,W], got {t.shape}")
+    h, w = t.shape[-2:]
 
     def bw(g):
-        _accumulate(t, np.broadcast_to(g[:, None, None], t.shape) / (h * w))
+        _accumulate(t, np.broadcast_to(g[..., None, None], t.shape) / (h * w))
 
-    return _result(t.data.mean(axis=(1, 2)), (t,), bw)
+    return _result(t.data.mean(axis=(-2, -1)), (t,), bw)
 
 
 def l2_normalize(t: Tensor, axis: int = 0, eps: float = 1e-12) -> Tensor:
@@ -334,28 +359,37 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two matrices, or of two equal-length stacks of
+    matrices ([N,m,k] @ [N,k,n])."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _result(a.data @ b.data, (a, b), bw)
 
 
-def transpose(t: Tensor) -> Tensor:
+def transpose(t: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Permute the axes (``np.transpose`` semantics); a matrix by default."""
     t = _coerce(t)
-    if t.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {t.shape}")
+    if axes is None:
+        if t.ndim != 2:
+            raise ShapeError(f"transpose expects a matrix, got {t.shape}")
+        axes = (1, 0)
+    if sorted(axes) != list(range(t.ndim)):
+        raise ShapeError(f"axes {axes} do not permute the {t.ndim} axes of {t.shape}")
+    inverse = tuple(np.argsort(axes))
 
     def bw(g):
-        _accumulate(t, g.T)
+        _accumulate(t, g.transpose(inverse))
 
-    return _result(t.data.T.copy(), (t,), bw)
+    return _result(t.data.transpose(axes).copy(), (t,), bw)
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -383,14 +417,41 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
 
-def flip_last(t: Tensor) -> Tensor:
-    """Mirror along the last axis; a pure index permutation."""
+def flip_last(t: Tensor, samples=None) -> Tensor:
+    """Mirror along the last axis; a pure index permutation. ``samples``, a
+    boolean mask over axis 1 of a [C,N,H,W] batch, mirrors only those samples."""
     t = _coerce(t)
+    if samples is None:
+        def mirror(a):
+            return a[..., ::-1].copy()
+    else:
+        samples = np.asarray(samples, dtype=bool)
+        if t.ndim != 4 or samples.shape != (t.shape[1],):
+            raise ShapeError(f"a flip mask of shape {samples.shape} does not fit {t.shape}")
+
+        def mirror(a):
+            out = a.copy()
+            out[:, samples] = a[:, samples, :, ::-1]
+            return out
 
     def bw(g):
-        _accumulate(t, g[..., ::-1])
+        _accumulate(t, mirror(g))
 
-    return _result(t.data[..., ::-1].copy(), (t,), bw)
+    return _result(mirror(t.data), (t,), bw)
+
+
+def select(t: Tensor, index: int, axis: int = 0) -> Tensor:
+    """The slice at ``index`` along ``axis``, with that axis removed."""
+    t = _coerce(t)
+    if not -t.shape[axis] <= index < t.shape[axis]:
+        raise ShapeError(f"index {index} out of range for axis {axis} of {t.shape}")
+
+    def bw(g):
+        full = np.zeros_like(t.data)
+        np.moveaxis(full, axis, 0)[index] = g
+        _accumulate(t, full)
+
+    return _result(np.take(t.data, index, axis=axis), (t,), bw)
 
 
 def reduce_sum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -437,8 +498,9 @@ def detach(t: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Run reverse-mode differentiation from a scalar loss.
 
-    Populates .grad on every reachable tensor that requires grad and frees
-    the tape (parent links and closures) as it goes.
+    Populates .grad on every reachable leaf that requires grad (a tensor no
+    op produced) and frees the tape as it goes: parent links, closures, and
+    the grad of each intermediate result once it has been passed on.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -463,8 +525,10 @@ def backward(loss: Tensor) -> None:
 
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+        if node._backward_fn is not None:
+            if node.grad is not None:
+                node._backward_fn(node.grad)
+            node.grad = None
         node._parents = ()
         node._backward_fn = None
 

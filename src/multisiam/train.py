@@ -16,12 +16,12 @@ import numpy as np
 from . import optim
 from .align import align_pair, flip_back
 from .metrics import embedding_spread
-from .model import (HeadsOutput, ModelConfig, SiamesePair, backbone_forward,
-                    ema_update, init_siamese_pair, momentum_schedule, predict_local,
-                    project_2d, project_predict_1d, self_attention_predict)
+from .model import (ModelConfig, SiamesePair, backbone_forward, ema_update,
+                    init_siamese_pair, momentum_schedule, predict_local, project_2d,
+                    project_predict_1d, self_attention_predict)
 from .objectives import (LOSS_MODES, NegativeQueue, kmeans, loss_1d, loss_2d_cluster,
                          loss_2d_wo_kmeans, loss_total, moco_pixel_infonce)
-from .tensor import backward, scale, zero_grads
+from .tensor import Tensor, backward, reduce_mean, zero_grads
 from .views import AugmentConfig, render_view, sample_view_pair
 
 __all__ = [
@@ -186,6 +186,9 @@ def _validate(cfg: TrainConfig) -> TrainConfig:
     need(cfg.steps >= 1, "steps", "must be at least 1")
     need(cfg.batch_size >= 1, "batch_size", "must be at least 1")
     need(cfg.accumulation_steps >= 1, "accumulation_steps", "must be at least 1")
+    need(cfg.steps % cfg.accumulation_steps == 0, "accumulation_steps",
+         f"must divide steps={cfg.steps}: a partial last window would never reach "
+         "the optimizer")
     need(cfg.lr_base > 0.0, "lr_base", "must be positive")
     need(cfg.weight_decay >= 0.0, "weight_decay", "must be non-negative")
     need(0.0 <= cfg.momentum < 1.0, "momentum", "must lie in [0, 1)")
@@ -300,67 +303,60 @@ def init_state(cfg: TrainConfig) -> TrainState:
 
 def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, specs,
                krng: np.random.Generator, queue: NegativeQueue | None):
-    """The training loss of one image's two rendered views, averaged over the
-    view orderings (both when symmetrized).
+    """The training loss of B images, each a pair of rendered views: the mean
+    over images and view orderings (both when symmetrized).
 
-    Returns the loss tensor, the per-ordering l1d and l2d values, and the
-    pooled online feature rows that ``feature_std`` is computed from. ``krng``
-    draws the k-means seeding; a MoCo ``queue`` receives the target pixels.
+    ``views[b]`` and ``specs[b]`` hold image b's two [3,H,W] views and their
+    specs. Each branch encodes all its views as one batch, and the heads,
+    alignment and losses run over the B x orderings (online view, target
+    view) pairs, image-major. Only k-means, and the queue-ordered MoCo loss,
+    go pair by pair, in that order: ``krng`` draws the k-means seeding and a
+    MoCo ``queue`` receives the target pixels.
+
+    Returns the loss tensor, the per-pair l1d and l2d values, and the pooled
+    online feature rows that ``feature_std`` is computed from.
     """
-    needs_map = cfg.loss_mode != "moco"
     orders = ((0, 1), (1, 0)) if cfg.symmetrize else ((0, 1),)
-    online_outs: list[HeadsOutput | None] = [None, None]
-    target_outs: list[HeadsOutput | None] = [None, None]
-    pooled_rows: list[np.ndarray] = []
-    for v in range(2):
-        if v in {o for o, _ in orders}:
-            f = backbone_forward(pair.online, views[v], mcfg)
-            g = project_2d(pair.online, f) if needs_map else None
-            q = project_predict_1d(pair.online, f, with_predictor=True)
-            online_outs[v] = HeadsOutput(f, g, q)
-            pooled_rows.append(f.data.mean(axis=(1, 2)))
-        if v in {t for _, t in orders}:
-            f = backbone_forward(pair.target, views[v], mcfg)
-            g = project_2d(pair.target, f) if needs_map else None
-            z = project_predict_1d(pair.target, f, with_predictor=False)
-            target_outs[v] = HeadsOutput(f, g, z)
+    pairs = [(b, on, tg) for b in range(len(views)) for on, tg in orders]
+    on_specs = [specs[b][on] for b, on, _ in pairs]
+    tg_specs = [specs[b][tg] for b, _, tg in pairs]
+    on_flips = [s.flipped for s in on_specs]
+    tg_flips = [s.flipped for s in tg_specs]
 
-    l1_values: list[float] = []
-    l2_values: list[float] = []
-    total = None
-    for online_view, target_view in orders:
-        on, tg = online_outs[online_view], target_outs[target_view]
-        spec_on, spec_tg = specs[online_view], specs[target_view]
-        l1 = loss_1d(on.pooled, tg.pooled)
-        if cfg.loss_mode == "moco":
-            # region alignment happens before projection; uses intersection pooling
-            l2 = moco_pixel_infonce(
-                flip_back(on.feature_map, spec_on.flipped),
-                flip_back(tg.feature_map, spec_tg.flipped), spec_on, spec_tg,
-                lambda r: project_2d(pair.online, r),
-                lambda r: project_2d(pair.target, r),
-                queue, cfg.k, temperature=cfg.temperature, metric=cfg.kmeans_metric,
-                max_iter=cfg.kmeans_iters, rng=krng, use_attention=cfg.self_attention)
+    def batch(which):
+        return Tensor(np.stack([views[b][v].data for b, v in which], axis=1))
+
+    f_on = backbone_forward(pair.online, batch([(b, on) for b, on, _ in pairs]), mcfg)
+    f_tg = backbone_forward(pair.target, batch([(b, tg) for b, _, tg in pairs]), mcfg)
+    l1 = loss_1d(project_predict_1d(pair.online, f_on, with_predictor=True),
+                 project_predict_1d(pair.target, f_tg, with_predictor=False))
+    if cfg.loss_mode == "moco":
+        # region alignment happens before projection; uses intersection pooling
+        l2 = moco_pixel_infonce(
+            flip_back(f_on, on_flips), flip_back(f_tg, tg_flips), on_specs, tg_specs,
+            lambda r: project_2d(pair.online, r),
+            lambda r: project_2d(pair.target, r),
+            queue, cfg.k, temperature=cfg.temperature, metric=cfg.kmeans_metric,
+            max_iter=cfg.kmeans_iters, rng=krng, use_attention=cfg.self_attention)
+    else:
+        aligned = align_pair(flip_back(project_2d(pair.online, f_on), on_flips),
+                             flip_back(project_2d(pair.target, f_tg), tg_flips),
+                             on_specs, tg_specs, cfg.alignment,
+                             normalize_offset=cfg.normalize_offset)
+        pred = predict_local(pair.online, aligned.online)
+        if cfg.self_attention:
+            pred = self_attention_predict(aligned.online, pred, residual=mcfg.residual)
+        if cfg.loss_mode == "cluster":
+            clusters = [kmeans(aligned.target.data[:, p], cfg.k, metric=cfg.kmeans_metric,
+                               max_iter=cfg.kmeans_iters, rng=krng)
+                        for p in range(len(pairs))]
+            l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=aligned.target)
         else:
-            aligned = align_pair(flip_back(on.projected_map, spec_on.flipped),
-                                 flip_back(tg.projected_map, spec_tg.flipped),
-                                 spec_on, spec_tg, cfg.alignment,
-                                 normalize_offset=cfg.normalize_offset)
-            pred = predict_local(pair.online, aligned.online)
-            if cfg.self_attention:
-                pred = self_attention_predict(aligned.online, pred, residual=mcfg.residual)
-            if cfg.loss_mode == "cluster":
-                cluster = kmeans(aligned.target, cfg.k, metric=cfg.kmeans_metric,
-                                 max_iter=cfg.kmeans_iters, rng=krng)
-                l2 = loss_2d_cluster(pred, cluster, dense=cfg.dense,
-                                     target_map=aligned.target)
-            else:
-                l2 = loss_2d_wo_kmeans(pred, aligned.target)
-        l1_values.append(l1.item())
-        l2_values.append(l2.item())
-        term = loss_total(l1, l2, cfg.lambda_weight)
-        total = term if total is None else total + term
-    return scale(total, 1.0 / len(orders)), l1_values, l2_values, pooled_rows
+            l2 = loss_2d_wo_kmeans(pred, aligned.target)
+    loss = reduce_mean(loss_total(l1, l2, cfg.lambda_weight))
+    # one pooled row per online view, image-major
+    pooled_rows = list(f_on.data.mean(axis=(2, 3)).T)
+    return loss, l1.data.tolist(), l2.data.tolist(), pooled_rows
 
 
 def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
@@ -377,33 +373,21 @@ def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
     aug = augment_config_for(cfg)
 
     indices = sampler_rng.integers(0, len(corpus), size=cfg.batch_size)
-    image_losses = []
-    l1_values: list[float] = []
-    l2_values: list[float] = []
-    pooled_rows: list[np.ndarray] = []
+    views, specs = [], []
     for idx in indices:
         scene = corpus[int(idx)]
         view_pair = sample_view_pair(scene.instance_mask.shape, aug, sampler_rng)
-        specs = (view_pair.spec_a, view_pair.spec_b)
-        views = [render_view(scene.image, s) for s in specs]
-        loss, l1s, l2s, pooled = image_loss(pair, cfg, state.model_config, views, specs,
-                                            kmeans_rng, state.queue)
-        image_losses.append(loss)
-        l1_values += l1s
-        l2_values += l2s
-        pooled_rows += pooled
+        specs.append((view_pair.spec_a, view_pair.spec_b))
+        views.append([render_view(scene.image, s) for s in specs[-1]])
+    loss, l1_values, l2_values, pooled_rows = image_loss(
+        pair, cfg, state.model_config, views, specs, kmeans_rng, state.queue)
 
-    batch_loss = image_losses[0]
-    for extra in image_losses[1:]:
-        batch_loss = batch_loss + extra
-    batch_loss = scale(batch_loss, 1.0 / len(image_losses))
-
-    if not np.isfinite(batch_loss.data):
+    if not np.isfinite(loss.data):
         raise TrainingError(
-            f"non-finite loss at step {step}: loss={batch_loss.data!r}, "
+            f"non-finite loss at step {step}: loss={loss.data!r}, "
             f"l1d={l1_values!r}, l2d={l2_values!r}")
 
-    backward(batch_loss)
+    backward(loss)
 
     lr = effective_lr(step, cfg)
     tau = momentum_schedule(step, cfg.steps, cfg.tau_base)
@@ -423,7 +407,7 @@ def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
     feature_std = embedding_spread(np.array(pooled_rows))
 
     state.step += 1
-    return StepMetrics(step=step, loss=batch_loss.item(),
+    return StepMetrics(step=step, loss=loss.item(),
                        l1d=float(np.mean(l1_values)), l2d=float(np.mean(l2_values)),
                        lr=lr, tau=tau, feature_std=feature_std)
 

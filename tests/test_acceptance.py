@@ -51,8 +51,10 @@ def test_criterion_1_gradient_suite():
         f"{worst.op_name} at {worst.max_relative_error}"
     assert elapsed < 60.0
     covered = {r.op_name for r in reports}
-    for needed in ("conv2d", "global_avg_pool", "l2_normalize", "cosine_similarity",
-                   "roi_align", "flip_back", "projector_2d", "predictor_2d",
+    for needed in ("conv2d", "conv2d_batched", "global_avg_pool", "global_avg_pool_batched",
+                   "broadcast", "matmul_stacked", "select", "l2_normalize",
+                   "cosine_similarity", "roi_align", "roi_align_per_sample", "flip_back",
+                   "flip_back_per_sample", "projector_2d", "predictor_2d",
                    "self_attention", "self_attention_residual", "loss_1d",
                    "loss_2d_cluster", "loss_2d_cluster_dense", "loss_2d_wo_kmeans",
                    "loss_moco_infonce", "full_loss_offset", "full_loss_roi_residual",

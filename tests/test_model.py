@@ -212,3 +212,14 @@ def test_stop_gradient_through_full_loss():
     T.backward(loss_1d(q, z))
     assert all(p.grad is None for p in pair.target.values())
     assert any(p.grad is not None for p in pair.online.values())
+
+
+@pytest.mark.parametrize("size", [64, 32])
+def test_batched_backbone_equals_single_view_forward(size):
+    pair = make_pair()
+    views = np.random.default_rng(size).random((3, 16, size, size))
+    batched = M.backbone_forward(pair.online, Tensor(views), DESK)
+    assert batched.shape == (32, 16, size // 8, size // 8)
+    for i in range(views.shape[1]):
+        single = M.backbone_forward(pair.online, Tensor(views[:, i].copy()), DESK)
+        assert np.array_equal(batched.data[:, i], single.data)

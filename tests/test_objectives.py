@@ -324,3 +324,60 @@ def test_moco_gradients_reach_online_only():
     assert f_on.grad is not None
     assert all(p.grad is None for p in pair.target.values())
     assert np.array_equal(queue.negatives(), before)
+
+
+_COST_RISE_SCRIPT = """
+import numpy as np
+from multisiam import objectives as O
+
+real = O._pairwise_sq_dists
+calls = [0]
+
+
+def every_other_call_by_parity(points, centroids):
+    # odd calls are honest; even calls assign point i to cluster i mod k
+    calls[0] += 1
+    if calls[0] % 2:
+        return real(points, centroids)
+    d2 = np.ones((len(points), len(centroids)))
+    d2[np.arange(len(points)), np.arange(len(points)) % len(centroids)] = 0.0
+    return d2
+
+
+O._pairwise_sq_dists = every_other_call_by_parity
+# two tight groups of eight, one after the other: the parity split mixes them
+points = np.repeat(np.array([[5.0, 0.0], [0.0, 5.0]]), 8, axis=0)
+points = points + np.random.default_rng(0).normal(0.0, 0.01, points.shape)
+fmap = points.T.reshape(2, 4, 4)
+try:
+    O.kmeans(fmap, 2, metric="euclidean", init=[[5.0, 0.0], [0.0, 5.0]])
+except O.ClusteringError as err:
+    print("raised", err)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_kmeans_cost_increase_raises_typed_error(flags):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(O.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, *flags, "-c", _COST_RISE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised Lloyd cost increased"), done.stdout
+
+
+def test_kmeans_cost_increase_exits_runtime(tmp_path, monkeypatch):
+    from multisiam import cli
+    from multisiam import train as TR
+
+    def rising(*args, **kwargs):
+        raise O.ClusteringError("Lloyd cost increased: 1.0 -> 2.0")
+
+    monkeypatch.setattr(TR, "kmeans", rising)
+    assert cli.main(["train", "--out", str(tmp_path / "run"), "--steps=1", "--batch_size=1",
+                     "--out_size=32", "--corpus_images=2"]) == 2

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import struct
 import time
 
@@ -9,8 +10,11 @@ from multisiam import checkpoint as CK
 from multisiam import cli
 from multisiam import scenes as S
 from multisiam import train as TR
+from multisiam.model import ModelConfig, init_siamese_pair
+from multisiam.objectives import NegativeQueue
 from multisiam.optim import lars_step, sgd_step
-from multisiam.tensor import Tensor
+from multisiam.tensor import Tensor, backward, zero_grads
+from multisiam.views import AugmentConfig, sample_view_pair
 
 FAST = TR.TrainConfig(steps=6, batch_size=2, corpus_images=8, out_size=32,
                       kmeans_iters=4)
@@ -68,6 +72,16 @@ def test_config_parsing_and_overrides():
 def test_config_rejects_non_finite_floats(key, value):
     with pytest.raises(TR.ConfigError, match=f"{key}: must be finite"):
         TR.config_from_pairs([(key, value)])
+
+
+@pytest.mark.parametrize("steps,window", [(5, 2), (2, 3), (7, 6)])
+def test_config_rejects_partial_accumulation_window(tmp_path, steps, window):
+    with pytest.raises(TR.ConfigError, match="accumulation_steps: must divide steps"):
+        TR.config_from_pairs([("steps", str(steps)), ("accumulation_steps", str(window))])
+    with pytest.raises(TR.ConfigError):
+        TR.init_state(TR.TrainConfig(steps=steps, accumulation_steps=window))
+    assert cli.main(["train", "--out", str(tmp_path / "run"), f"--steps={steps}",
+                     f"--accumulation_steps={window}"]) == 1
 
 
 def test_config_text_roundtrip():
@@ -208,7 +222,8 @@ def test_accumulated_grads_equal_sum_of_micro_batches(small_corpus):
 
     micro = []
     for step in range(2):
-        solo = TR.init_state(TR.TrainConfig(**{**cfg.__dict__, "accumulation_steps": 3}))
+        solo = TR.init_state(TR.TrainConfig(**{**cfg.__dict__, "steps": 6,
+                                               "accumulation_steps": 3}))
         solo.step = step
         TR.train_step(solo, small_corpus)  # never reaches a boundary
         micro.append({k: (p.grad.copy() if p.grad is not None else None)
@@ -298,6 +313,20 @@ def test_checkpoint_rejects_f32_dtype_tag(tmp_path):
         CK.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name,buffer", [("backbone.conv1.b", np.zeros(3)),
+                                         ("backbone.conv1.w", np.zeros((16, 3, 3))),
+                                         ("backbone.conv9.b", np.zeros(16))])
+def test_checkpoint_rejects_mismatched_optimizer_buffer(tmp_path, small_corpus, name, buffer):
+    state, _ = run_steps(FAST, small_corpus, n=1)
+    assert set(state.opt_buffers) == set(state.pair.online)
+    state.opt_buffers[name] = buffer
+    path = tmp_path / "run.ckpt"
+    CK.save_checkpoint(state, path)
+    with pytest.raises(CK.CheckpointError, match=f"optimizer buffer {name}"):
+        CK.load_checkpoint(path)
+    assert _eval_exit_code(tmp_path, path) == 2
+
+
 def _saved_checkpoint_bytes(tmp_path):
     path = tmp_path / "run.ckpt"
     CK.save_checkpoint(TR.init_state(FAST), path)
@@ -380,3 +409,77 @@ def test_non_finite_loss_aborts(small_corpus):
     state.pair.online["pred1d.fc2.w"].data[:] = np.inf
     with pytest.raises(TR.TrainingError, match="non-finite"):
         TR.train_step(state, small_corpus)
+
+
+# ---------------------------------------------------------------------------
+# the batched loss against one image at a time
+
+BATCH_TOY = ModelConfig(widths=(4, 3), downsample=(True, False), proj2d_hidden=3,
+                           proj2d_out=3, pred2d_hidden=3, proj1d_hidden=4, embed_dim=3,
+                           pred1d_hidden=4)
+BATCH_VARIANTS = (
+    [{"loss_mode": m, "alignment": a} for m in ("cluster", "wo_kmeans", "moco")
+     for a in ("offset", "roi", "none")]
+    + [{"dense": True}, {"self_attention": False}, {"symmetrize": False}])
+
+
+def _relative_gap(got, want, scale=None):
+    scale = float(np.max(np.abs(want))) if scale is None else scale
+    return float(np.max(np.abs(got - want)) / max(scale, 1e-300))
+
+
+@pytest.mark.parametrize("overrides", BATCH_VARIANTS,
+                         ids=["-".join(f"{k}={v}" for k, v in o.items()) for o in BATCH_VARIANTS])
+def test_batched_loss_equals_mean_of_single_image_losses(overrides):
+    cfg = TR.TrainConfig(k=2, queue_length=40, **overrides)
+    mcfg = dataclasses.replace(BATCH_TOY, alignment=cfg.alignment, residual=cfg.resolved_residual)
+    rng = np.random.default_rng(11)
+    pair = init_siamese_pair(mcfg, rng)
+    for name, p in pair.target.items():
+        p.data = p.data + rng.normal(0.0, 0.05, size=p.shape)
+    aug = AugmentConfig(out_size=(8, 8))
+    specs, views = [], []
+    for _ in range(3):
+        vp = sample_view_pair((32, 32), aug, rng)
+        specs.append((vp.spec_a, vp.spec_b))
+        views.append([Tensor(rng.random((3, 8, 8))) for _ in range(2)])
+    assert len({s.flipped for pair_specs in specs for s in pair_specs}) == 2
+    queue = None
+    if cfg.loss_mode == "moco":
+        queue = NegativeQueue(cfg.queue_length, mcfg.proj2d_out)
+        queue.push(rng.standard_normal((12, mcfg.proj2d_out)))
+    single_queue = copy.deepcopy(queue)
+
+    loss, l1s, l2s, pooled = TR.image_loss(pair, cfg, mcfg, views, specs,
+                                           np.random.default_rng(3), queue)
+    backward(loss)
+    # MoCo leaves the 2D predictor unused
+    batched = {name: p.grad.copy() for name, p in pair.online.items() if p.grad is not None}
+    zero_grads(pair.online)
+
+    krng = np.random.default_rng(3)  # carried from image to image, like the queue
+    total, single_l1, single_l2, single_pooled = 0.0, [], [], []
+    for b in range(len(views)):
+        one, l1, l2, rows = TR.image_loss(pair, cfg, mcfg, views[b:b + 1], specs[b:b + 1],
+                                          krng, single_queue)
+        backward(one)
+        total += one.item()
+        single_l1 += l1
+        single_l2 += l2
+        single_pooled += rows
+
+    assert _relative_gap(loss.data, np.array(total / len(views))) <= 1e-12
+    assert _relative_gap(np.array(l1s), np.array(single_l1)) <= 1e-12
+    assert _relative_gap(np.array(l2s), np.array(single_l2)) <= 1e-12
+    assert _relative_gap(np.array(pooled), np.array(single_pooled)) <= 1e-12
+    # relative to the largest gradient entry: some toy parameters get gradients
+    # of rounding size only
+    singles = {name: p.grad / len(views) for name, p in pair.online.items()
+               if p.grad is not None}
+    assert set(singles) == set(batched)
+    scale = max(float(np.max(np.abs(g))) for g in singles.values())
+    for name, want in singles.items():
+        assert _relative_gap(batched[name], want, scale) <= 1e-12, name
+    if queue is not None:
+        assert _relative_gap(queue.buffer, single_queue.buffer) <= 1e-12
+        assert (queue.size, queue.cursor) == (single_queue.size, single_queue.cursor)
