@@ -6,8 +6,8 @@ native resolution is exactly the identity. All alignment runs on flip-backed
 maps, i.e. column j of an incoming map corresponds to column j of the
 unflipped crop.
 
-Every function takes either one [C,H,W] map with one view pair's specs, or a
-[C,N,H,W] batch with one spec (and box) per sample.
+Feature maps are [C,N,H,W] batches with one spec (and box) per sample; a lone
+map is a batch of one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _coerce, _result, concat, flip_last
+from .tensor import Tensor, _accumulate, _coerce, _require_maps, _result, concat, flip_last
 from .views import ViewSpec, bilinear_sample
 
 __all__ = [
@@ -79,12 +79,13 @@ def _cell_xy(spec: ViewSpec, i, j, h: int, w: int):
 
 
 def flip_back(fmap: Tensor, flipped) -> Tensor:
-    """Undo horizontal flips: one flag for a [C,H,W] map, a flag per sample
-    for a [C,N,H,W] batch; identity when nothing is flipped."""
+    """Undo horizontal flips of a [C,N,H,W] batch, one flag per sample;
+    identity when nothing is flipped."""
+    _require_maps(fmap, "flip_back", AlignmentError)
     flags = np.asarray(flipped, dtype=bool)
     if not flags.any():
         return fmap
-    return flip_last(fmap, None if flags.ndim == 0 else flags)
+    return flip_last(fmap, flags)
 
 
 def intersection_relative(spec_a: ViewSpec, spec_b: ViewSpec) -> tuple[RelBox, RelBox]:
@@ -108,17 +109,16 @@ def intersection_relative(spec_a: ViewSpec, spec_b: ViewSpec) -> tuple[RelBox, R
     return rel(a), rel(b)
 
 
-def roi_align(fmap: Tensor, roi, out_h: int, out_w: int) -> Tensor:
-    """Bilinearly sample a map at out_h x out_w bin centers in its roi: one
-    RelBox for a [C,H,W] map, one per sample for a [C,N,H,W] batch.
+def roi_align(fmap: Tensor, rois, out_h: int, out_w: int) -> Tensor:
+    """Bilinearly sample each map of a [C,N,H,W] batch at out_h x out_w bin
+    centers in its own roi, a sequence of N RelBoxes.
 
     One sample per bin, taken at the bin center; sample positions outside the
-    pixel-center hull clamp to the edge. Differentiable w.r.t. the map.
+    pixel-center hull clamp to the edge. Differentiable w.r.t. the maps.
     """
     fmap = _coerce(fmap)
-    data = fmap.data if fmap.ndim == 4 else fmap.data[:, None]
-    rois = roi if fmap.ndim == 4 else [roi]
-    c, n, h, w = data.shape
+    _require_maps(fmap, "roi_align", AlignmentError)
+    c, n, h, w = fmap.shape
     if len(rois) != n:
         raise AlignmentError(f"{len(rois)} boxes for {n} samples")
     out = np.empty((c, n, out_h, out_w))
@@ -126,18 +126,17 @@ def roi_align(fmap: Tensor, roi, out_h: int, out_w: int) -> Tensor:
     for s, box in enumerate(rois):
         xs = box.x0 + (np.arange(out_w) + 0.5) / out_w * (box.x1 - box.x0)
         ys = box.y0 + (np.arange(out_h) + 0.5) / out_h * (box.y1 - box.y0)
-        out[:, s], sample_taps = bilinear_sample(data[:, s], xs * w, ys * h)
+        out[:, s], sample_taps = bilinear_sample(fmap.data[:, s], xs * w, ys * h)
         taps.append(sample_taps)
 
     def bw(g):
-        g = g.reshape(c, n, out_h, out_w)
-        grad = np.zeros_like(data)
+        grad = np.zeros_like(fmap.data)
         for s, sample_taps in enumerate(taps):
             for rows, cols, weights in sample_taps:
                 np.add.at(grad[:, s], (slice(None), rows, cols), g[:, s] * weights)
-        _accumulate(fmap, grad.reshape(fmap.shape))
+        _accumulate(fmap, grad)
 
-    return _result(out.reshape((c,) + fmap.shape[1:-2] + (out_h, out_w)), (fmap,), bw)
+    return _result(out, (fmap,), bw)
 
 
 def offset_map(spec_a: ViewSpec, spec_b: ViewSpec, h: int, w: int,
@@ -166,9 +165,8 @@ def offset_map(spec_a: ViewSpec, spec_b: ViewSpec, h: int, w: int,
 
 def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str,
                normalize_offset: bool = True) -> AlignedPair:
-    """Restore pixel correspondence between two flip-backed projected maps:
-    [C,H,W] maps with one ViewSpec each, or [C,N,H,W] batches with a
-    sequence of N specs each.
+    """Restore pixel correspondence between two flip-backed [C,N,H,W] batches
+    of projected maps, with a sequence of N ViewSpecs each.
 
     roi: both maps pooled over the intersection region at their native
     resolution. offset: the online map gains two coordinate-offset channels,
@@ -176,20 +174,18 @@ def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str
     """
     if mode not in ALIGNMENT_MODES:
         raise AlignmentError(f"unknown alignment mode {mode!r}; expected one of {ALIGNMENT_MODES}")
+    _require_maps(online_map, "align_pair", AlignmentError)
     if online_map.shape[1:] != target_map.shape[1:]:
         raise AlignmentError(
             f"spatial extents differ: {online_map.shape} vs {target_map.shape}")
     if mode == "none":
         return AlignedPair(online_map, target_map, mode)
-    batched = online_map.ndim == 4
-    pairs = list(zip(spec_a, spec_b)) if batched else [(spec_a, spec_b)]
+    pairs = list(zip(spec_a, spec_b))
     h, w = online_map.shape[-2:]
     if mode == "offset":
         offsets = [offset_map(a, b, h, w, normalize=normalize_offset).data for a, b in pairs]
-        offsets = np.stack(offsets, axis=1) if batched else offsets[0]
-        return AlignedPair(concat([online_map, Tensor(offsets)], axis=0), target_map, mode)
+        return AlignedPair(concat([online_map, Tensor(np.stack(offsets, axis=1))], axis=0),
+                           target_map, mode)
     rel_a, rel_b = zip(*(intersection_relative(a, b) for a, b in pairs))
-    if not batched:
-        rel_a, rel_b = rel_a[0], rel_b[0]
     return AlignedPair(roi_align(online_map, rel_a, h, w),
                        roi_align(target_map, rel_b, h, w), mode)

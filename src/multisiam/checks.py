@@ -2,13 +2,13 @@
 
 Each case builds small random tensors (bounded away from relu kinks where the
 op has them), composes the operation into a scalar, and compares backward
-grads against central differences. The ``*_batched`` and ``*_per_sample``
-cases run the ops on [C,N,H,W] batches, as training does. The full-loss cases
-run the training loss itself, ``train.image_loss``, on a batch of two images
-whose views differ in flip flags and boxes, on a toy network with every
-parameter checked: one case per loss mode (cluster, wo_kmeans, moco) and per
-alignment (offset, roi, none), with self-attention off, the dense loss and
-symmetrization among them.
+grads against central differences. Feature maps are [C,N,H,W] batches, as in
+training: of one sample in most cases, of several in the ``*_batched`` and
+``*_per_sample`` cases. The full-loss cases run the training loss itself,
+``train.image_loss``, on a batch of two images whose views differ in flip
+flags and boxes, on a toy network with every parameter checked: one case per
+loss mode (cluster, wo_kmeans, moco) and per alignment (offset, roi, none),
+with self-attention off, the dense loss and symmetrization among them.
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ def _case_pointwise(rng):
 
 
 def _case_conv2d(rng):
-    x = Tensor(rng.standard_normal((2, 6, 6)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 1, 6, 6)), requires_grad=True)
     w3 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True)
     b3 = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
     w1 = Tensor(rng.standard_normal((2, 3, 1, 1)) * 0.5, requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((2, 3, 3)))
+    reduce = _dot_with(rng.standard_normal((2, 1, 3, 3)))
     # the backbone's downsampling op: stride 2, one row and column of padding
     # before and none after
-    reduce_down = _dot_with(rng.standard_normal((3, 3, 3)))
+    reduce_down = _dot_with(rng.standard_normal((3, 1, 3, 3)))
 
     def f(x_, w3_, b3_, w1_):
         mid = T.conv2d(x_, w3_, stride=1, pad=1, bias=b3_)
@@ -96,8 +96,8 @@ def _case_conv2d_batched(rng):
 
 
 def _case_pool(rng):
-    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal(3))
+    x = Tensor(rng.standard_normal((3, 1, 4, 5)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((3, 1)))
     return finite_difference_check(lambda x_: reduce(T.global_avg_pool(x_)), [x],
                                    name="global_avg_pool")
 
@@ -184,9 +184,9 @@ def _case_logsumexp(rng):
 
 
 def _case_flip_back(rng):
-    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((2, 3, 4)))
-    return finite_difference_check(lambda x_: reduce(flip_back(x_, True)), [x],
+    x = Tensor(rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((2, 1, 3, 4)))
+    return finite_difference_check(lambda x_: reduce(flip_back(x_, [True])), [x],
                                    name="flip_back")
 
 
@@ -204,10 +204,10 @@ def _random_relbox(rng):
 
 
 def _case_roi_align(rng):
-    x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
-    roi = _random_relbox(rng)
-    reduce = _dot_with(rng.standard_normal((2, 3, 3)))
-    return finite_difference_check(lambda x_: reduce(roi_align(x_, roi, 3, 3)), [x],
+    x = Tensor(rng.standard_normal((2, 1, 5, 5)), requires_grad=True)
+    rois = [_random_relbox(rng)]
+    reduce = _dot_with(rng.standard_normal((2, 1, 3, 3)))
+    return finite_difference_check(lambda x_: reduce(roi_align(x_, rois, 3, 3)), [x],
                                    name="roi_align")
 
 
@@ -234,8 +234,8 @@ def _toy_pair(rng, cfg=TOY):
 
 def _case_projector(rng):
     pair = _toy_pair(rng)
-    fmap = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((2, 3, 3)))
+    fmap = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((2, 1, 3, 3)))
     inputs = [fmap] + [pair.online[k] for k in sorted(pair.online) if k.startswith("proj2d")]
 
     def f(fmap_, *_params):
@@ -246,8 +246,8 @@ def _case_projector(rng):
 
 def _case_predictor(rng):
     pair = _toy_pair(rng)
-    rmap = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)  # 2 + offset channels
-    reduce = _dot_with(rng.standard_normal((2, 3, 3)))
+    rmap = Tensor(rng.standard_normal((4, 1, 3, 3)), requires_grad=True)  # 2 + offset channels
+    reduce = _dot_with(rng.standard_normal((2, 1, 3, 3)))
     inputs = [rmap] + [pair.online[k] for k in sorted(pair.online) if k.startswith("pred2d")]
 
     def f(rmap_, *_params):
@@ -258,8 +258,8 @@ def _case_predictor(rng):
 
 def _case_heads_1d(rng):
     pair = _toy_pair(rng)
-    fmap = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal(3))
+    fmap = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((3, 1)))
     heads = [k for k in sorted(pair.online) if k.startswith(("proj1d", "pred1d"))]
     inputs = [fmap] + [pair.online[k] for k in heads]
 
@@ -274,9 +274,9 @@ def _case_heads_1d(rng):
 def _case_attention(rng, residual):
     # positive-mean keys keep all pairwise similarities active, away from the
     # clamp's flat region where the true gradient is exactly zero
-    amap = Tensor(rng.standard_normal((3, 2, 2)) + 1.5, requires_grad=True)
-    local = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((2, 2, 2)))
+    amap = Tensor(rng.standard_normal((3, 1, 2, 2)) + 1.5, requires_grad=True)
+    local = Tensor(rng.standard_normal((2, 1, 2, 2)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((2, 1, 2, 2)))
 
     def f(a_, l_):
         return reduce(M.self_attention_predict(a_, l_, residual=residual))
@@ -292,22 +292,23 @@ def _case_loss_1d(rng):
 
 
 def _case_loss_cluster(rng, dense):
-    target = Tensor(rng.standard_normal((3, 3, 3)))
-    cluster = O.kmeans(target, 3, rng=np.random.default_rng(int(rng.integers(1 << 30))))
-    pred = Tensor(rng.standard_normal((3, 3, 3)), requires_grad=True)
+    target = Tensor(rng.standard_normal((3, 1, 3, 3)))
+    cluster = O.kmeans(target.data[:, 0], 3,
+                       rng=np.random.default_rng(int(rng.integers(1 << 30))))
+    pred = Tensor(rng.standard_normal((3, 1, 3, 3)), requires_grad=True)
 
     def f(p_):
-        return O.loss_2d_cluster(p_, cluster, dense=dense, target_map=target)
+        return T.reduce_sum(O.loss_2d_cluster(p_, [cluster], dense=dense, target_map=target))
 
     name = "loss_2d_cluster_dense" if dense else "loss_2d_cluster"
     return finite_difference_check(f, [pred], name=name)
 
 
 def _case_loss_wo_kmeans(rng):
-    target = Tensor(rng.standard_normal((3, 2, 3)))
-    pred = Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
-    return finite_difference_check(lambda p_: O.loss_2d_wo_kmeans(p_, target), [pred],
-                                   name="loss_2d_wo_kmeans")
+    target = Tensor(rng.standard_normal((3, 1, 2, 3)))
+    pred = Tensor(rng.standard_normal((3, 1, 2, 3)), requires_grad=True)
+    return finite_difference_check(lambda p_: T.reduce_sum(O.loss_2d_wo_kmeans(p_, target)),
+                                   [pred], name="loss_2d_wo_kmeans")
 
 
 def _overlapping_specs(rng, out=(4, 4)):
@@ -323,19 +324,19 @@ def _overlapping_specs(rng, out=(4, 4)):
 def _case_loss_moco(rng):
     pair = _toy_pair(rng, TOY_ROI)
     spec_a, spec_b = _overlapping_specs(rng)
-    f_on = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
-    f_tg = Tensor(rng.standard_normal((2, 4, 4)))
+    f_on = Tensor(rng.standard_normal((2, 1, 4, 4)), requires_grad=True)
+    f_tg = Tensor(rng.standard_normal((2, 1, 4, 4)))
     queue = O.NegativeQueue(8, 2)
     queue.push(rng.standard_normal((6, 2)))
     seed = int(rng.integers(1 << 30))
 
     def f(f_on_):
-        return O.moco_pixel_infonce(
-            f_on_, f_tg, spec_a, spec_b,
+        return T.reduce_sum(O.moco_pixel_infonce(
+            f_on_, f_tg, [spec_a], [spec_b],
             lambda r: M.project_2d(pair.online, r),
             lambda r: M.project_2d(pair.target, r),
             queue, k=2, temperature=0.2, rng=np.random.default_rng(seed),
-            update_queue=False)
+            update_queue=False))
 
     return finite_difference_check(f, [f_on], name="loss_moco_infonce")
 

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    multisiam gen|train|eval|viz|gradcheck --config <path> [--key=value ...] --out <dir>
+    multisiam train|eval|viz|gradcheck --config <path> [--key=value ...] --out <dir>
 
 Exit codes: 0 ok, 1 usage or config error, 2 runtime failure, 3 verification
 failure. The environment variable MULTISIAM_SEED overrides the config seed.
@@ -20,7 +20,7 @@ from .checks import GRADCHECK_TOLERANCE, run_gradient_suite
 from .model import init_params
 from .objectives import ClusteringError
 from .probe import full_resolution_clusters, paired_probe
-from .scenes import CorpusError, SceneSpec, generate, save_labeled_image
+from .scenes import SceneSpec, generate
 from .train import (EVAL_SEED_OFFSET, PURPOSE_EVAL, PURPOSE_PARAMS, ConfigError,
                     TrainConfig, TrainingError, config_as_dict, config_from_pairs,
                     config_from_text, rng_stream, run_training)
@@ -30,7 +30,7 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
-COMMANDS = ("gen", "train", "eval", "viz", "gradcheck")
+COMMANDS = ("train", "eval", "viz", "gradcheck")
 
 
 class UsageError(Exception):
@@ -48,8 +48,6 @@ def _build_parser(command: str) -> _Parser:
     parser.add_argument("--out", default=None)
     if command in ("eval", "viz"):
         parser.add_argument("--checkpoint", required=True)
-    if command == "gen":
-        parser.add_argument("--count", type=int, default=None)
     if command in ("eval", "viz"):
         parser.add_argument("--images", type=int, default=None)
     if command == "gradcheck":
@@ -91,18 +89,6 @@ def _scene_specs(cfg: TrainConfig) -> tuple[SceneSpec, SceneSpec]:
     size = (cfg.out_size, cfg.out_size)
     return (SceneSpec(seed=cfg.seed, size=size),
             SceneSpec(seed=cfg.seed + EVAL_SEED_OFFSET, size=size))
-
-
-def cmd_gen(ns, overrides) -> int:
-    cfg = _load_config(ns.config, overrides)
-    out = _out_dir(ns)
-    count = ns.count if ns.count is not None else cfg.corpus_images
-    train_spec, _ = _scene_specs(cfg)
-    corpus = generate(train_spec, count)
-    for idx, item in enumerate(corpus):
-        save_labeled_image(item, out / f"scene_{idx:04d}.msim")
-    print(f"wrote {count} scenes ({cfg.out_size}x{cfg.out_size}) to {out}")
-    return EXIT_OK
 
 
 def cmd_train(ns, overrides) -> int:
@@ -211,7 +197,7 @@ def cmd_gradcheck(ns, overrides) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "viz": cmd_viz,
+_HANDLERS = {"train": cmd_train, "eval": cmd_eval, "viz": cmd_viz,
              "gradcheck": cmd_gradcheck}
 
 
@@ -230,7 +216,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckpointError, ClusteringError, CorpusError, TrainingError, OSError) as err:
+    except (CheckpointError, ClusteringError, TrainingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

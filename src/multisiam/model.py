@@ -10,6 +10,10 @@ layers. Each of the first three stages downsamples with a stride-2 conv
 padded by one row and column before and none after, ``pad=(1, 0)``: on even
 extents that computes every second row and column of the ``pad=1`` stride-1
 conv, and no other pixel, while keeping the output extent integral.
+
+Feature maps are channel-major [C,N,H,W] batches and the 1D heads work on
+[E,N] columns; only backbone_forward also takes a lone [3,H,W] view, which it
+runs as a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, add, conv2d, global_avg_pool, l2_normalize, matmul, mul,
-                     relu, reshape, transpose)
+                     relu, reshape, select, transpose)
 
 __all__ = [
     "ModelConfig",
@@ -128,7 +132,7 @@ def init_siamese_pair(cfg: ModelConfig, rng: np.random.Generator) -> SiamesePair
 def backbone_forward(params: dict[str, Tensor], view: Tensor,
                      cfg: ModelConfig) -> Tensor:
     """Encode a [3,N,H,W] batch of views into [C, N, H/S, W/S] feature maps,
-    or one [3,H,W] view into a [C, H/S, W/S] map.
+    or one [3,H,W] view, as a batch of one, into a [C, H/S, W/S] map.
 
     relu sits between stages; the final stage stays linear so feature
     directions are not pinned to the positive orthant (a zeroed final kernel
@@ -138,14 +142,15 @@ def backbone_forward(params: dict[str, Tensor], view: Tensor,
     h, w = view.shape[-2:]
     if h % s or w % s:
         raise ValueError(f"view extents {h}x{w} not divisible by total stride {s}")
-    x = view
+    lone = view.ndim == 3
+    x = reshape(view, (view.shape[0], 1, h, w)) if lone else view
     last = len(cfg.downsample)
     for idx, down in enumerate(cfg.downsample, start=1):
         x = conv2d(x, params[f"backbone.conv{idx}.w"], stride=2 if down else 1,
                    pad=(1, 0) if down else 1, bias=params[f"backbone.conv{idx}.b"])
         if idx != last:
             x = relu(x)
-    return x
+    return select(x, 0, axis=1) if lone else x
 
 
 def _mlp_conv_forward(params, prefix, fmap):
@@ -177,30 +182,27 @@ def _mlp_fc_forward(params, prefix, cols):
 
 def project_predict_1d(params: dict[str, Tensor], fmap: Tensor,
                        with_predictor: bool) -> Tensor:
-    """Pool the feature map, project it, and (online branch only) predict:
-    [C,N,H,W] -> [E,N], or [C,H,W] -> [E]."""
-    pooled = global_avg_pool(fmap)
-    single = pooled.ndim == 1
-    z = _mlp_fc_forward(params, "proj1d", reshape(pooled, (-1, 1)) if single else pooled)
+    """Pool the feature maps, project them, and (online branch only) predict:
+    [C,N,H,W] -> [E,N]."""
+    z = _mlp_fc_forward(params, "proj1d", global_avg_pool(fmap))
     if with_predictor:
         z = _mlp_fc_forward(params, "pred1d", z)
-    return reshape(z, (-1,)) if single else z
+    return z
 
 
 def self_attention_predict(aligned_map: Tensor, local_pred: Tensor,
                            residual: bool = False) -> Tensor:
     """Aggregate local predictions weighted by squared clamped cosine
     similarity between aligned-map pixels of the same sample; no softmax
-    normalization. Takes [C,N,H,W] batches or single [C,H,W] maps.
+    normalization. Both maps are [C,N,H,W] batches.
 
     Optionally adds the local prediction back as a residual connection.
     """
     if aligned_map.shape[1:] != local_pred.shape[1:]:
         raise ValueError(
             f"spatial extents differ: {aligned_map.shape} vs {local_pred.shape}")
-    c, d = aligned_map.shape[0], local_pred.shape[0]
-    *batch, h, w = aligned_map.shape[1:]
-    samples, n = (batch[0] if batch else 1), h * w
+    c, samples, h, w = aligned_map.shape
+    d, n = local_pred.shape[0], h * w
     keys = l2_normalize(reshape(aligned_map, (c, samples, n)), axis=0)
     sim = relu(matmul(transpose(keys, (1, 2, 0)), transpose(keys, (1, 0, 2))))
     sim = mul(sim, sim)  # [N, n, n], symmetric per sample

@@ -5,9 +5,9 @@ its inputs carry no tape and its outputs are plain constants. The cosine
 losses stay in [-1, 1]; the pixel-contrastive loss is a softmax cross-entropy
 and is non-negative.
 
-Each loss takes a single sample ([E] vectors, [C,H,W] maps) and returns a
-scalar, or a batch ([E,N], [C,N,H,W]) and returns the N per-sample losses.
-K-means is intra-image and runs on one sample at a time.
+Each loss takes a batch ([E,N] columns, [C,N,H,W] maps) and returns the N
+per-sample losses. K-means is intra-image and runs on one [C,H,W] map at a
+time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import intersection_relative, roi_align
+from .align import align_pair
 from .model import self_attention_predict
 from .tensor import (Tensor, concat, detach, l2_normalize, logsumexp, matmul, mul,
                      negate, reduce_mean, reduce_sum, reshape, scale, select, sub,
@@ -157,9 +157,9 @@ def kmeans(target_map, k: int, metric: str = "cosine", max_iter: int = 10,
 
 
 def _mean_pixels(per_pixel: Tensor) -> Tensor:
-    """Spatial mean of an [H,W] or [N,H,W] map: a scalar or an [N] vector."""
-    *batch, h, w = per_pixel.shape
-    return reduce_mean(reshape(per_pixel, tuple(batch) + (h * w,)), axis=-1)
+    """Per-sample spatial mean of an [N,H,W] map: an [N] vector."""
+    n, h, w = per_pixel.shape
+    return reduce_mean(reshape(per_pixel, (n, h * w)), axis=-1)
 
 
 def _cosine_map(pred_map: Tensor, const_map: Tensor) -> Tensor:
@@ -190,19 +190,16 @@ def _dense_target(cluster: ClusterResult, target: np.ndarray) -> np.ndarray:
     return member_means[flat_assign].T.reshape(c, h, w)
 
 
-def loss_2d_cluster(pred_map: Tensor, cluster, dense: bool = False,
+def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
                     target_map: Tensor | None = None) -> Tensor:
     """Mean negated cosine between predictions and their cluster targets.
 
-    ``cluster`` is one ClusterResult for a [C,H,W] map, or a sequence with
-    one per sample of a [C,N,H,W] batch. dense=False compares each pixel with
-    its assigned centroid; dense=True compares with every member pixel of its
-    cluster (averaged), which reduces to a dot product with the mean of the
-    unit-normalized member pixels.
+    ``clusters`` holds one ClusterResult per sample of the [C,N,H,W] batch.
+    dense=False compares each pixel with its assigned centroid; dense=True
+    compares with every member pixel of its cluster (averaged), which reduces
+    to a dot product with the mean of the unit-normalized member pixels.
     """
-    batched = pred_map.ndim == 4
-    clusters = list(cluster) if batched else [cluster]
-    if len(clusters) != (pred_map.shape[1] if batched else 1):
+    if len(clusters) != pred_map.shape[1]:
         raise ValueError(f"{len(clusters)} cluster results for a batch of {pred_map.shape}")
     for result in clusters:
         if pred_map.shape[-2:] != result.centroid_map.shape[1:]:
@@ -211,11 +208,10 @@ def loss_2d_cluster(pred_map: Tensor, cluster, dense: bool = False,
     if dense and target_map is None:
         raise ValueError("dense clustering needs the aligned target map")
     if dense:
-        data = target_map.data if batched else target_map.data[:, None]
-        targets = [_dense_target(r, data[:, s]) for s, r in enumerate(clusters)]
+        targets = [_dense_target(r, target_map.data[:, s]) for s, r in enumerate(clusters)]
     else:
         targets = [r.centroid_map.data for r in clusters]
-    const = Tensor(np.stack(targets, axis=1) if batched else targets[0])
+    const = Tensor(np.stack(targets, axis=1))
     if not dense:
         return negate(_mean_pixels(_cosine_map(pred_map, const)))
     return negate(_mean_pixels(reduce_sum(mul(l2_normalize(pred_map, axis=0), const),
@@ -283,34 +279,28 @@ def moco_pixel_infonce(online_feat: Tensor, target_feat: Tensor, spec_a, spec_b,
     local projector outputs with self-attention. The positive for each pixel
     is its cluster centroid on the target projection; negatives come from the
     queue. Afterwards the target pixels are pushed into the queue (FIFO).
-    For a [C,N,H,W] batch (with N specs each) the samples are clustered,
-    scored and pushed one after another, so sample s sees the queue as the
-    samples before it left it.
+    The [C,N,H,W] samples (with N specs each) are clustered, scored and
+    pushed one after another, so sample s sees the queue as the samples
+    before it left it. Returns the N per-sample losses.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    batched = online_feat.ndim == 4
-    pairs = list(zip(spec_a, spec_b)) if batched else [(spec_a, spec_b)]
-    h, w = online_feat.shape[-2:]
-    rel_a, rel_b = zip(*(intersection_relative(a, b) for a, b in pairs))
-    if not batched:
-        rel_a, rel_b = rel_a[0], rel_b[0]
-    region_on = roi_align(online_feat, rel_a, h, w)
-    region_tg = roi_align(target_feat, rel_b, h, w)
+    regions = align_pair(online_feat, target_feat, spec_a, spec_b, "roi")
+    region_on, region_tg = regions.online, regions.target
 
     local = online_projector(region_on)
     online_proj = (self_attention_predict(region_on, local, residual=False)
                    if use_attention else local)
     target_proj = target_projector(region_tg)
 
+    dim, samples, h, w = online_proj.shape
     n = h * w
-    dim = online_proj.shape[0]
     # [N, n, dim]: unit-normalized online pixels, sample by sample
-    pixels = transpose(l2_normalize(reshape(online_proj, (dim, len(pairs), n)), axis=0),
+    pixels = transpose(l2_normalize(reshape(online_proj, (dim, samples, n)), axis=0),
                        (1, 2, 0))
-    targets = target_proj.data if batched else target_proj.data[:, None]
+    targets = target_proj.data
     losses = []
-    for s in range(len(pairs)):
+    for s in range(samples):
         cluster = kmeans(targets[:, s], k, metric=metric, max_iter=max_iter, rng=rng)
         sample = select(pixels, s)
         positives = Tensor(_normalize_rows(cluster.centroid_map.data.reshape(dim, n).T))
@@ -320,6 +310,4 @@ def moco_pixel_infonce(online_feat: Tensor, target_feat: Tensor, spec_a, spec_b,
         losses.append(reduce_mean(sub(logsumexp(logits, axis=1), pos_logits)))
         if update_queue:
             queue.push(targets[:, s].reshape(dim, n).T)
-    if not batched:
-        return losses[0]
     return concat([reshape(loss, (1,)) for loss in losses], axis=0)

@@ -9,7 +9,6 @@ background keep intensity thresholds from solving the task outright.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +19,9 @@ from .views import resize_bilinear
 __all__ = [
     "SceneSpec",
     "LabeledImage",
-    "CorpusError",
     "CLASS_NAMES",
     "generate",
     "downsample_mask",
-    "save_labeled_image",
-    "load_labeled_image",
 ]
 
 CLASS_NAMES = ("disk", "rectangle", "triangle")
@@ -35,13 +31,6 @@ _PALETTE = (
     (0.20, 0.40, 0.85),  # rectangle
     (0.90, 0.80, 0.25),  # triangle
 )
-
-MAGIC = b"MSIM"
-
-
-class CorpusError(ValueError):
-    """Raised for malformed corpus files."""
-
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -204,41 +193,3 @@ def downsample_mask(mask: np.ndarray, stride: int) -> np.ndarray:
             out[i, j] = counts.argmax()  # argmax breaks ties toward lower ids
     return out
 
-
-# ---------------------------------------------------------------------------
-# on-disk format: magic "MSIM", u16 H, u16 W, f32 RGB triplets (pixel-major),
-# u16 instance ids row-major, u8 class ids row-major; little-endian throughout.
-
-
-def save_labeled_image(item: LabeledImage, path) -> None:
-    h, w = item.instance_mask.shape
-    rgb = np.transpose(item.image.data, (1, 2, 0)).astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HH", h, w))
-        fh.write(rgb.tobytes())
-        fh.write(item.instance_mask.astype("<u2").tobytes())
-        fh.write(item.class_mask.astype("u1").tobytes())
-
-
-def load_labeled_image(path) -> LabeledImage:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CorpusError(f"{path}: bad magic {blob[:4]!r}")
-    h, w = struct.unpack_from("<HH", blob, 4)
-    need = 8 + h * w * 12 + h * w * 2 + h * w
-    if len(blob) != need:
-        raise CorpusError(f"{path}: expected {need} bytes, found {len(blob)}")
-    off = 8
-    rgb = np.frombuffer(blob, dtype="<f4", count=h * w * 3, offset=off).reshape(h, w, 3)
-    off += h * w * 12
-    inst = np.frombuffer(blob, dtype="<u2", count=h * w, offset=off).reshape(h, w)
-    off += h * w * 2
-    cls = np.frombuffer(blob, dtype="u1", count=h * w, offset=off).reshape(h, w)
-    classes = []
-    for inst_id in range(1, int(inst.max()) + 1):
-        member = cls[inst == inst_id]
-        classes.append(int(member[0]) if member.size else 0)
-    return LabeledImage(Tensor(np.transpose(rgb.astype(np.float64), (2, 0, 1))),
-                        inst.astype(np.int32), cls.astype(np.int32), tuple(classes))

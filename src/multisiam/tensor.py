@@ -5,8 +5,7 @@ arithmetic, 2D cross-correlation, pooling, normalization, reductions and the
 backward pass itself. The tape is a per-forward DAG of closures that is freed
 as soon as backward() has consumed it; no higher-order derivatives.
 
-Feature maps are channel-major batches [C,N,H,W]; the structured ops also take
-a single [C,H,W] map.
+Feature maps are channel-major batches [C,N,H,W]; a lone map is a batch of one.
 """
 
 from __future__ import annotations
@@ -125,8 +124,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # store a copy, never g itself: add's backward hands one array to both operands
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _check_binary_shapes(a: Tensor, b: Tensor) -> None:
@@ -212,6 +214,11 @@ def relu(t: Tensor) -> Tensor:
 # structured ops
 
 
+def _require_maps(t: Tensor, op: str, error=ShapeError) -> None:
+    if t.ndim != 4:
+        raise error(f"{op} expects a [C,N,H,W] batch of maps, got shape {t.shape}")
+
+
 def _pad_pair(pad) -> tuple[int, int]:
     """Normalize conv2d's ``pad`` to (before, after); both must be ints >= 0."""
     pair = (pad, pad) if isinstance(pad, (int, np.integer)) else pad
@@ -224,12 +231,11 @@ def _pad_pair(pad) -> tuple[int, int]:
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0,
            bias: Tensor | None = None) -> Tensor:
-    """Cross-correlate a [C_in,N,H,W] batch, or one [C_in,H,W] map, with a
-    [C_out,C_in,kh,kw] kernel.
+    """Cross-correlate a [C_in,N,H,W] batch with a [C_out,C_in,kh,kw] kernel.
 
     The batch is channel-major, so one GEMM covers every sample: the im2col
     slices copy without transposes and the [C_out, N*Ho*Wo] product reshapes
-    straight into the [C_out,N,Ho,Wo] output. A single map runs as N = 1.
+    straight into the [C_out,N,Ho,Wo] output.
     ``pad`` is an int or a (before, after) pair, applied to rows and columns
     alike: ``stride=2, pad=(1, 0)`` on an even extent computes every second
     row and column of the ``stride=1, pad=1`` output. Output extents must come
@@ -238,11 +244,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     and the optional per-channel bias.
     """
     x, w = _coerce(x), _coerce(w)
-    if x.ndim not in (3, 4) or w.ndim != 4:
-        raise ShapeError(
-            f"conv2d expects [C,N,H,W] or [C,H,W] and [O,C,kh,kw], got {x.shape} and {w.shape}")
-    xd = x.data if x.ndim == 4 else x.data[:, None]
-    cin, n, h, wd = xd.shape
+    _require_maps(x, "conv2d")
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d expects an [O,C,kh,kw] kernel, got {w.shape}")
+    cin, n, h, wd = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
         raise ShapeError(f"input channels {cin} do not match kernel channels {cin_w}")
@@ -260,10 +265,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
 
     direct = kh == kw == 1 and stride == 1 and not (before or after)
     if direct:
-        mat = xd.reshape(cin, n * h * wd)
+        mat = x.data.reshape(cin, n * h * wd)
     else:
         xp = np.zeros((cin, n, h + before + after, wd + before + after))
-        xp[:, :, before:before + h, before:before + wd] = xd
+        xp[:, :, before:before + h, before:before + wd] = x.data
         cols = np.empty((cin, kh, kw, n, ho, wo))
         for di in range(kh):
             for dj in range(kw):
@@ -298,32 +303,29 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
                 dxp[:, :, di:di + (ho - 1) * stride + 1:stride,
                     dj:dj + (wo - 1) * stride + 1:stride] += (
                         w.data[:, :, di, dj].T @ gm).reshape(cin, n, ho, wo)
-        dx = dxp[:, :, before:before + h, before:before + wd]
-        _accumulate(x, dx if x.ndim == 4 else dx[:, 0])
+        _accumulate(x, dxp[:, :, before:before + h, before:before + wd])
 
-    shape = (cout, n, ho, wo) if x.ndim == 4 else (cout, ho, wo)
-    return _result(out.reshape(shape), parents, bw)
+    return _result(out.reshape(cout, n, ho, wo), parents, bw)
 
 
 def subsample(t: Tensor, stride: int) -> Tensor:
-    """Keep every stride-th row and column of a [C,H,W] map, starting at 0."""
+    """Keep every stride-th row and column of the last two axes, starting at 0."""
     t = _coerce(t)
-    if t.ndim != 3:
-        raise ShapeError(f"subsample expects [C,H,W], got {t.shape}")
+    if t.ndim < 2:
+        raise ShapeError(f"subsample expects [..., H, W], got {t.shape}")
 
     def bw(g):
         full = np.zeros_like(t.data)
-        full[:, ::stride, ::stride] = g
+        full[..., ::stride, ::stride] = g
         _accumulate(t, full)
 
-    return _result(t.data[:, ::stride, ::stride].copy(), (t,), bw)
+    return _result(t.data[..., ::stride, ::stride].copy(), (t,), bw)
 
 
 def global_avg_pool(t: Tensor) -> Tensor:
-    """Per-channel spatial mean: [C,H,W] -> [C], or [C,N,H,W] -> [C,N]."""
+    """Per-sample, per-channel spatial mean: [C,N,H,W] -> [C,N]."""
     t = _coerce(t)
-    if t.ndim not in (3, 4):
-        raise ShapeError(f"global_avg_pool expects [C,H,W] or [C,N,H,W], got {t.shape}")
+    _require_maps(t, "global_avg_pool")
     h, w = t.shape[-2:]
 
     def bw(g):
@@ -417,22 +419,20 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
 
-def flip_last(t: Tensor, samples=None) -> Tensor:
-    """Mirror along the last axis; a pure index permutation. ``samples``, a
-    boolean mask over axis 1 of a [C,N,H,W] batch, mirrors only those samples."""
+def flip_last(t: Tensor, samples) -> Tensor:
+    """Mirror the samples of a [C,N,H,W] batch that the boolean mask
+    ``samples`` (one flag per sample) selects along the last axis; a pure
+    index permutation."""
     t = _coerce(t)
-    if samples is None:
-        def mirror(a):
-            return a[..., ::-1].copy()
-    else:
-        samples = np.asarray(samples, dtype=bool)
-        if t.ndim != 4 or samples.shape != (t.shape[1],):
-            raise ShapeError(f"a flip mask of shape {samples.shape} does not fit {t.shape}")
+    _require_maps(t, "flip_last")
+    samples = np.asarray(samples, dtype=bool)
+    if samples.shape != (t.shape[1],):
+        raise ShapeError(f"a flip mask of shape {samples.shape} does not fit {t.shape}")
 
-        def mirror(a):
-            out = a.copy()
-            out[:, samples] = a[:, samples, :, ::-1]
-            return out
+    def mirror(a):
+        out = a.copy()
+        out[:, samples] = a[:, samples, :, ::-1]
+        return out
 
     def bw(g):
         _accumulate(t, mirror(g))

@@ -62,7 +62,8 @@ class ConfigError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """Raised when a run cannot continue (for example a non-finite loss)."""
+    """Raised when a run cannot continue: a non-finite loss, or a non-finite
+    parameter after an optimizer update."""
 
 
 def rng_stream(seed: int, purpose: int, step: int = 0) -> np.random.Generator:
@@ -401,6 +402,11 @@ def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
         else:
             optim.sgd_step(pair.online, lr, cfg.momentum, cfg.weight_decay,
                            state.opt_buffers)
+        bad = next((name for name, p in pair.online.items() if not np.isfinite(p.data).all()),
+                   None)
+        if bad is not None:
+            raise TrainingError(f"non-finite parameter {bad} after the update at step {step} "
+                                f"(lr={lr!r})")
         zero_grads(pair.online)
         ema_update(pair, tau)
 

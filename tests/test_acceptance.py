@@ -93,12 +93,12 @@ def test_criterion_2_geometry_oracles():
         roi = RelBox(float(x0), float(y0), float(x0 + rng.uniform(0.2, 0.5)),
                      float(y0 + rng.uniform(0.2, 0.5)))
         oh, ow = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        got = roi_align(Tensor(arr), roi, oh, ow).data
+        got = roi_align(Tensor(arr[:, None]), [roi], oh, ow).data[:, 0]
         worst = max(worst, float(np.max(np.abs(got - _naive_bilinear(arr, roi, oh, ow)))))
     assert worst < 1e-9
 
-    fmap = Tensor(rng.random((3, 8, 8)))
-    assert np.array_equal(roi_align(fmap, RelBox(0, 0, 1, 1), 8, 8).data, fmap.data)
+    fmap = Tensor(rng.random((3, 1, 8, 8)))
+    assert np.array_equal(roi_align(fmap, [RelBox(0, 0, 1, 1)], 8, 8).data, fmap.data)
 
     spec = ViewSpec(Box(3.0, 5.0, 35.0, 37.0), False, NEUTRAL_PHOTO, (8, 8))
     assert np.array_equal(offset_map(spec, spec, 8, 8).data, np.zeros((2, 8, 8)))
@@ -171,12 +171,13 @@ def test_criterion_4_kmeans():
 def test_criterion_5_loss_algebra():
     rng = np.random.default_rng(5)
     for _ in range(25):
-        pred = Tensor(rng.standard_normal((3, 3, 3)) * 10.0 ** rng.integers(-3, 4))
-        target = Tensor(rng.standard_normal((3, 3, 3)) * 10.0 ** rng.integers(-3, 4))
-        cluster = O.kmeans(target, 3, rng=rng)
-        for value in (O.loss_2d_cluster(pred, cluster).item(),
-                      O.loss_2d_cluster(pred, cluster, dense=True, target_map=target).item(),
-                      O.loss_2d_wo_kmeans(pred, target).item()):
+        pred = Tensor(rng.standard_normal((3, 1, 3, 3)) * 10.0 ** rng.integers(-3, 4))
+        target = Tensor(rng.standard_normal((3, 1, 3, 3)) * 10.0 ** rng.integers(-3, 4))
+        cluster = O.kmeans(target.data[:, 0], 3, rng=rng)
+        for value in (O.loss_2d_cluster(pred, [cluster]).data.item(),
+                      O.loss_2d_cluster(pred, [cluster], dense=True,
+                                        target_map=target).data.item(),
+                      O.loss_2d_wo_kmeans(pred, target).data.item()):
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
     assert not cluster.centroid_map.requires_grad
     assert not cluster.centroids.requires_grad

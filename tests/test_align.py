@@ -52,14 +52,14 @@ def test_grid_coord_center_and_example():
 
 def test_flip_back_identity_involution_mirror():
     rng = np.random.default_rng(0)
-    m = Tensor(rng.random((3, 4, 4)))
-    assert flip_back(m, False) is m
-    assert np.array_equal(flip_back(flip_back(m, True), True).data, m.data)
+    m = Tensor(rng.random((3, 1, 4, 4)))
+    assert flip_back(m, [False]) is m
+    assert np.array_equal(flip_back(flip_back(m, [True]), [True]).data, m.data)
 
-    row = Tensor(np.array([[[1.0, 2.0]]]))
-    assert np.array_equal(flip_back(row, True).data, [[[2.0, 1.0]]])
+    row = Tensor(np.array([[[[1.0, 2.0]]]]))
+    assert np.array_equal(flip_back(row, [True]).data, [[[[2.0, 1.0]]]])
     # channel sums are preserved
-    assert flip_back(m, True).data.sum(axis=(1, 2)) == pytest.approx(m.data.sum(axis=(1, 2)))
+    assert flip_back(m, [True]).data.sum(axis=(2, 3)) == pytest.approx(m.data.sum(axis=(2, 3)))
 
 
 def test_intersection_relative_cases():
@@ -82,16 +82,16 @@ def test_intersection_relative_cases():
 
 def test_roi_align_full_box_identity_is_exact():
     rng = np.random.default_rng(1)
-    m = Tensor(rng.random((4, 6, 5)))
-    out = roi_align(m, RelBox(0, 0, 1, 1), 6, 5)
+    m = Tensor(rng.random((4, 1, 6, 5)))
+    out = roi_align(m, [RelBox(0, 0, 1, 1)], 6, 5)
     assert np.array_equal(out.data, m.data)
 
 
 def test_roi_align_constant_map():
-    m = Tensor(np.full((2, 5, 5), 3.25))
+    m = Tensor(np.full((2, 1, 5, 5), 3.25))
     rng = np.random.default_rng(2)
     for _ in range(10):
-        out = roi_align(m, random_relbox(rng), 3, 4)
+        out = roi_align(m, [random_relbox(rng)], 3, 4)
         assert np.allclose(out.data, 3.25, atol=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_roi_align_matches_naive_oracle():
     for _ in range(100):
         m = rng.random((1, 4, 4))
         roi = random_relbox(rng)
-        got = roi_align(Tensor(m), roi, 2, 2).data
+        got = roi_align(Tensor(m[:, None]), [roi], 2, 2).data[:, 0]
         want = naive_bilinear_roi(m, roi, 2, 2)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -108,11 +108,11 @@ def test_roi_align_matches_naive_oracle():
 @pytest.mark.parametrize("seed", range(5))
 def test_roi_align_gradient(seed):
     rng = np.random.default_rng(seed)
-    m = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
-    roi = random_relbox(rng)
-    d = Tensor(rng.standard_normal((2, 3, 3)))
+    m = Tensor(rng.standard_normal((2, 1, 5, 5)), requires_grad=True)
+    rois = [random_relbox(rng)]
+    d = Tensor(rng.standard_normal((2, 1, 3, 3)))
     rep = T.finite_difference_check(
-        lambda m_: T.reduce_sum(T.mul(roi_align(m_, roi, 3, 3), d)), [m], name="roi_align")
+        lambda m_: T.reduce_sum(T.mul(roi_align(m_, rois, 3, 3), d)), [m], name="roi_align")
     assert rep.max_relative_error < 1e-5
 
 
@@ -160,18 +160,18 @@ def test_offset_map_normalized_scale_invariant():
 
 def test_align_pair_modes():
     rng = np.random.default_rng(5)
-    g = Tensor(rng.random((3, 8, 8)))
-    gp = Tensor(rng.random((3, 8, 8)))
-    a = spec_for(Box(0, 0, 32, 32))
-    b = spec_for(Box(8, 8, 32, 32))
+    g = Tensor(rng.random((3, 1, 8, 8)))
+    gp = Tensor(rng.random((3, 1, 8, 8)))
+    a = [spec_for(Box(0, 0, 32, 32))]
+    b = [spec_for(Box(8, 8, 32, 32))]
 
     out = align_pair(g, gp, a, b, "none")
     assert out.online is g and out.target is gp
 
     same = align_pair(g, gp, a, a, "offset")
-    assert same.online.shape == (5, 8, 8)
+    assert same.online.shape == (5, 1, 8, 8)
     assert np.array_equal(same.online.data[:3], g.data)
-    assert np.array_equal(same.online.data[3:], np.zeros((2, 8, 8)))
+    assert np.array_equal(same.online.data[3:], np.zeros((2, 1, 8, 8)))
     assert same.target is gp
 
     roi_same = align_pair(g, gp, a, a, "roi")
@@ -199,3 +199,25 @@ def test_roi_mode_correspondence_through_both_views():
                 via.append((spec.box.x0 + px * spec.box.width,
                             spec.box.y0 + py * spec.box.height))
             assert via[0] == pytest.approx(via[1], abs=1e-9)
+
+
+LONE_MAP = Tensor(np.zeros((2, 4, 4)))
+LONE_SPEC = [spec_for(Box(0, 0, 16, 16), out=(4, 4))]
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda m: T.conv2d(m, Tensor(np.zeros((1, 2, 3, 3))), pad=1), T.ShapeError),
+    (lambda m: T.global_avg_pool(m), T.ShapeError),
+    (lambda m: flip_back(m, [False]), AlignmentError),
+    (lambda m: flip_back(m, [True]), AlignmentError),
+    (lambda m: roi_align(m, [RelBox(0, 0, 1, 1)], 2, 2), AlignmentError),
+    (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "none"), AlignmentError),
+    (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "offset"), AlignmentError),
+    (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "roi"), AlignmentError),
+], ids=["conv2d", "global_avg_pool", "flip_back_unflipped", "flip_back_flipped", "roi_align",
+        "align_pair_none", "align_pair_offset", "align_pair_roi"])
+def test_lone_map_is_rejected_with_typed_error(call, error):
+    # feature maps are [C,N,H,W] batches; a lone map must be a batch of one
+    with pytest.raises(error, match=r"\[C,N,H,W\]"):
+        call(LONE_MAP)
+    call(Tensor(LONE_MAP.data[:, None]))

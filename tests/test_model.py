@@ -33,7 +33,7 @@ def test_backbone_matches_full_resolution_conv_then_subsample(seed):
     # and column of each downsampling stage's output; the same bytes expected
     pair = make_pair(seed=seed)
     view = Tensor(np.random.default_rng(seed + 10).random((3, 64, 64)))
-    x = view
+    x = Tensor(view.data[:, None])
     for idx, down in enumerate(DESK.downsample, start=1):
         x = T.conv2d(x, pair.online[f"backbone.conv{idx}.w"], stride=1, pad=1,
                      bias=pair.online[f"backbone.conv{idx}.b"])
@@ -42,7 +42,7 @@ def test_backbone_matches_full_resolution_conv_then_subsample(seed):
         if down:
             x = T.subsample(x, 2)
     out = M.backbone_forward(pair.online, view, DESK)
-    assert out.data.tobytes() == x.data.tobytes()
+    assert out.data.tobytes() == x.data[:, 0].tobytes()
 
 
 def test_backbone_rejects_indivisible_extents():
@@ -64,21 +64,21 @@ def test_zeroed_final_conv_yields_bias_map():
 def test_projector_is_pointwise_equivariant():
     pair = make_pair()
     rng = np.random.default_rng(3)
-    fmap = Tensor(rng.random((32, 4, 4)))
+    fmap = Tensor(rng.random((32, 1, 4, 4)))
     out = M.project_2d(pair.online, fmap).data
     perm = rng.permutation(16)
-    shuffled = Tensor(fmap.data.reshape(32, 16)[:, perm].reshape(32, 4, 4))
+    shuffled = Tensor(fmap.data.reshape(32, 16)[:, perm].reshape(32, 1, 4, 4))
     out_shuffled = M.project_2d(pair.online, shuffled).data
     assert np.allclose(out.reshape(-1, 16)[:, perm], out_shuffled.reshape(-1, 16), atol=1e-12)
-    assert out.shape == (32, 4, 4)  # spatial extent preserved
+    assert out.shape == (32, 1, 4, 4)  # spatial extent preserved
 
 
 def test_predictor_channel_contract_in_offset_mode():
     pair = make_pair()  # offset alignment: predictor expects proj2d_out + 2
-    ok = Tensor(np.random.default_rng(4).random((34, 8, 8)))
-    assert M.predict_local(pair.online, ok).shape == (32, 8, 8)
+    ok = Tensor(np.random.default_rng(4).random((34, 1, 8, 8)))
+    assert M.predict_local(pair.online, ok).shape == (32, 1, 8, 8)
     with pytest.raises(ValueError):
-        M.predict_local(pair.online, Tensor(np.zeros((32, 8, 8))))
+        M.predict_local(pair.online, Tensor(np.zeros((32, 1, 8, 8))))
 
 
 def test_roi_mode_predictor_has_no_extra_channels():
@@ -89,10 +89,10 @@ def test_roi_mode_predictor_has_no_extra_channels():
 
 def test_project_predict_1d_dims_and_target_path():
     pair = make_pair()
-    fmap = Tensor(np.random.default_rng(5).random((32, 8, 8)))
+    fmap = Tensor(np.random.default_rng(5).random((32, 1, 8, 8)))
     q = M.project_predict_1d(pair.online, fmap, with_predictor=True)
     z = M.project_predict_1d(pair.online, fmap, with_predictor=False)
-    assert q.shape == (64,) and z.shape == (64,)
+    assert q.shape == (64, 1) and z.shape == (64, 1)
     assert not np.allclose(q.data, z.data)  # the predictor actually runs
     q2 = M.project_predict_1d(pair.online, fmap, with_predictor=True)
     assert np.array_equal(q.data, q2.data)
@@ -100,8 +100,8 @@ def test_project_predict_1d_dims_and_target_path():
 
 def test_attention_single_pixel_passthrough():
     rng = np.random.default_rng(6)
-    amap = Tensor(rng.random((5, 1, 1)))
-    local = Tensor(rng.random((3, 1, 1)))
+    amap = Tensor(rng.random((5, 1, 1, 1)))
+    local = Tensor(rng.random((3, 1, 1, 1)))
     out = M.self_attention_predict(amap, local)
     assert np.allclose(out.data, local.data, atol=1e-12)
 
@@ -109,15 +109,15 @@ def test_attention_single_pixel_passthrough():
 def test_attention_constant_field_scales_by_pixel_count():
     rng = np.random.default_rng(7)
     vec = rng.random(4)
-    amap = Tensor(np.tile(vec[:, None, None], (1, 3, 3)))
-    local = Tensor(np.tile(rng.random(2)[:, None, None], (1, 3, 3)))
+    amap = Tensor(np.tile(vec[:, None, None, None], (1, 1, 3, 3)))
+    local = Tensor(np.tile(rng.random(2)[:, None, None, None], (1, 1, 3, 3)))
     out = M.self_attention_predict(amap, local)
     assert np.allclose(out.data, 9.0 * local.data, atol=1e-9)
 
 
 def test_attention_orthogonal_pixels_reduce_to_local():
-    amap = Tensor(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))  # 2 channels, 1x2 map
-    local = Tensor(np.random.default_rng(8).random((3, 1, 2)))
+    amap = Tensor(np.array([[[[1.0, 0.0]]], [[[0.0, 1.0]]]]))  # 2 channels, one 1x2 map
+    local = Tensor(np.random.default_rng(8).random((3, 1, 1, 2)))
     out = M.self_attention_predict(amap, local)
     assert np.allclose(out.data, local.data, atol=1e-12)
     with_res = M.self_attention_predict(amap, local, residual=True)
@@ -127,9 +127,9 @@ def test_attention_orthogonal_pixels_reduce_to_local():
 @pytest.mark.parametrize("residual", [False, True])
 def test_attention_gradient(residual):
     rng = np.random.default_rng(9)
-    amap = Tensor(rng.standard_normal((3, 2, 2)) + 1.5, requires_grad=True)
-    local = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
-    d = Tensor(rng.standard_normal((2, 2, 2)))
+    amap = Tensor(rng.standard_normal((3, 1, 2, 2)) + 1.5, requires_grad=True)
+    local = Tensor(rng.standard_normal((2, 1, 2, 2)), requires_grad=True)
+    d = Tensor(rng.standard_normal((2, 1, 2, 2)))
     rep = T.finite_difference_check(
         lambda a, l: T.reduce_sum(T.mul(M.self_attention_predict(a, l, residual), d)),
         [amap, local], name="self_attention_predict")
@@ -139,11 +139,12 @@ def test_attention_gradient(residual):
 def test_attention_direction_invariance_under_loss():
     from multisiam.objectives import loss_2d_wo_kmeans
     rng = np.random.default_rng(10)
-    amap = Tensor(rng.random((3, 2, 2)))
-    local = Tensor(rng.random((3, 2, 2)))
-    target = Tensor(rng.random((3, 2, 2)))
-    base = loss_2d_wo_kmeans(M.self_attention_predict(amap, local), target).item()
-    scaled = loss_2d_wo_kmeans(M.self_attention_predict(amap, T.scale(local, 7.5)), target).item()
+    amap = Tensor(rng.random((3, 1, 2, 2)))
+    local = Tensor(rng.random((3, 1, 2, 2)))
+    target = Tensor(rng.random((3, 1, 2, 2)))
+    base = loss_2d_wo_kmeans(M.self_attention_predict(amap, local), target).data.item()
+    scaled = loss_2d_wo_kmeans(M.self_attention_predict(amap, T.scale(local, 7.5)),
+                               target).data.item()
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -195,7 +196,7 @@ def test_momentum_schedule_endpoints_and_midpoint():
 
 def test_target_branch_never_requires_grad():
     pair = make_pair()
-    view = Tensor(np.random.default_rng(11).random((3, 64, 64)))
+    view = Tensor(np.random.default_rng(11).random((3, 1, 64, 64)))
     fmap = M.backbone_forward(pair.target, view, DESK)
     g = M.project_2d(pair.target, fmap)
     z = M.project_predict_1d(pair.target, fmap, with_predictor=False)
@@ -206,10 +207,10 @@ def test_stop_gradient_through_full_loss():
     from multisiam.objectives import loss_1d
     pair = make_pair(TOY)
     rng = np.random.default_rng(12)
-    view = Tensor(rng.random((3, 8, 8)))
+    view = Tensor(rng.random((3, 1, 8, 8)))
     q = M.project_predict_1d(pair.online, M.backbone_forward(pair.online, view, TOY), True)
     z = M.project_predict_1d(pair.target, M.backbone_forward(pair.target, view, TOY), False)
-    T.backward(loss_1d(q, z))
+    T.backward(T.reduce_sum(loss_1d(q, z)))
     assert all(p.grad is None for p in pair.target.values())
     assert any(p.grad is not None for p in pair.online.values())
 

@@ -127,16 +127,16 @@ def test_loss_2d_cluster_perfect_prediction():
     rng = np.random.default_rng(4)
     fmap = Tensor(rng.standard_normal((3, 4, 4)))
     cluster = O.kmeans(fmap, 3, rng=rng)
-    loss = O.loss_2d_cluster(cluster.centroid_map, cluster)
-    assert loss.item() == pytest.approx(-1.0, abs=1e-9)
+    loss = O.loss_2d_cluster(Tensor(cluster.centroid_map.data[:, None]), [cluster])
+    assert loss.data.item() == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_loss_2d_cluster_single_cluster_is_mean_cosine():
     rng = np.random.default_rng(5)
-    target = Tensor(rng.standard_normal((3, 2, 2)))
-    pred = Tensor(rng.standard_normal((3, 2, 2)))
-    cluster = O.kmeans(target, 1, rng=rng)
-    got = O.loss_2d_cluster(pred, cluster).item()
+    target = Tensor(rng.standard_normal((3, 1, 2, 2)))
+    pred = Tensor(rng.standard_normal((3, 1, 2, 2)))
+    cluster = O.kmeans(target.data[:, 0], 1, rng=rng)
+    got = O.loss_2d_cluster(pred, [cluster]).data.item()
 
     pixels = target.data.reshape(3, 4).T
     centroid = (pixels / np.linalg.norm(pixels, axis=1, keepdims=True)).mean(axis=0)
@@ -148,20 +148,20 @@ def test_loss_2d_cluster_single_cluster_is_mean_cosine():
 
 def test_loss_2d_cluster_dense_collapses_for_uniform_cluster():
     vec = np.array([0.3, -0.7, 1.1])
-    target = Tensor(np.tile(vec[:, None, None], (1, 2, 2)))
-    pred = Tensor(np.random.default_rng(6).standard_normal((3, 2, 2)))
-    cluster = O.kmeans(target, 1, rng=np.random.default_rng(0))
-    plain = O.loss_2d_cluster(pred, cluster, dense=False).item()
-    dense = O.loss_2d_cluster(pred, cluster, dense=True, target_map=target).item()
+    target = Tensor(np.tile(vec[:, None, None, None], (1, 1, 2, 2)))
+    pred = Tensor(np.random.default_rng(6).standard_normal((3, 1, 2, 2)))
+    cluster = O.kmeans(target.data[:, 0], 1, rng=np.random.default_rng(0))
+    plain = O.loss_2d_cluster(pred, [cluster], dense=False).data.item()
+    dense = O.loss_2d_cluster(pred, [cluster], dense=True, target_map=target).data.item()
     assert dense == pytest.approx(plain, abs=1e-12)
 
 
 def test_loss_2d_cluster_dense_matches_per_member_average():
     rng = np.random.default_rng(7)
-    target = Tensor(rng.standard_normal((3, 2, 3)))
-    pred = Tensor(rng.standard_normal((3, 2, 3)))
-    cluster = O.kmeans(target, 2, rng=rng)
-    got = O.loss_2d_cluster(pred, cluster, dense=True, target_map=target).item()
+    target = Tensor(rng.standard_normal((3, 1, 2, 3)))
+    pred = Tensor(rng.standard_normal((3, 1, 2, 3)))
+    cluster = O.kmeans(target.data[:, 0], 2, rng=rng)
+    got = O.loss_2d_cluster(pred, [cluster], dense=True, target_map=target).data.item()
 
     tp = target.data.reshape(3, 6).T
     pp = pred.data.reshape(3, 6).T
@@ -177,39 +177,40 @@ def test_loss_2d_cluster_dense_matches_per_member_average():
 
 def test_loss_2d_wo_kmeans_values_and_oracle():
     rng = np.random.default_rng(8)
-    target = Tensor(rng.standard_normal((3, 2, 2)))
-    assert O.loss_2d_wo_kmeans(target, target).item() == pytest.approx(-1.0, abs=1e-12)
+    target = Tensor(rng.standard_normal((3, 1, 2, 2)))
+    assert O.loss_2d_wo_kmeans(target, target).data.item() == pytest.approx(-1.0, abs=1e-12)
 
-    single_p = Tensor(rng.standard_normal((4, 1, 1)))
-    single_t = Tensor(rng.standard_normal((4, 1, 1)))
+    single_p = Tensor(rng.standard_normal((4, 1, 1, 1)))
+    single_t = Tensor(rng.standard_normal((4, 1, 1, 1)))
     want = O.loss_1d(Tensor(single_p.data.reshape(-1)), Tensor(single_t.data.reshape(-1))).item()
-    assert O.loss_2d_wo_kmeans(single_p, single_t).item() == pytest.approx(want, abs=1e-12)
+    assert O.loss_2d_wo_kmeans(single_p, single_t).data.item() == pytest.approx(want, abs=1e-12)
 
-    pred = Tensor(rng.standard_normal((3, 2, 2)))
+    pred = Tensor(rng.standard_normal((3, 1, 2, 2)))
     cosines = []
     for i in range(2):
         for j in range(2):
-            a, b = pred.data[:, i, j], target.data[:, i, j]
+            a, b = pred.data[:, 0, i, j], target.data[:, 0, i, j]
             cosines.append(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-    assert O.loss_2d_wo_kmeans(pred, target).item() == pytest.approx(-np.mean(cosines), abs=1e-12)
+    assert O.loss_2d_wo_kmeans(pred, target).data.item() == pytest.approx(-np.mean(cosines),
+                                                                          abs=1e-12)
 
 
 def test_loss_2d_wo_kmeans_stops_target_gradient():
-    pred = Tensor(np.random.default_rng(9).random((2, 2, 2)), requires_grad=True)
-    target = Tensor(np.random.default_rng(10).random((2, 2, 2)), requires_grad=True)
-    T.backward(O.loss_2d_wo_kmeans(pred, target))
+    pred = Tensor(np.random.default_rng(9).random((2, 1, 2, 2)), requires_grad=True)
+    target = Tensor(np.random.default_rng(10).random((2, 1, 2, 2)), requires_grad=True)
+    T.backward(T.reduce_sum(O.loss_2d_wo_kmeans(pred, target)))
     assert pred.grad is not None
     assert target.grad is None
 
 
 def test_kmeans_per_pixel_clusters_match_wo_kmeans():
     rng = np.random.default_rng(11)
-    target = Tensor(rng.standard_normal((3, 2, 2)))
-    pred = Tensor(rng.standard_normal((3, 2, 2)))
-    cluster = O.kmeans(target, 4, metric="cosine", rng=rng)
+    target = Tensor(rng.standard_normal((3, 1, 2, 2)))
+    pred = Tensor(rng.standard_normal((3, 1, 2, 2)))
+    cluster = O.kmeans(target.data[:, 0], 4, metric="cosine", rng=rng)
     assert len(np.unique(cluster.assignments)) == 4
-    via_cluster = O.loss_2d_cluster(pred, cluster).item()
-    direct = O.loss_2d_wo_kmeans(pred, target).item()
+    via_cluster = O.loss_2d_cluster(pred, [cluster]).data.item()
+    direct = O.loss_2d_wo_kmeans(pred, target).data.item()
     assert via_cluster == pytest.approx(direct, abs=1e-9)
 
 
@@ -227,12 +228,13 @@ def test_loss_total_degenerates():
 def test_cosine_losses_bounded(seed):
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        pred = Tensor(rng.standard_normal((3, 3, 3)) * 10.0 ** rng.integers(-3, 4))
-        target = Tensor(rng.standard_normal((3, 3, 3)) * 10.0 ** rng.integers(-3, 4))
-        cluster = O.kmeans(target, 3, rng=rng)
-        for value in (O.loss_2d_cluster(pred, cluster).item(),
-                      O.loss_2d_cluster(pred, cluster, dense=True, target_map=target).item(),
-                      O.loss_2d_wo_kmeans(pred, target).item()):
+        pred = Tensor(rng.standard_normal((3, 1, 3, 3)) * 10.0 ** rng.integers(-3, 4))
+        target = Tensor(rng.standard_normal((3, 1, 3, 3)) * 10.0 ** rng.integers(-3, 4))
+        cluster = O.kmeans(target.data[:, 0], 3, rng=rng)
+        for value in (O.loss_2d_cluster(pred, [cluster]).data.item(),
+                      O.loss_2d_cluster(pred, [cluster], dense=True,
+                                        target_map=target).data.item(),
+                      O.loss_2d_wo_kmeans(pred, target).data.item()):
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -257,10 +259,10 @@ def moco_setup(seed=0, queue_entries=0):
                         pred1d_hidden=4, alignment="roi")
     rng = np.random.default_rng(seed)
     pair = M.init_siamese_pair(cfg, rng)
-    f_on = Tensor(rng.standard_normal((6, 4, 4)), requires_grad=False)
-    f_tg = Tensor(rng.standard_normal((6, 4, 4)))
-    spec_a = ViewSpec(Box(0, 0, 32, 32), False, NEUTRAL_PHOTO, (8, 8))
-    spec_b = ViewSpec(Box(8, 4, 32, 30), False, NEUTRAL_PHOTO, (8, 8))
+    f_on = Tensor(rng.standard_normal((6, 1, 4, 4)), requires_grad=False)
+    f_tg = Tensor(rng.standard_normal((6, 1, 4, 4)))
+    spec_a = [ViewSpec(Box(0, 0, 32, 32), False, NEUTRAL_PHOTO, (8, 8))]
+    spec_b = [ViewSpec(Box(8, 4, 32, 30), False, NEUTRAL_PHOTO, (8, 8))]
     queue = O.NegativeQueue(16, 4)
     if queue_entries:
         queue.push(np.random.default_rng(99).standard_normal((queue_entries, 4)))
@@ -273,7 +275,7 @@ def test_moco_empty_queue_gives_zero_loss():
     _, f_on, f_tg, sa, sb, queue, online, target = moco_setup()
     loss = O.moco_pixel_infonce(f_on, f_tg, sa, sb, online, target, queue, k=3,
                                 rng=np.random.default_rng(0))
-    assert loss.item() == pytest.approx(0.0, abs=1e-12)
+    assert loss.data.item() == pytest.approx(0.0, abs=1e-12)
     assert len(queue) == 16  # 16 target pixels pushed afterwards
 
 
@@ -293,12 +295,12 @@ def test_moco_matches_softmax_cross_entropy_oracle():
 
     # oracle: rebuild logits with plain numpy and take mean -log softmax[0]
     from multisiam.align import intersection_relative, roi_align
-    rel_a, rel_b = intersection_relative(sa, sb)
-    region_on = roi_align(f_on, rel_a, 4, 4)
-    region_tg = roi_align(f_tg, rel_b, 4, 4)
+    rel_a, rel_b = intersection_relative(sa[0], sb[0])
+    region_on = roi_align(f_on, [rel_a], 4, 4)
+    region_tg = roi_align(f_tg, [rel_b], 4, 4)
     proj = M.self_attention_predict(region_on, online(region_on), residual=False)
     tgt = target(region_tg)
-    cluster = O.kmeans(tgt, 3, rng=np.random.default_rng(5))
+    cluster = O.kmeans(tgt.data[:, 0], 3, rng=np.random.default_rng(5))
     g = proj.data.reshape(4, 16).T
     g = g / np.linalg.norm(g, axis=1, keepdims=True)
     pos = cluster.centroid_map.data.reshape(4, 16).T
@@ -310,17 +312,17 @@ def test_moco_matches_softmax_cross_entropy_oracle():
         soft = np.exp(logits - logits.max())
         soft /= soft.sum()
         per_pixel.append(-np.log(soft[0]))
-    assert loss.item() == pytest.approx(np.mean(per_pixel), abs=1e-9)
-    assert loss.item() >= 0.0
+    assert loss.data.item() == pytest.approx(np.mean(per_pixel), abs=1e-9)
+    assert loss.data.item() >= 0.0
 
 
 def test_moco_gradients_reach_online_only():
     pair, _, f_tg, sa, sb, queue, online, target = moco_setup(seed=2, queue_entries=5)
-    f_on = Tensor(np.random.default_rng(3).standard_normal((6, 4, 4)), requires_grad=True)
+    f_on = Tensor(np.random.default_rng(3).standard_normal((6, 1, 4, 4)), requires_grad=True)
     before = queue.negatives().copy()
     loss = O.moco_pixel_infonce(f_on, f_tg, sa, sb, online, target, queue, k=3,
                                 rng=np.random.default_rng(1), update_queue=False)
-    T.backward(loss)
+    T.backward(T.reduce_sum(loss))
     assert f_on.grad is not None
     assert all(p.grad is None for p in pair.target.values())
     assert np.array_equal(queue.negatives(), before)

@@ -67,32 +67,6 @@ def test_downsample_mask_rules():
         S.downsample_mask(np.zeros((5, 4), dtype=int), 2)
 
 
-def test_corpus_file_roundtrip(tmp_path):
-    item = S.generate(S.SceneSpec(seed=3), 1)[0]
-    path = tmp_path / "scene.msim"
-    S.save_labeled_image(item, path)
-    loaded = S.load_labeled_image(path)
-    assert np.allclose(loaded.image.data, item.image.data, atol=1e-7)  # f32 storage
-    assert np.array_equal(loaded.instance_mask, item.instance_mask)
-    assert np.array_equal(loaded.class_mask, item.class_mask)
-    assert loaded.instance_classes == item.instance_classes
-
-
-def test_corpus_file_validation(tmp_path):
-    path = tmp_path / "bad.msim"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(S.CorpusError):
-        S.load_labeled_image(path)
-
-    item = S.generate(S.SceneSpec(seed=4), 1)[0]
-    good = tmp_path / "good.msim"
-    S.save_labeled_image(item, good)
-    blob = good.read_bytes()
-    (tmp_path / "trunc.msim").write_bytes(blob[:-10])
-    with pytest.raises(S.CorpusError):
-        S.load_labeled_image(tmp_path / "trunc.msim")
-
-
 def test_corpus_generation_speed():
     start = time.perf_counter()
     S.generate(S.SceneSpec(seed=9), 512)

@@ -38,7 +38,7 @@ def test_scalar_broadcast_and_reverse_ops():
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.random((3, 5, 5)))
+    x = Tensor(rng.random((3, 1, 5, 5)))
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
@@ -47,14 +47,14 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_hand_convolution():
-    x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+    x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
     w = Tensor(np.ones((1, 1, 3, 3)))
     out = T.conv2d(x, w, stride=1, pad=1)
-    assert np.array_equal(out.data, [[[10.0, 10.0], [10.0, 10.0]]])
+    assert np.array_equal(out.data, [[[[10.0, 10.0], [10.0, 10.0]]]])
 
 
 def test_conv2d_rejects_non_integral_output():
-    x = Tensor(np.zeros((1, 4, 4)))
+    x = Tensor(np.zeros((1, 1, 4, 4)))
     w = Tensor(np.zeros((1, 1, 3, 3)))
     with pytest.raises(T.ShapeError):
         T.conv2d(x, w, stride=2, pad=1)
@@ -69,8 +69,9 @@ def test_conv2d_rejects_non_integral_output():
 @pytest.mark.parametrize("h,w", [(16, 16), (16, 12)])
 def test_strided_conv_equals_subsampled_conv(seed, h, w):
     rng = np.random.default_rng(seed)
-    arrays = rng.standard_normal((3, h, w)), rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
-    direction = Tensor(rng.standard_normal((4, h // 2, w // 2)))
+    arrays = (rng.standard_normal((3, 1, h, w)), rng.standard_normal((4, 3, 3, 3)),
+              rng.standard_normal(4))
+    direction = Tensor(rng.standard_normal((4, 1, h // 2, w // 2)))
     graphs = []
     for build in (lambda x, k, b: T.conv2d(x, k, 2, (1, 0), b),
                   lambda x, k, b: T.subsample(T.conv2d(x, k, 1, 1, b), 2)):
@@ -79,7 +80,7 @@ def test_strided_conv_equals_subsampled_conv(seed, h, w):
         T.backward(T.reduce_sum(T.mul(out, direction)))
         graphs.append((out, leaves))
     (strided, s_leaves), (full, f_leaves) = graphs
-    assert strided.shape == (4, h // 2, w // 2)
+    assert strided.shape == (4, 1, h // 2, w // 2)
     assert strided.data.tobytes() == full.data.tobytes()
     for a, b in zip(s_leaves, f_leaves):
         assert np.allclose(a.grad, b.grad, rtol=1e-12, atol=0.0)
@@ -87,7 +88,7 @@ def test_strided_conv_equals_subsampled_conv(seed, h, w):
 
 @pytest.mark.parametrize("pad", [-1, (1, -1), (1,), (1, 0, 0), 1.0, (1.0, 0), "1", True, None])
 def test_conv2d_rejects_bad_pad(pad):
-    x = Tensor(np.zeros((1, 4, 4)))
+    x = Tensor(np.zeros((1, 1, 4, 4)))
     w = Tensor(np.zeros((1, 1, 3, 3)))
     with pytest.raises(T.ShapeError, match="pad must be"):
         T.conv2d(x, w, stride=1, pad=pad)
@@ -96,7 +97,7 @@ def test_conv2d_rejects_bad_pad(pad):
 @pytest.mark.parametrize("seed", range(5))
 def test_conv2d_gradient_finite_difference(seed):
     rng = np.random.default_rng(seed)
-    x = randt(rng, (1, 4, 4))
+    x = randt(rng, (1, 1, 4, 4))
     w = randt(rng, (2, 1, 3, 3))
     b = randt(rng, (2,))
 
@@ -120,12 +121,12 @@ def test_subsample_roundtrip_gradient():
 
 
 def test_global_avg_pool_values():
-    const = Tensor(np.full((4, 3, 3), 7.0))
-    assert np.allclose(T.global_avg_pool(const).data, np.full(4, 7.0))
-    single = Tensor(np.arange(6.0).reshape(6, 1, 1))
-    assert np.allclose(T.global_avg_pool(single).data, np.arange(6.0))
-    quad = Tensor([[[1.0, 3.0], [5.0, 7.0]]])
-    assert T.global_avg_pool(quad).data[0] == pytest.approx(4.0)
+    const = Tensor(np.full((4, 1, 3, 3), 7.0))
+    assert np.allclose(T.global_avg_pool(const).data, np.full((4, 1), 7.0))
+    single = Tensor(np.arange(6.0).reshape(6, 1, 1, 1))
+    assert np.allclose(T.global_avg_pool(single).data, np.arange(6.0)[:, None])
+    quad = Tensor([[[[1.0, 3.0], [5.0, 7.0]]]])
+    assert T.global_avg_pool(quad).data[0, 0] == pytest.approx(4.0)
 
 
 def test_l2_normalize_values_and_zero_guard():
@@ -202,11 +203,11 @@ def test_matmul_transpose_reshape_concat_gradients():
 
 def test_flip_last_involution_and_grad():
     rng = np.random.default_rng(11)
-    x = randt(rng, (2, 3, 4))
-    assert np.array_equal(T.flip_last(T.flip_last(x)).data, x.data)
-    d = Tensor(rng.standard_normal((2, 3, 4)))
+    x = randt(rng, (2, 1, 3, 4))
+    assert np.array_equal(T.flip_last(T.flip_last(x, [True]), [True]).data, x.data)
+    d = Tensor(rng.standard_normal((2, 1, 3, 4)))
     report = T.finite_difference_check(
-        lambda x_: T.reduce_sum(T.mul(T.flip_last(x_), d)), [x], name="flip_last")
+        lambda x_: T.reduce_sum(T.mul(T.flip_last(x_, [True]), d)), [x], name="flip_last")
     assert report.max_relative_error < 1e-8
 
 
@@ -261,7 +262,7 @@ def test_detach_blocks_gradient():
 def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(42)
-        x = randt(rng, (2, 4, 4))
+        x = randt(rng, (2, 1, 4, 4))
         w = randt(rng, (3, 2, 3, 3))
         out = T.reduce_sum(T.relu(T.conv2d(x, w, pad=1)))
         T.backward(out)

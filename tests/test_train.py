@@ -411,6 +411,28 @@ def test_non_finite_loss_aborts(small_corpus):
         TR.train_step(state, small_corpus)
 
 
+# the loss of step 0 is finite; its update overflows every online parameter
+HUGE_LR = ["--batch_size=2", "--out_size=32", "--corpus_images=4", "--kmeans_iters=3",
+           "--lr_base=1e308"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_update_raises_training_error(small_corpus):
+    state = TR.init_state(dataclasses.replace(FAST, lr_base=1e308))
+    with pytest.raises(TR.TrainingError,
+                       match=r"non-finite parameter \S+ after the update at step 0"):
+        TR.train_step(state, small_corpus)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("steps", [1, 2])
+def test_non_finite_update_exits_runtime(tmp_path, capsys, steps):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out), f"--steps={steps}"] + HUGE_LR) == 2
+    assert "non-finite parameter" in capsys.readouterr().err
+    assert not (out / "final.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # the batched loss against one image at a time
 
