@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, add, conv2d, global_avg_pool, l2_normalize, matmul, mul,
-                     relu, reshape, select, transpose)
+from .tensor import (Tensor, _require_maps, add, conv2d, global_avg_pool, l2_normalize,
+                     matmul, mul, relu, reshape, select, transpose)
 
 __all__ = [
     "ModelConfig",
@@ -198,6 +198,8 @@ def self_attention_predict(aligned_map: Tensor, local_pred: Tensor,
 
     Optionally adds the local prediction back as a residual connection.
     """
+    _require_maps(aligned_map, "self_attention_predict")
+    _require_maps(local_pred, "self_attention_predict")
     if aligned_map.shape[1:] != local_pred.shape[1:]:
         raise ValueError(
             f"spatial extents differ: {aligned_map.shape} vs {local_pred.shape}")

@@ -19,8 +19,8 @@ from .metrics import embedding_spread
 from .model import (ModelConfig, SiamesePair, backbone_forward, ema_update,
                     init_siamese_pair, momentum_schedule, predict_local, project_2d,
                     project_predict_1d, self_attention_predict)
-from .objectives import (LOSS_MODES, NegativeQueue, kmeans, loss_1d, loss_2d_cluster,
-                         loss_2d_wo_kmeans, loss_total, moco_pixel_infonce)
+from .objectives import (LOSS_MODES, NegativeQueue, kmeans_batch, loss_1d,
+                         loss_2d_cluster, loss_2d_wo_kmeans, loss_total, moco_pixel_infonce)
 from .tensor import Tensor, backward, reduce_mean, zero_grads
 from .views import AugmentConfig, render_view, sample_view_pair
 
@@ -191,6 +191,10 @@ def _validate(cfg: TrainConfig) -> TrainConfig:
          f"must divide steps={cfg.steps}: a partial last window would never reach "
          "the optimizer")
     need(cfg.lr_base > 0.0, "lr_base", "must be positive")
+    # effective_lr doubles the batch-scaled rate before it halves it
+    need(math.isfinite(2.0 * _batch_scaled_lr(cfg)), "lr_base",
+         f"scaled by batch_size/256 (batch_size={cfg.batch_size}) the learning rate "
+         "overflows")
     need(cfg.weight_decay >= 0.0, "weight_decay", "must be non-negative")
     need(0.0 <= cfg.momentum < 1.0, "momentum", "must lie in [0, 1)")
     need(cfg.trust_coeff > 0.0, "trust_coeff", "must be positive")
@@ -268,12 +272,15 @@ def config_to_text(cfg: TrainConfig) -> str:
 # schedules
 
 
+def _batch_scaled_lr(cfg: TrainConfig) -> float:
+    return cfg.lr_base * cfg.batch_size / 256.0
+
+
 def effective_lr(step: int, cfg: TrainConfig) -> float:
     """Linearly batch-scaled base rate under a cosine decay to zero."""
     if step > cfg.steps:
         raise ValueError(f"step {step} beyond configured {cfg.steps}")
-    base = cfg.lr_base * cfg.batch_size / 256.0
-    return base * (math.cos(math.pi * step / cfg.steps) + 1.0) / 2.0
+    return _batch_scaled_lr(cfg) * (math.cos(math.pi * step / cfg.steps) + 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +317,9 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
     ``views[b]`` and ``specs[b]`` hold image b's two [3,H,W] views and their
     specs. Each branch encodes all its views as one batch, and the heads,
     alignment and losses run over the B x orderings (online view, target
-    view) pairs, image-major. Only k-means, and the queue-ordered MoCo loss,
-    go pair by pair, in that order: ``krng`` draws the k-means seeding and a
-    MoCo ``queue`` receives the target pixels.
+    view) pairs, image-major. Only the k-means seeding, and the queue-ordered
+    MoCo loss, go pair by pair, in that order: ``krng`` draws each pair's
+    seeding and a MoCo ``queue`` receives the target pixels.
 
     Returns the loss tensor, the per-pair l1d and l2d values, and the pooled
     online feature rows that ``feature_std`` is computed from.
@@ -348,9 +355,8 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
         if cfg.self_attention:
             pred = self_attention_predict(aligned.online, pred, residual=mcfg.residual)
         if cfg.loss_mode == "cluster":
-            clusters = [kmeans(aligned.target.data[:, p], cfg.k, metric=cfg.kmeans_metric,
-                               max_iter=cfg.kmeans_iters, rng=krng)
-                        for p in range(len(pairs))]
+            clusters = kmeans_batch(aligned.target.data, cfg.k, metric=cfg.kmeans_metric,
+                                    max_iter=cfg.kmeans_iters, rng=krng)
             l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=aligned.target)
         else:
             l2 = loss_2d_wo_kmeans(pred, aligned.target)

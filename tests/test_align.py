@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from multisiam import objectives as O
 from multisiam import tensor as T
 from multisiam.align import (AlignmentError, RelBox, align_pair, flip_back, grid_coord,
                              intersection_relative, offset_map, roi_align)
+from multisiam.model import self_attention_predict
 from multisiam.tensor import Tensor
 from multisiam.views import Box, NEUTRAL_PHOTO, ViewSpec
 
@@ -203,6 +205,7 @@ def test_roi_mode_correspondence_through_both_views():
 
 LONE_MAP = Tensor(np.zeros((2, 4, 4)))
 LONE_SPEC = [spec_for(Box(0, 0, 16, 16), out=(4, 4))]
+LONE_CLUSTER = O.kmeans(np.random.default_rng(0).standard_normal((2, 4, 4)), 2)
 
 
 @pytest.mark.parametrize("call,error", [
@@ -214,8 +217,12 @@ LONE_SPEC = [spec_for(Box(0, 0, 16, 16), out=(4, 4))]
     (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "none"), AlignmentError),
     (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "offset"), AlignmentError),
     (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "roi"), AlignmentError),
+    (lambda m: self_attention_predict(m, m), T.ShapeError),
+    (lambda m: O.loss_2d_cluster(m, [LONE_CLUSTER]), T.ShapeError),
+    (lambda m: O.loss_2d_wo_kmeans(m, m), T.ShapeError),
 ], ids=["conv2d", "global_avg_pool", "flip_back_unflipped", "flip_back_flipped", "roi_align",
-        "align_pair_none", "align_pair_offset", "align_pair_roi"])
+        "align_pair_none", "align_pair_offset", "align_pair_roi", "self_attention_predict",
+        "loss_2d_cluster", "loss_2d_wo_kmeans"])
 def test_lone_map_is_rejected_with_typed_error(call, error):
     # feature maps are [C,N,H,W] batches; a lone map must be a batch of one
     with pytest.raises(error, match=r"\[C,N,H,W\]"):

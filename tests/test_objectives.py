@@ -107,6 +107,113 @@ def test_kmeans_rejects_oversized_k():
         O.kmeans(Tensor(np.zeros((2, 2, 2))), 5)
 
 
+def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
+    """The one-map-at-a-time Lloyd loop, step for step: the byte-exact oracle
+    of kmeans_batch. Returns centroids, assignments, centroid map and costs."""
+    c, h, w = fmap.shape
+    n = h * w
+    points = fmap.reshape(c, n).T.copy()
+    if metric == "cosine":
+        points = points / np.maximum(np.sqrt((points * points).sum(axis=1, keepdims=True)),
+                                     1e-12)
+    if init is not None:
+        centroids = np.array(init, dtype=np.float64)
+    else:
+        centroids = O._kmeanspp_init(points, k, rng)
+
+    def dists():
+        return np.maximum((points ** 2).sum(1)[:, None] + (centroids ** 2).sum(1)[None, :]
+                          - 2.0 * points @ centroids.T, 0.0)
+
+    assign, history = None, []
+    for _ in range(max_iter):
+        d2 = dists()
+        new_assign = d2.argmin(axis=1)
+        for _repair in range(k):
+            empties = [idx for idx in range(k) if not (new_assign == idx).any()]
+            if not empties:
+                break
+            pick = int(d2[np.arange(n), new_assign].argmax())
+            centroids[empties[0]] = points[pick]
+            d2 = dists()
+            new_assign = d2.argmin(axis=1)
+            new_assign[pick] = empties[0]
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for idx in range(k):
+            members = points[assign == idx]
+            if members.size:
+                centroids[idx] = members.mean(axis=0)
+        history.append(float(((points - centroids[assign]) ** 2).sum()))
+    return centroids, assign.reshape(h, w), centroids[assign].T.reshape(c, h, w), history
+
+
+def assert_same_bytes(result, want):
+    centroids, assign, centroid_map, history = want
+    assert result.centroids.data.tobytes() == centroids.tobytes()
+    assert np.array_equal(result.assignments, assign)
+    assert result.centroid_map.data.tobytes() == centroid_map.tobytes()
+    assert result.cost_history == tuple(history)
+    assert result.cost == history[-1]
+
+
+def mixed_maps(rng, c=6, pairs=7, h=6, w=5):
+    # pixels near a few random modes, with a per-map noise level, so maps
+    # converge after different numbers of Lloyd steps
+    maps = np.empty((c, pairs, h, w))
+    for p in range(pairs):
+        modes = rng.standard_normal((4, c))
+        labels = rng.integers(0, 4, h * w)
+        noise = rng.normal(0.0, 0.2 + 0.3 * p, (h * w, c))
+        maps[:, p] = (modes[labels] + noise).T.reshape(c, h, w)
+    return maps
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_kmeans_batch_matches_one_map_at_a_time(metric, k):
+    maps = mixed_maps(np.random.default_rng(20 + k))
+    results = O.kmeans_batch(maps, k, metric=metric, max_iter=10,
+                             rng=np.random.default_rng(k))
+    assert len(results) == maps.shape[1]
+    loop_rng, single_rng = np.random.default_rng(k), np.random.default_rng(k)
+    for p, result in enumerate(results):
+        want = loop_kmeans(maps[:, p], k, metric, 10, rng=loop_rng)
+        assert_same_bytes(result, want)
+        assert_same_bytes(O.kmeans(maps[:, p], k, metric=metric, rng=single_rng), want)
+    if k > 1:
+        assert len({len(r.cost_history) for r in results}) > 1
+
+
+@pytest.mark.parametrize("shape", [(32, 16, 8, 8), (32, 1, 64, 64)], ids=["train", "eval"])
+def test_kmeans_batch_matches_one_map_at_a_time_at_model_shapes(shape):
+    # the training step's 16 aligned 8x8 maps and the probe's 4096-pixel map
+    maps = np.maximum(np.random.default_rng(4).standard_normal(shape), 0.0)
+    results = O.kmeans_batch(maps, 3, rng=np.random.default_rng(9))
+    loop_rng = np.random.default_rng(9)
+    for p, result in enumerate(results):
+        assert_same_bytes(result, loop_kmeans(maps[:, p], 3, rng=loop_rng))
+
+
+def test_kmeans_batch_repairs_empty_clusters_per_map():
+    # map 0: two far groups seeded with duplicate centroids, so a cluster
+    # empties and is repaired; map 1 needs no repair
+    maps = mixed_maps(np.random.default_rng(5), c=2, pairs=2, h=2, w=4)
+    maps[:, 0] = np.array([[0.0, 0.0]] * 4 + [[10.0, 0.0]] * 4).T.reshape(2, 2, 4)
+    init = np.stack([np.zeros((3, 2)), maps[:, 1].reshape(2, -1).T[[0, 3, 6]]])
+    results = O.kmeans_batch(maps, 3, metric="euclidean", init=init)
+    for p, result in enumerate(results):
+        assert_same_bytes(result, loop_kmeans(maps[:, p], 3, "euclidean", init=init[p]))
+    assert len(np.unique(results[0].assignments)) >= 2
+    assert results[0].cost == pytest.approx(0.0, abs=1e-18)
+
+
+def test_kmeans_batch_rejects_a_lone_map():
+    with pytest.raises(T.ShapeError, match=r"\[C,N,H,W\]"):
+        O.kmeans_batch(np.zeros((2, 4, 4)), 2)
+
+
 def test_loss_1d_values():
     q = Tensor(np.array([1.0, 2.0, -0.5]))
     assert O.loss_1d(q, q).item() == pytest.approx(-1.0, abs=1e-12)
@@ -336,13 +443,14 @@ real = O._pairwise_sq_dists
 calls = [0]
 
 
-def every_other_call_by_parity(points, centroids):
-    # odd calls are honest; even calls assign point i to cluster i mod k
+def every_other_call_by_parity(points, points_sq, centroids):
+    # odd calls are honest; even calls assign point i of each map to cluster i mod k
     calls[0] += 1
     if calls[0] % 2:
-        return real(points, centroids)
-    d2 = np.ones((len(points), len(centroids)))
-    d2[np.arange(len(points)), np.arange(len(points)) % len(centroids)] = 0.0
+        return real(points, points_sq, centroids)
+    n, k = points.shape[1], centroids.shape[1]
+    d2 = np.ones((len(points), n, k))
+    d2[:, np.arange(n), np.arange(n) % k] = 0.0
     return d2
 
 
@@ -380,6 +488,6 @@ def test_kmeans_cost_increase_exits_runtime(tmp_path, monkeypatch):
     def rising(*args, **kwargs):
         raise O.ClusteringError("Lloyd cost increased: 1.0 -> 2.0")
 
-    monkeypatch.setattr(TR, "kmeans", rising)
+    monkeypatch.setattr(TR, "kmeans_batch", rising)
     assert cli.main(["train", "--out", str(tmp_path / "run"), "--steps=1", "--batch_size=1",
                      "--out_size=32", "--corpus_images=2"]) == 2

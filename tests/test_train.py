@@ -1,7 +1,12 @@
 import copy
 import dataclasses
+import os
+import platform
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,21 +421,99 @@ HUGE_LR = ["--batch_size=2", "--out_size=32", "--corpus_images=4", "--kmeans_ite
            "--lr_base=1e308"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_update_raises_training_error(small_corpus):
-    state = TR.init_state(dataclasses.replace(FAST, lr_base=1e308))
+def test_overflowing_batch_scaled_lr_is_a_config_error(tmp_path, capsys):
+    # 1e308 * 2 / 256 overflows before the schedule ever runs
+    with pytest.raises(TR.ConfigError, match="lr_base"):
+        TR.init_state(dataclasses.replace(FAST, lr_base=1e308))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out), "--steps=1"] + HUGE_LR) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr_base:") and err.count("\n") == 1
+    assert not (out / "final.ckpt").exists()
+
+
+def infinite_lr(step, cfg):
+    return float("inf")
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_update_raises_training_error(small_corpus, monkeypatch):
+    state = TR.init_state(FAST)
+    monkeypatch.setattr(TR, "effective_lr", infinite_lr)
     with pytest.raises(TR.TrainingError,
                        match=r"non-finite parameter \S+ after the update at step 0"):
         TR.train_step(state, small_corpus)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("steps", [1, 2])
-def test_non_finite_update_exits_runtime(tmp_path, capsys, steps):
+def test_non_finite_update_exits_runtime(tmp_path, capsys, monkeypatch, steps):
+    monkeypatch.setattr(TR, "effective_lr", infinite_lr)
     out = tmp_path / "run"
-    assert cli.main(["train", "--out", str(out), f"--steps={steps}"] + HUGE_LR) == 2
-    assert "non-finite parameter" in capsys.readouterr().err
+    assert cli.main(["train", "--out", str(out), f"--steps={steps}"] + HUGE_LR[:-1]) == 2
+    err = capsys.readouterr().err
+    # the typed error is the only line: the overflowing update warns nothing
+    assert err.startswith("error: non-finite parameter") and err.count("\n") == 1
     assert not (out / "final.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("optimizer", ["sgd", "lars"])
+def test_overflowing_update_leaves_non_finite_values_without_warning(optimizer):
+    params = {"w": Tensor(np.full((2, 2), 1e300), requires_grad=True),
+              "b": Tensor(np.zeros(2), requires_grad=True)}
+    params["w"].grad = np.full((2, 2), 1e300)
+    params["b"].grad = np.ones(2)
+    if optimizer == "lars":
+        lars_step(params, 1e308, 0.9, 1e-5, 1.0, {})
+    else:
+        sgd_step(params, 1e308, 0.9, 1e-5, {})
+    assert not np.isfinite(params["w"].data).any()
+
+
+_FAULTS_PER_CALL_SCRIPT = """
+import ctypes
+import resource
+import numpy as np
+
+# glibc's default mmap threshold, as in a process that has not yet freed a
+# large block when the package is imported
+ctypes.CDLL(None).mallopt(-3, 128 << 10)
+from multisiam import objectives as O, scenes, train as TR
+
+
+def faults_per_call(call, warm=3, timed=5):
+    for _ in range(warm):
+        call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(timed):
+        call()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / timed
+
+
+# k-means first, on a heap that no training step has grown yet
+fmap = np.random.default_rng(0).standard_normal((32, 64, 64))
+kmeans_faults = faults_per_call(lambda: O.kmeans(fmap, 3, rng=np.random.default_rng(0)))
+cfg = TR.TrainConfig(corpus_images=16)
+corpus = scenes.generate(scenes.SceneSpec(seed=0, size=(cfg.out_size, cfg.out_size)), 16)
+state = TR.init_state(cfg)
+print(faults_per_call(lambda: TR.train_step(state, corpus)), kmeans_faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")
+def test_warm_step_and_full_resolution_kmeans_keep_their_memory_mapped():
+    # without the allocator settings a warm default step takes 5,000-6,200 minor
+    # page faults, re-faulting the memory the previous step freed, and with
+    # the top pad alone a 4,096-pixel k-means took ~17,000 (one mmap per
+    # 1 MiB array)
+    src = str(Path(TR.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    step_faults, kmeans_faults = map(float, done.stdout.split())
+    assert step_faults < 500
+    assert kmeans_faults < 500
 
 
 # ---------------------------------------------------------------------------
