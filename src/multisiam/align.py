@@ -23,7 +23,6 @@ __all__ = [
     "RelBox",
     "AlignedPair",
     "AlignmentError",
-    "grid_coord",
     "flip_back",
     "intersection_relative",
     "roi_align",
@@ -59,22 +58,12 @@ class AlignedPair:
 
     online: Tensor
     target: Tensor
-    mode: str
-
-
-def grid_coord(spec: ViewSpec, i: int, j: int, h: int, w: int) -> tuple[float, float]:
-    """Source-image coordinates of grid cell (i, j) of an HxW map rendered
-    from ``spec``. A horizontal flip mirrors the column index before mapping."""
-    jj = (w - 1 - j) if spec.flipped else j
-    return _cell_xy(spec, i, jj, h, w)
 
 
 def _cell_xy(spec: ViewSpec, i, j, h: int, w: int):
     box = spec.box
     x = box.x0 + (np.asarray(j, dtype=np.float64) + 0.5) / w * (box.x1 - box.x0)
     y = box.y0 + (np.asarray(i, dtype=np.float64) + 0.5) / h * (box.y1 - box.y0)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(x), float(y)
     return x, y
 
 
@@ -179,13 +168,13 @@ def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str
         raise AlignmentError(
             f"spatial extents differ: {online_map.shape} vs {target_map.shape}")
     if mode == "none":
-        return AlignedPair(online_map, target_map, mode)
+        return AlignedPair(online_map, target_map)
     pairs = list(zip(spec_a, spec_b))
     h, w = online_map.shape[-2:]
     if mode == "offset":
         offsets = [offset_map(a, b, h, w, normalize=normalize_offset).data for a, b in pairs]
         return AlignedPair(concat([online_map, Tensor(np.stack(offsets, axis=1))], axis=0),
-                           target_map, mode)
+                           target_map)
     rel_a, rel_b = zip(*(intersection_relative(a, b) for a, b in pairs))
     return AlignedPair(roi_align(online_map, rel_a, h, w),
-                       roi_align(target_map, rel_b, h, w), mode)
+                       roi_align(target_map, rel_b, h, w))

@@ -8,7 +8,9 @@ block of key=value config lines closes the file.
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -45,21 +47,31 @@ def _named_tensors(state: TrainState) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    with open(path, "wb") as fh:
-        tensors = _named_tensors(state)
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQI", VERSION, state.step, len(tensors)))
-        for name, arr in tensors.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(struct.pack("<B", F64_TAG))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        config_blob = config_to_text(state.config).encode("utf-8")
-        fh.write(struct.pack("<I", len(config_blob)))
-        fh.write(config_blob)
+    """Write ``state`` to ``path``. The bytes go to a sibling temporary file
+    that replaces ``path`` only once complete, so a failed save leaves an
+    existing checkpoint as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            tensors = _named_tensors(state)
+            fh.write(MAGIC)
+            fh.write(struct.pack("<IQI", VERSION, state.step, len(tensors)))
+            for name, arr in tensors.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(struct.pack("<B", F64_TAG))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            config_blob = config_to_text(state.config).encode("utf-8")
+            fh.write(struct.pack("<I", len(config_blob)))
+            fh.write(config_blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

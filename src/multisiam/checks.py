@@ -33,7 +33,6 @@ GRADCHECK_TOLERANCE = 1e-4
 TOY = M.ModelConfig(widths=(4, 2), downsample=(True, False), proj2d_hidden=3,
                     proj2d_out=2, pred2d_hidden=3, proj1d_hidden=4, embed_dim=3,
                     pred1d_hidden=4, alignment="offset")
-TOY_ROI = replace(TOY, alignment="roi", residual=True)
 
 
 def _away_from_zero(rng, shape, margin=0.15):
@@ -322,23 +321,18 @@ def _overlapping_specs(rng, out=(4, 4)):
 
 
 def _case_loss_moco(rng):
-    pair = _toy_pair(rng, TOY_ROI)
-    spec_a, spec_b = _overlapping_specs(rng)
-    f_on = Tensor(rng.standard_normal((2, 1, 4, 4)), requires_grad=True)
-    f_tg = Tensor(rng.standard_normal((2, 1, 4, 4)))
+    proj = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+    target = rng.standard_normal((2, 2, 4, 4))
+    clusters = O.kmeans_batch(target, 2, rng=np.random.default_rng(int(rng.integers(1 << 30))))
     queue = O.NegativeQueue(8, 2)
     queue.push(rng.standard_normal((6, 2)))
-    seed = int(rng.integers(1 << 30))
 
-    def f(f_on_):
-        return T.reduce_sum(O.moco_pixel_infonce(
-            f_on_, f_tg, [spec_a], [spec_b],
-            lambda r: M.project_2d(pair.online, r),
-            lambda r: M.project_2d(pair.target, r),
-            queue, k=2, temperature=0.2, rng=np.random.default_rng(seed),
-            update_queue=False))
+    def f(proj_):
+        # every evaluation starts from the same queue contents
+        return T.reduce_sum(O.moco_pixel_infonce(proj_, target, clusters,
+                                                 copy.deepcopy(queue), 0.2))
 
-    return finite_difference_check(f, [f_on], name="loss_moco_infonce")
+    return finite_difference_check(f, [proj], name="loss_moco_infonce")
 
 
 def _case_full_loss(rng, name, **overrides):

@@ -48,7 +48,6 @@ def _build_parser(command: str) -> _Parser:
     parser.add_argument("--out", default=None)
     if command in ("eval", "viz"):
         parser.add_argument("--checkpoint", required=True)
-    if command in ("eval", "viz"):
         parser.add_argument("--images", type=int, default=None)
     if command == "gradcheck":
         parser.add_argument("--seeds", type=int, default=5)

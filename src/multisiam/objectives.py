@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import align_pair
-from .model import self_attention_predict
 from .tensor import (Tensor, _require_maps, concat, detach, l2_normalize, logsumexp,
                      matmul, mul, negate, reduce_mean, reduce_sum, reshape, scale, select,
                      sub, transpose)
@@ -258,18 +256,16 @@ def loss_1d(online_pred: Tensor, target_proj: Tensor) -> Tensor:
     return negate(reduce_sum(mul(q, z), axis=0))
 
 
-def _dense_target(cluster: ClusterResult, target: np.ndarray) -> np.ndarray:
-    # the mean of the unit-normalized member pixels of each pixel's cluster
-    c, h, w = target.shape
-    flat_assign = cluster.assignments.reshape(-1)
-    pix = _normalize_rows(target.reshape(c, h * w).T)
-    k = cluster.centroids.shape[0]
-    member_means = np.zeros((k, c))
-    for idx in range(k):
-        members = pix[flat_assign == idx]
-        if members.size:
-            member_means[idx] = members.mean(axis=0)
-    return member_means[flat_assign].T.reshape(c, h, w)
+def _dense_targets(clusters, target: np.ndarray) -> np.ndarray:
+    """[C,N,H,W] per-pixel targets of a [C,N,H,W] target batch: the mean of
+    the unit-normalized member pixels of each pixel's cluster."""
+    c, samples, h, w = target.shape
+    k = clusters[0].centroids.shape[0]
+    pix = _normalize_rows(target.reshape(c, samples, h * w).transpose(1, 2, 0))
+    slots = _cluster_slots(np.stack([r.assignments.reshape(-1) for r in clusters]), k)
+    # an empty cluster is no pixel's target; its zero sum stays zero
+    means = _cluster_sums(pix, slots, k) / np.maximum(_cluster_sizes(slots, k), 1)[:, :, None]
+    return means.reshape(-1, c)[slots].transpose(2, 0, 1).reshape(c, samples, h, w)
 
 
 def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
@@ -291,10 +287,9 @@ def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
     if dense and target_map is None:
         raise ValueError("dense clustering needs the aligned target map")
     if dense:
-        targets = [_dense_target(r, target_map.data[:, s]) for s, r in enumerate(clusters)]
+        const = Tensor(_dense_targets(clusters, target_map.data))
     else:
-        targets = [r.centroid_map.data for r in clusters]
-    const = Tensor(np.stack(targets, axis=1))
+        const = Tensor(np.stack([r.centroid_map.data for r in clusters], axis=1))
     if not dense:
         return negate(_mean_pixels(_cosine_map(pred_map, const)))
     return negate(_mean_pixels(reduce_sum(mul(l2_normalize(pred_map, axis=0), const),
@@ -353,38 +348,25 @@ class NegativeQueue:
         return self.buffer[:self.size].copy()
 
 
-def moco_pixel_infonce(online_feat: Tensor, target_feat: Tensor, spec_a, spec_b,
-                       online_projector, target_projector, queue: NegativeQueue,
-                       k: int, temperature: float = 0.2, metric: str = "cosine",
-                       max_iter: int = 10, rng: np.random.Generator | None = None,
-                       use_attention: bool = True, update_queue: bool = True) -> Tensor:
-    """Per-pixel contrastive loss over region-aligned raw feature maps.
+def moco_pixel_infonce(online_proj: Tensor, target_proj: np.ndarray, clusters,
+                       queue: NegativeQueue, temperature: float) -> Tensor:
+    """Per-pixel contrastive loss of a [C,N,H,W] online projection against
+    its aligned, constant target projection ``target_proj``.
 
-    Alignment happens before projection; the online projection aggregates
-    local projector outputs with self-attention. The positive for each pixel
-    is its cluster centroid on the target projection; negatives come from the
-    queue. Afterwards the target pixels are pushed into the queue (FIFO).
-    The [C,N,H,W] samples (with N specs each) are clustered together, then
-    scored and pushed one after another, so sample s sees the queue as the
-    samples before it left it. Returns the N per-sample losses.
+    The positive for each pixel is its cluster centroid (one ClusterResult
+    per sample, clustered on ``target_proj``); negatives come from the queue.
+    The samples are scored and their target pixels pushed into the queue
+    (FIFO) one after another, so sample s sees the queue as the samples
+    before it left it. Returns the N per-sample losses.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    regions = align_pair(online_feat, target_feat, spec_a, spec_b, "roi")
-    region_on, region_tg = regions.online, regions.target
-
-    local = online_projector(region_on)
-    online_proj = (self_attention_predict(region_on, local, residual=False)
-                   if use_attention else local)
-    target_proj = target_projector(region_tg)
-
+    _require_maps(online_proj, "moco_pixel_infonce")
     dim, samples, h, w = online_proj.shape
     n = h * w
     # [N, n, dim]: unit-normalized online pixels, sample by sample
     pixels = transpose(l2_normalize(reshape(online_proj, (dim, samples, n)), axis=0),
                        (1, 2, 0))
-    targets = target_proj.data
-    clusters = kmeans_batch(targets, k, metric=metric, max_iter=max_iter, rng=rng)
     losses = []
     for s, cluster in enumerate(clusters):
         sample = select(pixels, s)
@@ -393,6 +375,5 @@ def moco_pixel_infonce(online_feat: Tensor, target_feat: Tensor, spec_a, spec_b,
         neg_logits = scale(matmul(sample, Tensor(queue.negatives().T)), 1.0 / temperature)
         logits = concat([reshape(pos_logits, (n, 1)), neg_logits], axis=1)
         losses.append(reduce_mean(sub(logsumexp(logits, axis=1), pos_logits)))
-        if update_queue:
-            queue.push(targets[:, s].reshape(dim, n).T)
+        queue.push(target_proj[:, s].reshape(dim, n).T)
     return concat([reshape(loss, (1,)) for loss in losses], axis=0)

@@ -19,12 +19,9 @@ from .views import resize_bilinear
 __all__ = [
     "SceneSpec",
     "LabeledImage",
-    "CLASS_NAMES",
     "generate",
     "downsample_mask",
 ]
-
-CLASS_NAMES = ("disk", "rectangle", "triangle")
 
 _PALETTE = (
     (0.85, 0.25, 0.20),  # disk

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import optim
-from .align import align_pair, flip_back
+from .align import ALIGNMENT_MODES, align_pair, flip_back
 from .metrics import embedding_spread
 from .model import (ModelConfig, SiamesePair, backbone_forward, ema_update,
                     init_siamese_pair, momentum_schedule, predict_local, project_2d,
@@ -146,7 +146,7 @@ _FIELD_TO_CONFIG_KEY = {v: k for k, v in _CONFIG_KEY_TO_FIELD.items()}
 _CHOICES = {
     "optimizer": ("sgd", "lars"),
     "loss_mode": LOSS_MODES,
-    "alignment": ("roi", "offset", "none"),
+    "alignment": ALIGNMENT_MODES,
     "kmeans_metric": ("cosine", "euclidean"),
 }
 
@@ -161,7 +161,7 @@ def _parse_value(key: str, field_name: str, kind, raw: str):
             return None
         kind = bool
     try:
-        if kind is bool or kind == "bool | None":
+        if kind is bool:
             word = raw.lower()
             if word not in _BOOL_WORDS:
                 raise ValueError
@@ -339,27 +339,30 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
     l1 = loss_1d(project_predict_1d(pair.online, f_on, with_predictor=True),
                  project_predict_1d(pair.target, f_tg, with_predictor=False))
     if cfg.loss_mode == "moco":
-        # region alignment happens before projection; uses intersection pooling
-        l2 = moco_pixel_infonce(
-            flip_back(f_on, on_flips), flip_back(f_tg, tg_flips), on_specs, tg_specs,
-            lambda r: project_2d(pair.online, r),
-            lambda r: project_2d(pair.target, r),
-            queue, cfg.k, temperature=cfg.temperature, metric=cfg.kmeans_metric,
-            max_iter=cfg.kmeans_iters, rng=krng, use_attention=cfg.self_attention)
+        # region alignment of the raw maps happens before projection
+        regions = align_pair(flip_back(f_on, on_flips), flip_back(f_tg, tg_flips),
+                             on_specs, tg_specs, "roi")
+        keys, residual = regions.online, False
+        pred = project_2d(pair.online, keys)
+        target = project_2d(pair.target, regions.target)
     else:
         aligned = align_pair(flip_back(project_2d(pair.online, f_on), on_flips),
                              flip_back(project_2d(pair.target, f_tg), tg_flips),
                              on_specs, tg_specs, cfg.alignment,
                              normalize_offset=cfg.normalize_offset)
-        pred = predict_local(pair.online, aligned.online)
-        if cfg.self_attention:
-            pred = self_attention_predict(aligned.online, pred, residual=mcfg.residual)
-        if cfg.loss_mode == "cluster":
-            clusters = kmeans_batch(aligned.target.data, cfg.k, metric=cfg.kmeans_metric,
-                                    max_iter=cfg.kmeans_iters, rng=krng)
-            l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=aligned.target)
+        keys, residual, target = aligned.online, mcfg.residual, aligned.target
+        pred = predict_local(pair.online, keys)
+    if cfg.self_attention:
+        pred = self_attention_predict(keys, pred, residual=residual)
+    if cfg.loss_mode == "wo_kmeans":
+        l2 = loss_2d_wo_kmeans(pred, target)
+    else:
+        clusters = kmeans_batch(target.data, cfg.k, metric=cfg.kmeans_metric,
+                                max_iter=cfg.kmeans_iters, rng=krng)
+        if cfg.loss_mode == "moco":
+            l2 = moco_pixel_infonce(pred, target.data, clusters, queue, cfg.temperature)
         else:
-            l2 = loss_2d_wo_kmeans(pred, aligned.target)
+            l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=target)
     loss = reduce_mean(loss_total(l1, l2, cfg.lambda_weight))
     # one pooled row per online view, image-major
     pooled_rows = list(f_on.data.mean(axis=(2, 3)).T)
@@ -386,15 +389,16 @@ def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
         view_pair = sample_view_pair(scene.instance_mask.shape, aug, sampler_rng)
         specs.append((view_pair.spec_a, view_pair.spec_b))
         views.append([render_view(scene.image, s) for s in specs[-1]])
-    loss, l1_values, l2_values, pooled_rows = image_loss(
-        pair, cfg, state.model_config, views, specs, kmeans_rng, state.queue)
-
-    if not np.isfinite(loss.data):
-        raise TrainingError(
-            f"non-finite loss at step {step}: loss={loss.data!r}, "
-            f"l1d={l1_values!r}, l2d={l2_values!r}")
-
-    backward(loss)
+    # an overflow surfaces as the typed non-finite checks below, not as
+    # numpy warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, l1_values, l2_values, pooled_rows = image_loss(
+            pair, cfg, state.model_config, views, specs, kmeans_rng, state.queue)
+        if not np.isfinite(loss.data):
+            raise TrainingError(
+                f"non-finite loss at step {step}: loss={loss.data!r}, "
+                f"l1d={l1_values!r}, l2d={l2_values!r}")
+        backward(loss)
 
     lr = effective_lr(step, cfg)
     tau = momentum_schedule(step, cfg.steps, cfg.tau_base)

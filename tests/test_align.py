@@ -3,7 +3,7 @@ import pytest
 
 from multisiam import objectives as O
 from multisiam import tensor as T
-from multisiam.align import (AlignmentError, RelBox, align_pair, flip_back, grid_coord,
+from multisiam.align import (AlignmentError, RelBox, align_pair, flip_back,
                              intersection_relative, offset_map, roi_align)
 from multisiam.model import self_attention_predict
 from multisiam.tensor import Tensor
@@ -40,16 +40,6 @@ def random_relbox(rng):
     x1 = rng.uniform(x0 + 0.2, 1.0)
     y1 = rng.uniform(y0 + 0.2, 1.0)
     return RelBox(float(x0), float(y0), float(x1), float(y1))
-
-
-def test_grid_coord_center_and_example():
-    full = spec_for(Box(0, 0, 100, 60), out=(1, 1))
-    assert grid_coord(full, 0, 0, 1, 1) == pytest.approx((50.0, 30.0))
-
-    spec = spec_for(Box(10, 20, 74, 84))
-    assert grid_coord(spec, 0, 0, 8, 8) == pytest.approx((14.0, 24.0))
-    flipped = spec_for(Box(10, 20, 74, 84), flipped=True)
-    assert grid_coord(flipped, 0, 0, 8, 8) == pytest.approx((70.0, 24.0))
 
 
 def test_flip_back_identity_involution_mirror():
@@ -220,9 +210,11 @@ LONE_CLUSTER = O.kmeans(np.random.default_rng(0).standard_normal((2, 4, 4)), 2)
     (lambda m: self_attention_predict(m, m), T.ShapeError),
     (lambda m: O.loss_2d_cluster(m, [LONE_CLUSTER]), T.ShapeError),
     (lambda m: O.loss_2d_wo_kmeans(m, m), T.ShapeError),
+    (lambda m: O.moco_pixel_infonce(m, np.zeros((2, 1, 4, 4)), [LONE_CLUSTER],
+                                    O.NegativeQueue(4, 2), 0.2), T.ShapeError),
 ], ids=["conv2d", "global_avg_pool", "flip_back_unflipped", "flip_back_flipped", "roi_align",
         "align_pair_none", "align_pair_offset", "align_pair_roi", "self_attention_predict",
-        "loss_2d_cluster", "loss_2d_wo_kmeans"])
+        "loss_2d_cluster", "loss_2d_wo_kmeans", "moco_pixel_infonce"])
 def test_lone_map_is_rejected_with_typed_error(call, error):
     # feature maps are [C,N,H,W] batches; a lone map must be a batch of one
     with pytest.raises(error, match=r"\[C,N,H,W\]"):

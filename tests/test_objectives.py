@@ -1,12 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
-from multisiam import model as M
 from multisiam import objectives as O
 from multisiam import tensor as T
 from multisiam.metrics import adjusted_rand_index
 from multisiam.tensor import Tensor
-from multisiam.views import Box, NEUTRAL_PHOTO, ViewSpec
 
 
 def reference_lloyd(points, init, max_iter=10):
@@ -282,6 +282,38 @@ def test_loss_2d_cluster_dense_matches_per_member_average():
     assert got == pytest.approx(np.mean(per_pixel), abs=1e-12)
 
 
+def loop_dense_target(cluster, target):
+    """One sample's dense targets, cluster by cluster: the reference for the
+    batched ``_dense_targets``."""
+    c, h, w = target.shape
+    flat_assign = cluster.assignments.reshape(-1)
+    pix = O._normalize_rows(target.reshape(c, h * w).T)
+    k = cluster.centroids.shape[0]
+    member_means = np.zeros((k, c))
+    for idx in range(k):
+        members = pix[flat_assign == idx]
+        if members.size:
+            member_means[idx] = members.mean(axis=0)
+    return member_means[flat_assign].T.reshape(c, h, w)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 4, 3), (32, 4, 8, 8)])
+def test_dense_targets_match_one_cluster_at_a_time(shape):
+    rng = np.random.default_rng(12)
+    target = rng.standard_normal(shape)
+    clusters = O.kmeans_batch(target, 3, rng=rng)
+    # a hand-built result whose cluster 1 has no member
+    c, _, h, w = shape
+    assign = rng.choice([0, 2], size=(h, w))
+    clusters[-1] = O.ClusterResult(centroids=Tensor(np.zeros((3, c))), assignments=assign,
+                                   centroid_map=Tensor(np.zeros((c, h, w))), cost=0.0,
+                                   cost_history=(0.0,))
+    got = O._dense_targets(clusters, target)
+    want = np.stack([loop_dense_target(r, target[:, s]) for s, r in enumerate(clusters)],
+                    axis=1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_loss_2d_wo_kmeans_values_and_oracle():
     rng = np.random.default_rng(8)
     target = Tensor(rng.standard_normal((3, 1, 2, 2)))
@@ -360,28 +392,22 @@ def test_queue_fifo_normalization_eviction():
     assert not any(np.allclose(row, [0.6, 0.8]) for row in flat)
 
 
-def moco_setup(seed=0, queue_entries=0):
-    cfg = M.ModelConfig(widths=(4, 6), downsample=(True, False), proj2d_hidden=5,
-                        proj2d_out=4, pred2d_hidden=5, proj1d_hidden=4, embed_dim=3,
-                        pred1d_hidden=4, alignment="roi")
+def moco_setup(seed=0, queue_entries=0, samples=1, queue_length=16):
+    """A [4,N,4,4] online projection, a constant target projection, the
+    target's clusters and a negative queue."""
     rng = np.random.default_rng(seed)
-    pair = M.init_siamese_pair(cfg, rng)
-    f_on = Tensor(rng.standard_normal((6, 1, 4, 4)), requires_grad=False)
-    f_tg = Tensor(rng.standard_normal((6, 1, 4, 4)))
-    spec_a = [ViewSpec(Box(0, 0, 32, 32), False, NEUTRAL_PHOTO, (8, 8))]
-    spec_b = [ViewSpec(Box(8, 4, 32, 30), False, NEUTRAL_PHOTO, (8, 8))]
-    queue = O.NegativeQueue(16, 4)
+    online = Tensor(rng.standard_normal((4, samples, 4, 4)))
+    target = rng.standard_normal((4, samples, 4, 4))
+    clusters = O.kmeans_batch(target, 3, rng=rng)
+    queue = O.NegativeQueue(queue_length, 4)
     if queue_entries:
         queue.push(np.random.default_rng(99).standard_normal((queue_entries, 4)))
-    online = lambda r: M.project_2d(pair.online, r)
-    target = lambda r: M.project_2d(pair.target, r)
-    return pair, f_on, f_tg, spec_a, spec_b, queue, online, target
+    return online, target, clusters, queue
 
 
 def test_moco_empty_queue_gives_zero_loss():
-    _, f_on, f_tg, sa, sb, queue, online, target = moco_setup()
-    loss = O.moco_pixel_infonce(f_on, f_tg, sa, sb, online, target, queue, k=3,
-                                rng=np.random.default_rng(0))
+    online, target, clusters, queue = moco_setup()
+    loss = O.moco_pixel_infonce(online, target, clusters, queue, 0.2)
     assert loss.data.item() == pytest.approx(0.0, abs=1e-12)
     assert len(queue) == 16  # 16 target pixels pushed afterwards
 
@@ -395,44 +421,42 @@ def test_moco_single_matching_negative_gives_ln2():
 
 
 def test_moco_matches_softmax_cross_entropy_oracle():
-    pair, f_on, f_tg, sa, sb, queue, online, target = moco_setup(seed=1, queue_entries=7)
-    rng_loss = np.random.default_rng(5)
-    loss = O.moco_pixel_infonce(f_on, f_tg, sa, sb, online, target, queue, k=3,
-                                temperature=0.2, rng=rng_loss, update_queue=False)
+    online, target, clusters, queue = moco_setup(seed=1, queue_entries=7, samples=2)
+    negatives = [queue.negatives()]
+    oracle_queue = copy.deepcopy(queue)
+    oracle_queue.push(target[:, 0].reshape(4, 16).T)
+    negatives.append(oracle_queue.negatives())
+    loss = O.moco_pixel_infonce(online, target, clusters, queue, 0.2)
 
-    # oracle: rebuild logits with plain numpy and take mean -log softmax[0]
-    from multisiam.align import intersection_relative, roi_align
-    rel_a, rel_b = intersection_relative(sa[0], sb[0])
-    region_on = roi_align(f_on, [rel_a], 4, 4)
-    region_tg = roi_align(f_tg, [rel_b], 4, 4)
-    proj = M.self_attention_predict(region_on, online(region_on), residual=False)
-    tgt = target(region_tg)
-    cluster = O.kmeans(tgt.data[:, 0], 3, rng=np.random.default_rng(5))
-    g = proj.data.reshape(4, 16).T
-    g = g / np.linalg.norm(g, axis=1, keepdims=True)
-    pos = cluster.centroid_map.data.reshape(4, 16).T
-    pos = pos / np.linalg.norm(pos, axis=1, keepdims=True)
-    negs = queue.negatives()
-    per_pixel = []
-    for i in range(16):
-        logits = np.concatenate([[g[i] @ pos[i]], g[i] @ negs.T]) / 0.2
-        soft = np.exp(logits - logits.max())
-        soft /= soft.sum()
-        per_pixel.append(-np.log(soft[0]))
-    assert loss.data.item() == pytest.approx(np.mean(per_pixel), abs=1e-9)
-    assert loss.data.item() >= 0.0
+    # oracle: rebuild logits with plain numpy and take mean -log softmax[0];
+    # sample 1 sees the queue after sample 0's target pixels were pushed
+    for s in range(2):
+        g = online.data[:, s].reshape(4, 16).T
+        g = g / np.linalg.norm(g, axis=1, keepdims=True)
+        pos = clusters[s].centroid_map.data.reshape(4, 16).T
+        pos = pos / np.linalg.norm(pos, axis=1, keepdims=True)
+        per_pixel = []
+        for i in range(16):
+            logits = np.concatenate([[g[i] @ pos[i]], g[i] @ negatives[s].T]) / 0.2
+            soft = np.exp(logits - logits.max())
+            soft /= soft.sum()
+            per_pixel.append(-np.log(soft[0]))
+        assert loss.data[s] == pytest.approx(np.mean(per_pixel), abs=1e-9)
+        assert loss.data[s] >= 0.0
 
 
 def test_moco_gradients_reach_online_only():
-    pair, _, f_tg, sa, sb, queue, online, target = moco_setup(seed=2, queue_entries=5)
-    f_on = Tensor(np.random.default_rng(3).standard_normal((6, 1, 4, 4)), requires_grad=True)
-    before = queue.negatives().copy()
-    loss = O.moco_pixel_infonce(f_on, f_tg, sa, sb, online, target, queue, k=3,
-                                rng=np.random.default_rng(1), update_queue=False)
+    _, target, clusters, queue = moco_setup(seed=2, queue_entries=5, samples=2,
+                                            queue_length=64)
+    online = Tensor(np.random.default_rng(3).standard_normal((4, 2, 4, 4)), requires_grad=True)
+    before = queue.negatives()
+    loss = O.moco_pixel_infonce(online, target, clusters, queue, 0.2)
     T.backward(T.reduce_sum(loss))
-    assert f_on.grad is not None
-    assert all(p.grad is None for p in pair.target.values())
-    assert np.array_equal(queue.negatives(), before)
+    assert online.grad is not None and np.abs(online.grad).sum() > 0.0
+    # the caller's queue received the target pixels, unit-normalized, in sample order
+    pushed = np.concatenate([target[:, s].reshape(4, 16).T for s in range(2)])
+    pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
+    assert np.allclose(queue.negatives(), np.concatenate([before, pushed]), rtol=0, atol=1e-15)
 
 
 _COST_RISE_SCRIPT = """

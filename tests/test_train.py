@@ -15,8 +15,10 @@ from multisiam import checkpoint as CK
 from multisiam import cli
 from multisiam import scenes as S
 from multisiam import train as TR
-from multisiam.model import ModelConfig, init_siamese_pair
-from multisiam.objectives import NegativeQueue
+from multisiam.align import flip_back, intersection_relative, roi_align
+from multisiam.model import (ModelConfig, backbone_forward, init_siamese_pair, project_2d,
+                             self_attention_predict)
+from multisiam.objectives import NegativeQueue, kmeans_batch, moco_pixel_infonce
 from multisiam.optim import lars_step, sgd_step
 from multisiam.tensor import Tensor, backward, zero_grads
 from multisiam.views import AugmentConfig, sample_view_pair
@@ -279,6 +281,24 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, small_corpus):
         assert np.array_equal(loaded.opt_buffers[name], buf)
 
 
+def test_failed_checkpoint_save_leaves_the_old_file(tmp_path, small_corpus, monkeypatch):
+    state, _ = run_steps(FAST, small_corpus, n=1)
+    path = tmp_path / "run.ckpt"
+    CK.save_checkpoint(state, path)
+    blob = path.read_bytes()
+    run_steps(FAST, small_corpus, n=1, state=state)
+
+    def broken(cfg):
+        raise RuntimeError("config block lost")
+
+    # the config block is the last thing written: every tensor is already out
+    monkeypatch.setattr(CK, "config_to_text", broken)
+    with pytest.raises(RuntimeError, match="config block lost"):
+        CK.save_checkpoint(state, path)
+    assert path.read_bytes() == blob
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+
 def test_checkpoint_rejects_damage(tmp_path, small_corpus):
     state, _ = run_steps(FAST, small_corpus, n=1)
     path = tmp_path / "run.ckpt"
@@ -430,6 +450,20 @@ def test_overflowing_batch_scaled_lr_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: lr_base:") and err.count("\n") == 1
     assert not (out / "final.ckpt").exists()
+
+
+def test_overflowing_forward_prints_only_the_typed_error(tmp_path):
+    # lr_base=1e307 passes validation and the step-0 update, then the step-1
+    # forward overflows; numpy must not warn ahead of the typed error
+    src = str(Path(TR.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "multisiam.cli", "train",
+                           "--out", str(tmp_path / "run"), "--steps=2"]
+                          + HUGE_LR[:-1] + ["--lr_base=1e307"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: non-finite loss at step 1")
+    assert done.stderr.count("\n") == 1
 
 
 def infinite_lr(step, cfg):
@@ -588,3 +622,52 @@ def test_batched_loss_equals_mean_of_single_image_losses(overrides):
     if queue is not None:
         assert _relative_gap(queue.buffer, single_queue.buffer) <= 1e-12
         assert (queue.size, queue.cursor) == (single_queue.size, single_queue.cursor)
+
+
+@pytest.mark.parametrize("alignment", ["offset", "roi"])
+@pytest.mark.parametrize("self_attention", [True, False])
+def test_moco_image_loss_matches_hand_composed_chain(alignment, self_attention):
+    # moco ignores the alignment setting: it always roi-aligns the raw maps
+    # and then projects, with attention keyed by the raw regions, no residual
+    cfg = TR.TrainConfig(k=2, queue_length=40, loss_mode="moco", alignment=alignment,
+                         self_attention=self_attention, symmetrize=False)
+    mcfg = dataclasses.replace(BATCH_TOY, alignment=cfg.alignment, residual=cfg.resolved_residual)
+    rng = np.random.default_rng(13)
+    pair = init_siamese_pair(mcfg, rng)
+    for name, p in pair.target.items():
+        p.data = p.data + rng.normal(0.0, 0.05, size=p.shape)
+    aug = AugmentConfig(out_size=(8, 8))
+    specs, views = [], []
+    for flips in ((True, False), (False, True)):
+        vp = sample_view_pair((32, 32), aug, rng)
+        specs.append(tuple(dataclasses.replace(s, flipped=f)
+                           for s, f in zip((vp.spec_a, vp.spec_b), flips)))
+        views.append([Tensor(rng.random((3, 8, 8))) for _ in range(2)])
+    queue = NegativeQueue(cfg.queue_length, mcfg.proj2d_out)
+    queue.push(rng.standard_normal((12, mcfg.proj2d_out)))
+    want_queue = copy.deepcopy(queue)
+
+    _, _, l2s, _ = TR.image_loss(pair, cfg, mcfg, views, specs, np.random.default_rng(3), queue)
+
+    on_specs, tg_specs = [s[0] for s in specs], [s[1] for s in specs]
+    f_on = backbone_forward(pair.online, Tensor(np.stack([v[0].data for v in views], axis=1)),
+                            mcfg)
+    f_tg = backbone_forward(pair.target, Tensor(np.stack([v[1].data for v in views], axis=1)),
+                            mcfg)
+    raw_on = flip_back(f_on, [s.flipped for s in on_specs])
+    raw_tg = flip_back(f_tg, [s.flipped for s in tg_specs])
+    rel_on, rel_tg = zip(*(intersection_relative(a, b) for a, b in zip(on_specs, tg_specs)))
+    h, w = raw_on.shape[-2:]
+    region_on = roi_align(raw_on, rel_on, h, w)
+    region_tg = roi_align(raw_tg, rel_tg, h, w)
+    online = project_2d(pair.online, region_on)
+    if self_attention:
+        online = self_attention_predict(region_on, online, residual=False)
+    target = project_2d(pair.target, region_tg).data
+    clusters = kmeans_batch(target, cfg.k, metric=cfg.kmeans_metric, max_iter=cfg.kmeans_iters,
+                            rng=np.random.default_rng(3))
+    want = moco_pixel_infonce(online, target, clusters, want_queue, cfg.temperature)
+
+    assert l2s == want.data.tolist()
+    assert queue.buffer.tobytes() == want_queue.buffer.tobytes()
+    assert (queue.size, queue.cursor) == (want_queue.size, want_queue.cursor)
