@@ -49,7 +49,8 @@ class ClusterResult:
     centroids: Tensor          # [K, C], constants
     assignments: np.ndarray    # [H, W] int
     centroid_map: Tensor       # [C, H, W], centroid_map[:, i, j] == centroids[assignments[i, j]]
-    cost: float                # within-cluster sum of squared distances (working space)
+    cost: float                # within-cluster sum of squared distances (working space),
+                               # in the clamped ||x||^2 + ||c||^2 - 2 x.c form of assignment
     cost_history: tuple[float, ...]
 
 
@@ -126,6 +127,15 @@ def _repair_empty(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarr
     return assign
 
 
+def _record_costs(history: list[list[float]], active: np.ndarray, d2: np.ndarray,
+                  assign: np.ndarray) -> None:
+    """Append to each active map's history its cost: the sum of its [n,k]
+    squared distances ``d2`` at its [n] assignments ``assign``."""
+    costs = np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    for pair, cost in zip(active.tolist(), costs.tolist()):
+        history[pair].append(cost)
+
+
 def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
                  rng: np.random.Generator | None = None,
                  init: np.ndarray | None = None) -> list[ClusterResult]:
@@ -143,6 +153,11 @@ def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
     stop changing. The arithmetic per map is that of clustering it alone:
     centroids are sums in member order divided by the count, and the cost is
     summed per map. So a map's result does not depend on its batch.
+
+    An update's cost is read off the next iteration's distance matrix, at the
+    assignments the centroids were just computed from; only a map that runs
+    out of ``max_iter`` needs one more distance matrix. Nothing else reads the
+    cost, so it moves no assignment or centroid.
     """
     data = maps.data if isinstance(maps, Tensor) else np.asarray(maps)
     _require_maps(data, "kmeans_batch")
@@ -174,6 +189,8 @@ def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
     active, pts, pts_sq, cen = np.arange(pairs), points, (points ** 2).sum(-1), centroids.copy()
     for step in range(max_iter):
         d2 = _pairwise_sq_dists(pts, pts_sq, cen)
+        if step:  # the last update's cost, before a repair moves a centroid
+            _record_costs(history, active, d2, assignments[active])
         new_assign = d2.argmin(axis=2)
         slots = _cluster_slots(new_assign, k)
         size = _cluster_sizes(slots, k)
@@ -198,10 +215,9 @@ def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
         has = size > 0
         cen[has] = _cluster_sums(pts, slots, k)[has] / size[has][:, None]
         centroids[active] = cen
-        diff = pts - cen.reshape(-1, c)[slots]
-        costs = (diff * diff).reshape(len(active), -1).sum(axis=1)
-        for pair, cost in zip(active.tolist(), costs.tolist()):
-            history[pair].append(cost)
+    else:  # out of iterations: the last update's cost needs its own distances
+        _record_costs(history, active, _pairwise_sq_dists(pts, pts_sq, cen),
+                      assignments[active])
 
     results = []
     for pair in range(pairs):

@@ -215,6 +215,8 @@ def _validate(cfg: TrainConfig) -> TrainConfig:
         value = getattr(cfg, field_name)
         if value not in allowed:
             raise ConfigError(f"{field_name}: {value!r} is not one of {list(allowed)}")
+    need(not cfg.dense or cfg.loss_mode == "cluster", "dense",
+         f"only loss_mode=cluster has dense targets, not loss_mode={cfg.loss_mode}")
     feature_pixels = (cfg.out_size // 8) ** 2
     need(cfg.k <= feature_pixels, "k",
          f"must not exceed the {feature_pixels} feature-map pixels at out_size={cfg.out_size}")

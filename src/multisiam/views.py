@@ -250,6 +250,10 @@ def _rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
     return np.stack([h, s, v])
 
 
+# per hue sextant, the rows of the stacked (v, q, p, t) that give r, g and b
+_SEXTANT_RGB = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1]])
+
+
 def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     h, s, v = hsv
     h6 = (h % 1.0) * 6.0
@@ -258,10 +262,8 @@ def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     p = v * (1.0 - s)
     q = v * (1.0 - s * f)
     t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b])
+    rows = _SEXTANT_RGB.T[:, i]  # [3, H, W]
+    return np.stack([v, q, p, t]).take(rows * i.size + np.arange(i.size).reshape(i.shape))
 
 
 def _color_jitter(img: np.ndarray, p: PhotoParams) -> np.ndarray:

@@ -145,7 +145,7 @@ def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
             members = points[assign == idx]
             if members.size:
                 centroids[idx] = members.mean(axis=0)
-        history.append(float(((points - centroids[assign]) ** 2).sum()))
+        history.append(float(dists()[np.arange(n), assign].sum()))
     return centroids, assign.reshape(h, w), centroids[assign].T.reshape(c, h, w), history
 
 
@@ -194,6 +194,37 @@ def test_kmeans_batch_matches_one_map_at_a_time_at_model_shapes(shape):
     loop_rng = np.random.default_rng(9)
     for p, result in enumerate(results):
         assert_same_bytes(result, loop_kmeans(maps[:, p], 3, rng=loop_rng))
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("shape", [(32, 16, 8, 8), (32, 1, 64, 64)], ids=["train", "eval"])
+def test_kmeans_cost_is_the_direct_within_cluster_sum(shape, metric):
+    # the cost is read off the distance matrix; it is still the sum of squared
+    # distances from each point to its returned centroid
+    maps = np.maximum(np.random.default_rng(6).standard_normal(shape), 0.0)
+    results = O.kmeans_batch(maps, 3, metric=metric, rng=np.random.default_rng(10))
+    c = shape[0]
+    for p, result in enumerate(results):
+        points = maps[:, p].reshape(c, -1).T
+        if metric == "cosine":
+            points = points / np.linalg.norm(points, axis=1, keepdims=True)
+        assign = result.assignments.reshape(-1)
+        direct = float(((points - result.centroids.data[assign]) ** 2).sum())
+        assert result.cost == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_kmeans_batch_out_of_iterations_matches_one_map_at_a_time(max_iter, metric):
+    # maps that run out of iterations take their last cost from one more
+    # distance matrix
+    maps = mixed_maps(np.random.default_rng(7))
+    results = O.kmeans_batch(maps, 3, metric=metric, max_iter=max_iter,
+                             rng=np.random.default_rng(8))
+    loop_rng = np.random.default_rng(8)
+    for p, result in enumerate(results):
+        assert_same_bytes(result, loop_kmeans(maps[:, p], 3, metric, max_iter, rng=loop_rng))
+    assert any(len(r.cost_history) == max_iter for r in results)
 
 
 def test_kmeans_batch_repairs_empty_clusters_per_map():

@@ -91,6 +91,20 @@ def test_config_rejects_partial_accumulation_window(tmp_path, steps, window):
                      f"--accumulation_steps={window}"]) == 1
 
 
+@pytest.mark.parametrize("mode", ["moco", "wo_kmeans"])
+def test_dense_outside_cluster_mode_is_a_config_error(tmp_path, capsys, mode):
+    # only loss_2d_cluster has dense targets; the other modes would drop the key
+    with pytest.raises(TR.ConfigError, match="dense: only loss_mode=cluster"):
+        TR.config_from_pairs([("loss_mode", mode), ("dense", "true")])
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out), "--steps=1", f"--loss_mode={mode}",
+                     "--dense=true"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense:") and err.count("\n") == 1
+    assert not (out / "metrics.jsonl").exists()
+    assert TR.config_from_pairs([("loss_mode", "cluster"), ("dense", "true")]).dense
+
+
 def test_config_text_roundtrip():
     cfg = TR.TrainConfig(steps=17, lambda_weight=0.25, residual=True, optimizer="lars",
                          loss_mode="moco", seed=9)

@@ -4,7 +4,7 @@ import pytest
 from multisiam.tensor import Tensor
 from multisiam.views import (AugmentConfig, Box, PhotoParams, NEUTRAL_PHOTO, ViewSpec,
                              bilinear_sample, compute_iou, render_view, resize_bilinear,
-                             sample_view_pair, _sample_box)
+                             sample_view_pair, _hsv_to_rgb, _sample_box)
 
 
 def full_spec(h, w, flipped=False, photo=NEUTRAL_PHOTO):
@@ -141,6 +141,33 @@ def test_hue_shift_roundtrip():
     fwd = render_view(img, full_spec(6, 6, photo=PhotoParams(hue=0.25)))
     back = render_view(fwd, full_spec(6, 6, photo=PhotoParams(hue=-0.25)))
     assert np.allclose(back.data, img.data, atol=1e-9)
+
+
+def choose_hsv_to_rgb(hsv):
+    """The three-``np.choose`` conversion: the byte-exact oracle of
+    ``_hsv_to_rgb``'s one ``take``."""
+    h, s, v = hsv
+    h6 = (h % 1.0) * 6.0
+    i = np.floor(h6).astype(int) % 6
+    f = h6 - np.floor(h6)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    return np.stack([np.choose(i, [v, q, p, p, t, v]), np.choose(i, [t, v, v, q, p, p]),
+                     np.choose(i, [p, p, t, v, v, q])])
+
+
+def test_hsv_to_rgb_matches_np_choose():
+    rng = np.random.default_rng(12)
+    hsv = rng.random((3, 9, 7))
+    hsv[0, 0, :7] = np.arange(7) / 6.0  # every sextant boundary, 1.0 included
+    hsv[0, 1, :7] = np.nextafter(np.arange(7) / 6.0, -1.0)  # one ulp below each
+    hsv[1, 2] = 0.0
+    hsv[2, 3] = 0.0
+    hsv[1:, 4, :3] = 0.0
+    got = _hsv_to_rgb(hsv)
+    assert got.shape == hsv.shape
+    assert got.tobytes() == choose_hsv_to_rgb(hsv).tobytes()
 
 
 def test_resize_bilinear_identity_and_constant():
