@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import init_params
+from .model import SiamesePair, init_params
 from .objectives import NegativeQueue
 from .tensor import Tensor
 from .train import (ConfigError, TrainState, config_from_text, config_to_text,
@@ -161,8 +161,5 @@ def load_checkpoint(path) -> TrainState:
         queue.size = int(tensors["queue.state"][0])
         queue.cursor = int(tensors["queue.state"][1])
 
-    from .model import SiamesePair  # local import to keep module load light
-
-    return TrainState(config=cfg, model_config=mcfg,
-                      pair=SiamesePair(online=online, target=target),
+    return TrainState(config=cfg, pair=SiamesePair(online=online, target=target),
                       opt_buffers=buffers, queue=queue, step=int(step))

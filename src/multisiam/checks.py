@@ -341,7 +341,7 @@ def _case_full_loss(rng, name, **overrides):
     differ in boxes and flip flags, so the per-sample flips, offsets, boxes
     and the pairing of online and target views are all exercised."""
     cfg = replace(TrainConfig(), k=2, **overrides)
-    mcfg = replace(TOY, alignment=cfg.alignment, residual=cfg.resolved_residual)
+    mcfg = replace(TOY, alignment=cfg.alignment)
     pair = _toy_pair(rng, mcfg)
     specs = [tuple(replace(spec, flipped=flip) for spec, flip in zip(_overlapping_specs(rng),
                                                                       flips))

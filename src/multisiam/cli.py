@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -42,15 +43,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
 def _build_parser(command: str) -> _Parser:
     parser = _Parser(prog=f"multisiam {command}", add_help=False)
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=None)
     if command in ("eval", "viz"):
         parser.add_argument("--checkpoint", required=True)
-        parser.add_argument("--images", type=int, default=None)
+        parser.add_argument("--images", type=_positive_int, default=None)
     if command == "gradcheck":
-        parser.add_argument("--seeds", type=int, default=5)
+        parser.add_argument("--seeds", type=_positive_int, default=5)
     return parser
 
 
@@ -68,7 +79,11 @@ def _split_overrides(rest: list[str]) -> list[tuple[str, str]]:
 def _load_config(config_path, overrides) -> TrainConfig:
     cfg = TrainConfig()
     if config_path is not None:
-        cfg = config_from_text(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{config_path}: not UTF-8 ({err.reason})") from None
+        cfg = config_from_text(text)
     cfg = config_from_pairs(overrides, base=cfg)
     env_seed = os.environ.get("MULTISIAM_SEED")
     if env_seed is not None:
@@ -100,7 +115,7 @@ def cmd_train(ns, overrides) -> int:
     checkpoint_path = out / "final.ckpt"
     with open(metrics_path, "w", encoding="utf-8") as fh:
         def on_step(row):
-            fh.write(json.dumps(row.as_dict()) + "\n")
+            fh.write(json.dumps(asdict(row)) + "\n")
 
         state, metrics = run_training(cfg, corpus, on_step=on_step)
     save_checkpoint(state, checkpoint_path)
@@ -134,7 +149,7 @@ def cmd_eval(ns, overrides) -> int:
     out = _out_dir(ns)
     corpus = _eval_corpus(cfg, ns.images if ns.images is not None else cfg.eval_images)
     report = paired_probe(state, corpus)
-    (out / "probe_report.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n",
+    (out / "probe_report.json").write_text(json.dumps(asdict(report), indent=2) + "\n",
                                            encoding="utf-8")
     print(f"ari_instance trained={report.ari_instance:.4f} "
           f"random={report.ari_instance_random:.4f} margin={report.margin_instance:+.4f}")
@@ -145,12 +160,15 @@ def cmd_eval(ns, overrides) -> int:
 
 
 def cmd_viz(ns, overrides) -> int:
-    from .viz import cluster_panel, compose_panels, image_panel, write_ppm
+    from .viz import PALETTE, cluster_panel, compose_panels, image_panel, write_ppm
 
     if overrides:
         raise UsageError("viz takes its config from the checkpoint")
     state = load_checkpoint(ns.checkpoint)
     cfg = state.config
+    if cfg.k > len(PALETTE):
+        raise UsageError(f"viz draws at most {len(PALETTE)} clusters, and the checkpoint "
+                         f"has k={cfg.k}")
     out = _out_dir(ns)
     count = ns.images if ns.images is not None else 4
     corpus = _eval_corpus(cfg, count)

@@ -45,7 +45,6 @@ __all__ = [
 class ModelConfig:
     """Architecture knobs; defaults are the 64x64 desk configuration."""
 
-    in_channels: int = 3
     widths: tuple[int, ...] = (16, 32, 32, 32)
     downsample: tuple[bool, ...] = (True, True, True, False)
     proj2d_hidden: int = 64
@@ -55,7 +54,6 @@ class ModelConfig:
     embed_dim: int = 64
     pred1d_hidden: int = 128
     alignment: str = "offset"
-    residual: bool = False
 
     @property
     def total_stride(self) -> int:
@@ -98,7 +96,7 @@ def _fc_param(rng, dout, din):
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """He-normal weights, zero biases; one flat name -> Tensor map."""
     params: dict[str, np.ndarray] = {}
-    cin = cfg.in_channels
+    cin = 3  # RGB
     for idx, width in enumerate(cfg.widths, start=1):
         params[f"backbone.conv{idx}.w"] = _conv_param(rng, width, cin, 3, centered=True)
         params[f"backbone.conv{idx}.b"] = np.zeros(width)

@@ -32,23 +32,11 @@ class ProbeReport:
     ari_instance: float
     ari_class: float
     feature_std: float
-    cluster_maps: list  # per-image [h,w] assignment lists
     ari_instance_random: float
     ari_class_random: float
     margin_instance: float
     margin_class: float
-
-    def as_dict(self) -> dict:
-        return {
-            "ari_instance": self.ari_instance,
-            "ari_class": self.ari_class,
-            "feature_std": self.feature_std,
-            "ari_instance_random": self.ari_instance_random,
-            "ari_class_random": self.ari_class_random,
-            "margin_instance": self.margin_instance,
-            "margin_class": self.margin_class,
-            "cluster_maps": self.cluster_maps,
-        }
+    cluster_maps: list  # per-image [h,w] assignment lists
 
 
 def probe_image(features, instance_small: np.ndarray, class_small: np.ndarray,

@@ -29,25 +29,22 @@ _PALETTE = (
     (0.90, 0.80, 0.25),  # triangle
 )
 
+# The fixed scene recipe. Each scene holds 2-5 instances of radius 0.14-0.30
+# of the short side, so they span a couple of feature-map cells at stride 8
+# and pooled features keep instance contrast, with at most 30% of any
+# instance covered, and each color is its class's palette entry jittered by
+# up to 0.08 per channel. The background is a per-image tint in [0.05, 0.25]
+# plus +-0.04 of bilinearly upsampled 4x4 value noise: low-frequency, and
+# weak enough not to rival instance-versus-background contrast. A lighting
+# ramp of strength 0.4-0.8 spans the whole scene.
+_MAX_OVERLAP = 0.3
+
+
 @dataclass(frozen=True)
 class SceneSpec:
-    """Generation recipe for one corpus; same spec, same images.
-
-    Instances span a couple of feature-map cells at stride 8 so pooled
-    features keep instance contrast; background noise stays low-frequency but
-    weak enough not to rival instance-versus-background contrast.
-    """
+    """Generation recipe for one corpus; same spec, same images."""
 
     size: tuple[int, int] = (64, 64)
-    instance_range: tuple[int, int] = (2, 5)
-    instance_scale: tuple[float, float] = (0.14, 0.30)
-    palette: tuple = _PALETTE
-    color_jitter: float = 0.08
-    background_cells: int = 4
-    background_range: tuple[float, float] = (0.05, 0.25)
-    background_texture: float = 0.04
-    lighting_gradient: tuple[float, float] = (0.4, 0.8)
-    max_overlap: float = 0.3
     seed: int = 0
 
 
@@ -82,8 +79,8 @@ def _rasterize(kind: int, params, h: int, w: int) -> np.ndarray:
     return ~(has_neg & has_pos)
 
 
-def _sample_shape(kind: int, h: int, w: int, rng: np.random.Generator, scale):
-    r = rng.uniform(*scale) * min(h, w)
+def _sample_shape(kind: int, h: int, w: int, rng: np.random.Generator):
+    r = rng.uniform(0.14, 0.30) * min(h, w)
     if kind == 0:
         cx = rng.uniform(r, w - r)
         cy = rng.uniform(r, h - r)
@@ -108,11 +105,8 @@ def _background(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     # per-image base tint plus low-frequency value noise, so scenes are
     # distinguishable yet never separable by a single intensity threshold
     h, w = spec.size
-    lo, hi = spec.background_range
-    tint = rng.uniform(lo, hi, size=3)
-    cells = tint[:, None, None] + rng.uniform(
-        -spec.background_texture, spec.background_texture,
-        size=(3, spec.background_cells, spec.background_cells))
+    tint = rng.uniform(0.05, 0.25, size=3)
+    cells = tint[:, None, None] + rng.uniform(-0.04, 0.04, size=(3, 4, 4))
     return np.clip(resize_bilinear(cells, (h, w)), 0.0, 1.0)
 
 
@@ -123,12 +117,12 @@ def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:
     class_mask = np.zeros((h, w), dtype=np.int32)
     classes: list[int] = []
 
-    count = int(rng.integers(spec.instance_range[0], spec.instance_range[1] + 1))
+    count = int(rng.integers(2, 6))  # 2-5 instances
     placed = 0
     for _ in range(count):
         for _attempt in range(30):
-            kind = int(rng.integers(0, len(spec.palette)))
-            mask = _rasterize(kind, _sample_shape(kind, h, w, rng, spec.instance_scale), h, w)
+            kind = int(rng.integers(0, len(_PALETTE)))
+            mask = _rasterize(kind, _sample_shape(kind, h, w, rng), h, w)
             area = mask.sum()
             if area == 0:
                 continue
@@ -137,11 +131,10 @@ def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:
             covered = np.bincount(instance_mask[mask], minlength=placed + 1)[1:]
             visible = np.bincount(instance_mask.reshape(-1), minlength=placed + 1)[1:]
             steals = (covered / np.maximum(visible, 1)).max() if placed else 0.0
-            if overlap < spec.max_overlap and steals < spec.max_overlap:
+            if overlap < _MAX_OVERLAP and steals < _MAX_OVERLAP:
                 placed += 1
-                base = np.array(spec.palette[kind])
-                color = np.clip(base + rng.uniform(-spec.color_jitter, spec.color_jitter, 3),
-                                0.0, 1.0)
+                base = np.array(_PALETTE[kind])
+                color = np.clip(base + rng.uniform(-0.08, 0.08, 3), 0.0, 1.0)
                 img[:, mask] = color[:, None]
                 instance_mask[mask] = placed
                 class_mask[mask] = kind + 1
@@ -151,8 +144,7 @@ def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:
 
     # directional lighting ramp over the whole scene; clustering raw colors
     # must fight it, while crop-consistency training learns to discount it
-    lo, hi = spec.lighting_gradient
-    strength = rng.uniform(lo, hi)
+    strength = rng.uniform(0.4, 0.8)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     xs, ys = _pixel_grid(h, w)
     ramp = ((xs / w - 0.5) * np.cos(theta) + (ys / h - 0.5) * np.sin(theta))

@@ -122,19 +122,18 @@ class StepMetrics:
     tau: float
     feature_std: float
 
-    def as_dict(self) -> dict:
-        return {"step": self.step, "loss": self.loss, "l1d": self.l1d, "l2d": self.l2d,
-                "lr": self.lr, "tau": self.tau, "feature_std": self.feature_std}
-
 
 @dataclass
 class TrainState:
     config: TrainConfig
-    model_config: ModelConfig
     pair: SiamesePair
     opt_buffers: dict[str, np.ndarray]
     queue: NegativeQueue | None
     step: int = 0
+
+    @property
+    def model_config(self) -> ModelConfig:
+        return model_config_for(self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def effective_lr(step: int, cfg: TrainConfig) -> float:
 
 
 def model_config_for(cfg: TrainConfig) -> ModelConfig:
-    return ModelConfig(alignment=cfg.alignment, residual=cfg.resolved_residual)
+    return ModelConfig(alignment=cfg.alignment)
 
 
 def augment_config_for(cfg: TrainConfig) -> AugmentConfig:
@@ -303,8 +302,7 @@ def init_state(cfg: TrainConfig) -> TrainState:
     mcfg = model_config_for(cfg)
     pair = init_siamese_pair(mcfg, rng_stream(cfg.seed, PURPOSE_PARAMS))
     queue = NegativeQueue(cfg.queue_length, mcfg.proj2d_out) if cfg.loss_mode == "moco" else None
-    return TrainState(config=cfg, model_config=mcfg, pair=pair, opt_buffers={},
-                      queue=queue, step=0)
+    return TrainState(config=cfg, pair=pair, opt_buffers={}, queue=queue, step=0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +350,7 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
                              flip_back(project_2d(pair.target, f_tg), tg_flips),
                              on_specs, tg_specs, cfg.alignment,
                              normalize_offset=cfg.normalize_offset)
-        keys, residual, target = aligned.online, mcfg.residual, aligned.target
+        keys, residual, target = aligned.online, cfg.resolved_residual, aligned.target
         pred = predict_local(pair.online, keys)
     if cfg.self_attention:
         pred = self_attention_predict(keys, pred, residual=residual)

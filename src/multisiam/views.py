@@ -89,28 +89,28 @@ class ViewPair:
     iou: float
 
 
+# The fixed view recipe. A crop covers a uniform fraction in [min_scale, 1]
+# of the image at a log-uniform aspect ratio in [3/4, 4/3], and a pair is
+# redrawn up to 100 times to meet the IoU threshold. Photometrics follow the
+# usual two-view asymmetric recipe: color jitter with probability 0.8 (max
+# deltas 0.4/0.4/0.2/0.1 for brightness/contrast/saturation/hue), grayscale
+# 0.2, blur with sigma in [0.1, 2] with probability 1.0 for the first view
+# and 0.1 for the second, solarization 0 / 0.2.
+_LOG_ASPECT = (np.log(3.0 / 4.0), np.log(4.0 / 3.0))
+_MAX_ATTEMPTS = 100
+_JITTER_MAX = (0.4, 0.4, 0.2, 0.1)
+_BLUR_PROB = (1.0, 0.1)
+_SOLARIZE_PROB = (0.0, 0.2)
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Crop-geometry and photometric sampling parameters.
-
-    Photometric defaults follow the usual two-view asymmetric recipe: jitter
-    with probability 0.8 (max deltas 0.4/0.4/0.2/0.1), grayscale 0.2, blur
-    probability 1.0 for the first view and 0.1 for the second, solarization
-    0 / 0.2.
-    """
+    """The settable part of view sampling: the pair IoU threshold, the
+    smallest crop fraction, and the rendered view size."""
 
     iou_threshold: float = 0.5
     min_scale: float = 0.08
-    max_scale: float = 1.0
-    aspect_range: tuple[float, float] = (3.0 / 4.0, 4.0 / 3.0)
-    max_attempts: int = 100
     out_size: tuple[int, int] = (64, 64)
-    jitter_prob: float = 0.8
-    jitter_max: tuple[float, float, float, float] = (0.4, 0.4, 0.2, 0.1)
-    grayscale_prob: float = 0.2
-    blur_prob: tuple[float, float] = (1.0, 0.1)
-    blur_sigma_range: tuple[float, float] = (0.1, 2.0)
-    solarize_prob: tuple[float, float] = (0.0, 0.2)
 
     def __post_init__(self):
         if not 0.0 <= self.iou_threshold < 1.0:
@@ -129,11 +129,10 @@ def compute_iou(a: Box, b: Box) -> float:
 
 
 def _sample_box(img_h: int, img_w: int, cfg: AugmentConfig, rng: np.random.Generator) -> Box:
-    log_lo, log_hi = np.log(cfg.aspect_range[0]), np.log(cfg.aspect_range[1])
     bw = bh = None
     for _ in range(10):
-        frac = rng.uniform(cfg.min_scale, cfg.max_scale)
-        aspect = float(np.exp(rng.uniform(log_lo, log_hi)))
+        frac = rng.uniform(cfg.min_scale, 1.0)
+        aspect = float(np.exp(rng.uniform(*_LOG_ASPECT)))
         target = frac * img_w * img_h
         bw = float(np.sqrt(target * aspect))
         bh = float(np.sqrt(target / aspect))
@@ -146,16 +145,16 @@ def _sample_box(img_h: int, img_w: int, cfg: AugmentConfig, rng: np.random.Gener
     return Box(x0, y0, x0 + bw, y0 + bh)
 
 
-def _sample_photo(cfg: AugmentConfig, view_index: int, rng: np.random.Generator) -> PhotoParams:
-    if rng.random() < cfg.jitter_prob:
-        deltas = [float(rng.uniform(-m, m)) for m in cfg.jitter_max]
+def _sample_photo(view_index: int, rng: np.random.Generator) -> PhotoParams:
+    if rng.random() < 0.8:
+        deltas = [float(rng.uniform(-m, m)) for m in _JITTER_MAX]
     else:
         deltas = [0.0, 0.0, 0.0, 0.0]
-    grayscale = rng.random() < cfg.grayscale_prob
+    grayscale = rng.random() < 0.2
     blur_sigma = 0.0
-    if rng.random() < cfg.blur_prob[view_index]:
-        blur_sigma = float(rng.uniform(*cfg.blur_sigma_range))
-    solarize = rng.random() < cfg.solarize_prob[view_index]
+    if rng.random() < _BLUR_PROB[view_index]:
+        blur_sigma = float(rng.uniform(0.1, 2.0))
+    solarize = rng.random() < _SOLARIZE_PROB[view_index]
     return PhotoParams(deltas[0], deltas[1], deltas[2], deltas[3],
                        grayscale, blur_sigma, solarize)
 
@@ -164,14 +163,14 @@ def sample_view_pair(image_size: tuple[int, int], cfg: AugmentConfig,
                      rng: np.random.Generator) -> ViewPair:
     """Draw two random-resized-crop views whose boxes overlap enough.
 
-    Both boxes are redrawn on every rejected attempt. If max_attempts draws
+    Both boxes are redrawn on every rejected attempt. If 100 draws
     all miss the threshold, the best pair seen is returned so the sampler
     never loops forever.
     """
     img_h, img_w = image_size
     best: tuple[Box, Box] | None = None
     best_iou = -1.0
-    for _ in range(max(1, cfg.max_attempts)):
+    for _ in range(_MAX_ATTEMPTS):
         box_a = _sample_box(img_h, img_w, cfg, rng)
         box_b = _sample_box(img_h, img_w, cfg, rng)
         iou = compute_iou(box_a, box_b)
@@ -183,7 +182,7 @@ def sample_view_pair(image_size: tuple[int, int], cfg: AugmentConfig,
     specs = []
     for view_index, box in enumerate((box_a, box_b)):
         flipped = rng.random() < 0.5
-        photo = _sample_photo(cfg, view_index, rng)
+        photo = _sample_photo(view_index, rng)
         specs.append(ViewSpec(box, flipped, photo, cfg.out_size))
     return ViewPair(specs[0], specs[1], best_iou)
 

@@ -139,9 +139,9 @@ def test_cli_eval_report(tmp_path):
     assert cli.main(["eval", "--checkpoint", str(out / "final.ckpt"),
                      "--out", str(eval_out), "--images", "3"]) == 0
     report = json.loads((eval_out / "probe_report.json").read_text())
-    for key in ("ari_instance", "ari_class", "feature_std", "ari_instance_random",
-                "ari_class_random", "margin_instance", "cluster_maps"):
-        assert key in report
+    assert list(report) == ["ari_instance", "ari_class", "feature_std", "ari_instance_random",
+                            "ari_class_random", "margin_instance", "margin_class",
+                            "cluster_maps"]
     assert -1.0 <= report["ari_instance"] <= 1.0
     assert len(report["cluster_maps"]) == 3
     assert report["feature_std"] >= 0.0
@@ -177,6 +177,61 @@ def test_cli_usage_and_runtime_errors(tmp_path):
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["--help"]) == 0
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoints(tmp_path_factory):
+    """Checkpoints of TINY runs at the default k and at k=9, one cluster more
+    than the viz palette has colors."""
+    root = tmp_path_factory.mktemp("tiny")
+    for name, extra in (("k3", []), ("k9", ["--k=9"])):
+        assert cli.main(["train", "--out", str(root / name)] + TINY + extra) == 0
+    return {name: root / name / "final.ckpt" for name in ("k3", "k9")}
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("argv", [["eval", "--images", "0"], ["viz", "--images", "-1"],
+                                  ["viz", "--images=0"]])
+def test_cli_rejects_non_positive_image_counts(tiny_checkpoints, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = argv[:1] + ["--checkpoint", str(tiny_checkpoints["k3"]), "--out", str(out)] + argv[1:]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys, "--images", "positive integer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2", "two"])
+def test_cli_gradcheck_rejects_non_positive_seeds(tmp_path, capsys, seeds):
+    out = tmp_path / "out"
+    assert cli.main(["gradcheck", f"--seeds={seeds}", "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "--seeds", "positive integer")
+    assert not out.exists()
+
+
+def test_cli_viz_rejects_more_clusters_than_palette_colors(tiny_checkpoints, tmp_path,
+                                                             capsys):
+    out = tmp_path / "viz"
+    capsys.readouterr()
+    assert cli.main(["viz", "--checkpoint", str(tiny_checkpoints["k9"]),
+                     "--out", str(out)]) == 1
+    assert_one_error_line(capsys, f"at most {len(PALETTE)} clusters", "k=9")
+    assert not out.exists()
+
+
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"steps=\xff\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert_one_error_line(capsys, str(cfg_file), "not UTF-8")
+    assert not out.exists()
 
 
 def test_cli_gradcheck_passes(tmp_path, capsys):

@@ -19,7 +19,7 @@ def test_corpus_deterministic_per_seed():
 
 
 def test_instance_count_and_mask_consistency():
-    corpus = S.generate(S.SceneSpec(seed=1, instance_range=(2, 5)), 16)
+    corpus = S.generate(S.SceneSpec(seed=1), 16)
     for item in corpus:
         n = item.instance_mask.max()
         assert 2 <= n <= 5

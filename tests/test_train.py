@@ -585,7 +585,7 @@ def _relative_gap(got, want, scale=None):
                          ids=["-".join(f"{k}={v}" for k, v in o.items()) for o in BATCH_VARIANTS])
 def test_batched_loss_equals_mean_of_single_image_losses(overrides):
     cfg = TR.TrainConfig(k=2, queue_length=40, **overrides)
-    mcfg = dataclasses.replace(BATCH_TOY, alignment=cfg.alignment, residual=cfg.resolved_residual)
+    mcfg = dataclasses.replace(BATCH_TOY, alignment=cfg.alignment)
     rng = np.random.default_rng(11)
     pair = init_siamese_pair(mcfg, rng)
     for name, p in pair.target.items():
@@ -645,7 +645,7 @@ def test_moco_image_loss_matches_hand_composed_chain(alignment, self_attention):
     # and then projects, with attention keyed by the raw regions, no residual
     cfg = TR.TrainConfig(k=2, queue_length=40, loss_mode="moco", alignment=alignment,
                          self_attention=self_attention, symmetrize=False)
-    mcfg = dataclasses.replace(BATCH_TOY, alignment=cfg.alignment, residual=cfg.resolved_residual)
+    mcfg = dataclasses.replace(BATCH_TOY, alignment=cfg.alignment)
     rng = np.random.default_rng(13)
     pair = init_siamese_pair(mcfg, rng)
     for name, p in pair.target.items():
