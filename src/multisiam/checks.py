@@ -133,13 +133,6 @@ def _case_l2_normalize(rng):
     return finite_difference_check(f, [v, m], name="l2_normalize")
 
 
-def _case_cosine(rng):
-    a = Tensor(_away_from_zero(rng, (6,)), requires_grad=True)
-    b = Tensor(_away_from_zero(rng, (6,)), requires_grad=True)
-    return finite_difference_check(lambda a_, b_: T.cosine_similarity(a_, b_), [a, b],
-                                   name="cosine_similarity")
-
-
 def _case_structured(rng):
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -374,7 +367,6 @@ def run_gradient_suite(seeds=range(5)) -> list[GradCheckReport]:
             _case_pool_batched,
             _case_broadcast,
             _case_l2_normalize,
-            _case_cosine,
             _case_structured,
             _case_matmul_stacked,
             _case_select,

@@ -83,7 +83,10 @@ def _load_config(config_path, overrides) -> TrainConfig:
             text = Path(config_path).read_text(encoding="utf-8")
         except UnicodeDecodeError as err:
             raise ConfigError(f"{config_path}: not UTF-8 ({err.reason})") from None
-        cfg = config_from_text(text)
+        try:
+            cfg = config_from_text(text)
+        except ConfigError as err:
+            raise ConfigError(f"{config_path}: {err}") from None
     cfg = config_from_pairs(overrides, base=cfg)
     env_seed = os.environ.get("MULTISIAM_SEED")
     if env_seed is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, _require_maps, concat, detach, l2_normalize, logsumexp,
+from .tensor import (Tensor, _require_maps, add, concat, detach, l2_normalize, logsumexp,
                      matmul, mul, negate, reduce_mean, reduce_sum, reshape, scale, select,
                      sub, transpose)
 
@@ -325,7 +325,7 @@ def loss_total(l1d: Tensor, l2d: Tensor, weight: float) -> Tensor:
     """weight * image-level loss + (1 - weight) * map-level loss."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    return scale(l1d, weight) + scale(l2d, 1.0 - weight)
+    return add(scale(l1d, weight), scale(l2d, 1.0 - weight))
 
 
 # ---------------------------------------------------------------------------

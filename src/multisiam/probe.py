@@ -36,7 +36,6 @@ class ProbeReport:
     ari_class_random: float
     margin_instance: float
     margin_class: float
-    cluster_maps: list  # per-image [h,w] assignment lists
 
 
 def probe_image(features, instance_small: np.ndarray, class_small: np.ndarray,
@@ -53,20 +52,19 @@ def probe_backbone(params, mcfg: ModelConfig, corpus: list[LabeledImage], k: int
                    metric: str, max_iter: int, seed: int):
     """Per-image cluster ARIs plus the pooled-embedding spread of a backbone."""
     stride = mcfg.total_stride
-    ari_inst, ari_cls, maps, pooled = [], [], [], []
+    ari_inst, ari_cls, pooled = [], [], []
     for idx, scene in enumerate(corpus):
         fmap = backbone_forward(params, scene.image, mcfg)
         inst_small = downsample_mask(scene.instance_mask, stride)
         cls_small = downsample_mask(scene.class_mask, stride)
         rng = rng_stream(seed, PURPOSE_EVAL, idx)
-        ai, ac, assignments = probe_image(Tensor(fmap.data), inst_small, cls_small,
-                                          k, metric, max_iter, rng)
+        ai, ac, _ = probe_image(Tensor(fmap.data), inst_small, cls_small,
+                                k, metric, max_iter, rng)
         ari_inst.append(ai)
         ari_cls.append(ac)
-        maps.append(assignments)
         pooled.append(fmap.data.mean(axis=(1, 2)))
     spread = embedding_spread(np.array(pooled))
-    return float(np.mean(ari_inst)), float(np.mean(ari_cls)), maps, spread
+    return float(np.mean(ari_inst)), float(np.mean(ari_cls)), spread
 
 
 def paired_probe(state: TrainState, corpus: list[LabeledImage]) -> ProbeReport:
@@ -81,8 +79,7 @@ def paired_probe(state: TrainState, corpus: list[LabeledImage]) -> ProbeReport:
                              cfg.kmeans_metric, cfg.kmeans_iters, cfg.seed)
     return ProbeReport(
         ari_instance=trained[0], ari_class=trained[1],
-        feature_std=trained[3],
-        cluster_maps=[m.tolist() for m in trained[2]],
+        feature_std=trained[2],
         ari_instance_random=control[0], ari_class_random=control[1],
         margin_instance=trained[0] - control[0],
         margin_class=trained[1] - control[1])

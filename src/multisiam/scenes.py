@@ -9,7 +9,7 @@ background keep intensity thresholds from solving the task outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class LabeledImage:
     image: Tensor                      # [3,H,W] float in [0,1]
     instance_mask: np.ndarray          # [H,W] int, 0 = background
     class_mask: np.ndarray             # [H,W] int, 0 = background
-    instance_classes: tuple[int, ...] = field(default_factory=tuple)
 
 
 def _pixel_grid(h: int, w: int):
@@ -115,7 +114,6 @@ def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:
     img = _background(spec, rng)
     instance_mask = np.zeros((h, w), dtype=np.int32)
     class_mask = np.zeros((h, w), dtype=np.int32)
-    classes: list[int] = []
 
     count = int(rng.integers(2, 6))  # 2-5 instances
     placed = 0
@@ -138,7 +136,6 @@ def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:
                 img[:, mask] = color[:, None]
                 instance_mask[mask] = placed
                 class_mask[mask] = kind + 1
-                classes.append(kind + 1)
                 break
         # all attempts failed: carry on with fewer instances
 
@@ -150,8 +147,7 @@ def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:
     ramp = ((xs / w - 0.5) * np.cos(theta) + (ys / h - 0.5) * np.sin(theta))
     img = img * np.clip(1.0 + strength * 2.0 * ramp, 0.15, 1.9)
 
-    return LabeledImage(Tensor(np.clip(img, 0.0, 1.0)), instance_mask, class_mask,
-                        tuple(classes))
+    return LabeledImage(Tensor(np.clip(img, 0.0, 1.0)), instance_mask, class_mask)
 
 
 def generate(spec: SceneSpec, n: int) -> list[LabeledImage]:
@@ -171,14 +167,10 @@ def downsample_mask(mask: np.ndarray, stride: int) -> np.ndarray:
     h, w = mask.shape
     if h % stride or w % stride:
         raise ValueError(f"mask extents {mask.shape} not divisible by stride {stride}")
-    if stride == 1:
-        return mask.copy()
     ho, wo = h // stride, w // stride
-    blocks = mask.reshape(ho, stride, wo, stride).transpose(0, 2, 1, 3).reshape(ho, wo, -1)
-    out = np.zeros((ho, wo), dtype=mask.dtype)
-    for i in range(ho):
-        for j in range(wo):
-            counts = np.bincount(blocks[i, j])
-            out[i, j] = counts.argmax()  # argmax breaks ties toward lower ids
-    return out
+    cell = (np.arange(h)[:, None] // stride) * wo + np.arange(w)[None, :] // stride
+    labels = int(mask.max()) + 1
+    # one count per (cell, label) bin; argmax breaks ties toward lower ids
+    counts = np.bincount((cell * labels + mask).reshape(-1), minlength=ho * wo * labels)
+    return counts.reshape(ho, wo, labels).argmax(axis=2).astype(mask.dtype)
 

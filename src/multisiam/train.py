@@ -216,6 +216,13 @@ def _validate(cfg: TrainConfig) -> TrainConfig:
             raise ConfigError(f"{field_name}: {value!r} is not one of {list(allowed)}")
     need(not cfg.dense or cfg.loss_mode == "cluster", "dense",
          f"only loss_mode=cluster has dense targets, not loss_mode={cfg.loss_mode}")
+    # loss_mode=moco aligns by roi and attends without a residual, whatever these say
+    need(cfg.residual is None or (cfg.self_attention and cfg.loss_mode != "moco"), "residual",
+         f"self_attention={str(cfg.self_attention).lower()} with loss_mode={cfg.loss_mode} "
+         "has no residual to set; leave it auto")
+    need(cfg.normalize_offset or (cfg.alignment == "offset" and cfg.loss_mode != "moco"),
+         "normalize_offset", f"alignment={cfg.alignment} with loss_mode={cfg.loss_mode} "
+         "has no offsets to normalize")
     feature_pixels = (cfg.out_size // 8) ** 2
     need(cfg.k <= feature_pixels, "k",
          f"must not exceed the {feature_pixels} feature-map pixels at out_size={cfg.out_size}")
@@ -237,7 +244,7 @@ def config_from_pairs(pairs, base: TrainConfig | None = None) -> TrainConfig:
     return _validate(cfg)
 
 
-def config_from_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
+def config_from_text(text: str) -> TrainConfig:
     """Parse '#'-commented key=value lines."""
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -248,7 +255,7 @@ def config_from_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
         pairs.append((key, raw))
-    return config_from_pairs(pairs, base=base)
+    return config_from_pairs(pairs)
 
 
 def config_as_dict(cfg: TrainConfig) -> dict:
@@ -369,7 +376,7 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
     return loss, l1.data.tolist(), l2.data.tolist(), pooled_rows
 
 
-def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
+def train_step(state: TrainState, corpus) -> StepMetrics:
     """Run one micro-step: sample, render, forward, losses, backward; on an
     accumulation boundary also the optimizer step and the EMA update."""
     cfg = state.config
@@ -403,9 +410,6 @@ def train_step(state: TrainState, corpus, grad_probe=None) -> StepMetrics:
     lr = effective_lr(step, cfg)
     tau = momentum_schedule(step, cfg.steps, cfg.tau_base)
     if (step + 1) % cfg.accumulation_steps == 0:
-        if grad_probe is not None:
-            grad_probe({name: None if p.grad is None else p.grad.copy()
-                        for name, p in pair.online.items()})
         if cfg.optimizer == "lars":
             optim.lars_step(pair.online, lr, cfg.momentum, cfg.weight_decay,
                             cfg.trust_coeff, state.opt_buffers)

@@ -1,11 +1,10 @@
-"""Cluster-map rendering: fixed palette, panel composition, binary PPM I/O."""
+"""Cluster-map rendering: fixed palette, panel composition, binary PPM output."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PALETTE", "cluster_panel", "image_panel", "compose_panels",
-           "write_ppm", "read_ppm"]
+__all__ = ["PALETTE", "cluster_panel", "image_panel", "compose_panels", "write_ppm"]
 
 # eight visually distinct colors; cluster id indexes into this table
 PALETTE = np.array([
@@ -48,15 +47,3 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if parts[0] != b"P6" or len(parts) < 4:
-        raise ValueError(f"{path}: not a binary PPM")
-    w, h = map(int, parts[1].split())
-    if parts[2] != b"255":
-        raise ValueError(f"{path}: unsupported maxval {parts[2]!r}")
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
-    return data.reshape(h, w, 3).copy()

@@ -8,7 +8,17 @@ from multisiam import scenes as S
 from multisiam.metrics import adjusted_rand_index, embedding_spread, smoothed_endpoints
 from multisiam.probe import probe_image
 from multisiam.tensor import Tensor
-from multisiam.viz import PALETTE, cluster_panel, compose_panels, read_ppm, write_ppm
+from multisiam.viz import PALETTE, cluster_panel, compose_panels, write_ppm
+
+
+def read_ppm(path) -> np.ndarray:
+    """Read a binary (P6) PPM with maxval 255 as an [H,W,3] uint8 array."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    parts = blob.split(b"\n", 3)
+    assert parts[0] == b"P6" and len(parts) == 4 and parts[2] == b"255", parts[:3]
+    w, h = map(int, parts[1].split())
+    return np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3).reshape(h, w, 3)
 
 
 def pair_counting_ari(a, b):
@@ -140,10 +150,8 @@ def test_cli_eval_report(tmp_path):
                      "--out", str(eval_out), "--images", "3"]) == 0
     report = json.loads((eval_out / "probe_report.json").read_text())
     assert list(report) == ["ari_instance", "ari_class", "feature_std", "ari_instance_random",
-                            "ari_class_random", "margin_instance", "margin_class",
-                            "cluster_maps"]
+                            "ari_class_random", "margin_instance", "margin_class"]
     assert -1.0 <= report["ari_instance"] <= 1.0
-    assert len(report["cluster_maps"]) == 3
     assert report["feature_std"] >= 0.0
 
 
@@ -231,6 +239,20 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
     assert_one_error_line(capsys, str(cfg_file), "not UTF-8")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("steps=3\nbogus line\n", "line 2: expected key=value, got 'bogus line'"),
+    ("steps=0\n", "steps: must be at least 1"),
+    ("loss_mode=moco\nresidual=true\n", "residual: "),
+])
+def test_cli_config_file_error_names_the_file(tmp_path, capsys, text, fragment):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert_one_error_line(capsys, f"error: {cfg_file}: {fragment}")
     assert not out.exists()
 
 

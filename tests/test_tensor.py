@@ -29,13 +29,6 @@ def test_binary_shape_mismatch_names_both_shapes():
     assert "(3,)" in str(err.value) and "(4,)" in str(err.value)
 
 
-def test_scalar_broadcast_and_reverse_ops():
-    t = Tensor([1.0, -2.0], requires_grad=True)
-    out = T.reduce_sum(2.0 * t + 1.0)
-    T.backward(out)
-    assert np.allclose(t.grad, [2.0, 2.0])
-
-
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(0)
     x = Tensor(rng.random((3, 1, 5, 5)))
@@ -132,7 +125,7 @@ def test_global_avg_pool_values():
 def test_l2_normalize_values_and_zero_guard():
     out = T.l2_normalize(Tensor([3.0, 4.0]))
     assert np.allclose(out.data, [0.6, 0.8])
-    zero = T.l2_normalize(Tensor([0.0, 0.0]), eps=1e-12)
+    zero = T.l2_normalize(Tensor([0.0, 0.0]))
     assert np.array_equal(zero.data, [0.0, 0.0])
     assert np.all(np.isfinite(zero.data))
 
@@ -145,23 +138,6 @@ def test_l2_normalize_gradient(seed):
     report = T.finite_difference_check(
         lambda v_: T.reduce_sum(T.mul(T.l2_normalize(v_), d)), [v], name="l2_normalize")
     assert report.max_relative_error < 1e-6
-
-
-def test_cosine_similarity_values():
-    a = Tensor([2.0, -1.0, 0.5])
-    assert T.cosine_similarity(a, a).item() == pytest.approx(1.0, abs=1e-12)
-    assert T.cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == pytest.approx(0.0)
-    got = T.cosine_similarity(Tensor([1.0, 0.0]), Tensor([1.0, 1.0])).item()
-    assert got == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_cosine_similarity_bounded(seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        a = Tensor(rng.standard_normal(4) * 10.0 ** rng.integers(-6, 6))
-        b = Tensor(rng.standard_normal(4) * 10.0 ** rng.integers(-6, 6))
-        assert abs(T.cosine_similarity(a, b).item()) <= 1.0 + 1e-12
 
 
 def test_backward_linear_and_quadratic():

@@ -13,6 +13,7 @@ import pytest
 
 from multisiam import checkpoint as CK
 from multisiam import cli
+from multisiam import optim
 from multisiam import scenes as S
 from multisiam import train as TR
 from multisiam.align import flip_back, intersection_relative, roi_align
@@ -105,9 +106,43 @@ def test_dense_outside_cluster_mode_is_a_config_error(tmp_path, capsys, mode):
     assert TR.config_from_pairs([("loss_mode", "cluster"), ("dense", "true")]).dense
 
 
+# loss_mode=moco aligns by roi and attends without a residual, and without
+# self-attention there is no residual to set: each of these keys would be dropped
+@pytest.mark.parametrize("key, pairs", [
+    ("residual", [("loss_mode", "moco"), ("residual", "true")]),
+    ("residual", [("loss_mode", "moco"), ("residual", "false")]),
+    ("residual", [("self_attention", "false"), ("residual", "true")]),
+    ("residual", [("self_attention", "false"), ("residual", "false")]),
+    ("normalize_offset", [("loss_mode", "moco"), ("normalize_offset", "false")]),
+    ("normalize_offset", [("alignment", "roi"), ("normalize_offset", "false")]),
+    ("normalize_offset", [("alignment", "none"), ("normalize_offset", "false")]),
+])
+def test_key_its_mode_ignores_is_a_config_error(tmp_path, capsys, key, pairs):
+    with pytest.raises(TR.ConfigError, match=f"^{key}: "):
+        TR.config_from_pairs(pairs)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out), "--steps=1"]
+                    + [f"--{k}={v}" for k, v in pairs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:") and err.count("\n") == 1, err
+    assert not (out / "metrics.jsonl").exists()
+
+
+# criterion 9's variants cover residual and normalize_offset at the defaults
+@pytest.mark.parametrize("pairs", [
+    [("loss_mode", "wo_kmeans"), ("alignment", "roi"), ("residual", "false")],
+    [("loss_mode", "wo_kmeans"), ("normalize_offset", "false"), ("residual", "true")],
+    [("loss_mode", "moco"), ("residual", "auto")],
+    [("self_attention", "false"), ("residual", "auto"), ("alignment", "roi")],
+])
+def test_keys_their_mode_reads_are_accepted(pairs):
+    cfg = TR.config_from_pairs(pairs)
+    assert TR.config_from_text(TR.config_to_text(cfg)) == cfg
+
+
 def test_config_text_roundtrip():
     cfg = TR.TrainConfig(steps=17, lambda_weight=0.25, residual=True, optimizer="lars",
-                         loss_mode="moco", seed=9)
+                         loss_mode="wo_kmeans", seed=9)
     assert TR.config_from_text(TR.config_to_text(cfg)) == cfg
     auto = TR.TrainConfig()
     assert TR.config_from_text(TR.config_to_text(auto)).residual is None
@@ -207,13 +242,13 @@ def test_cluster_mode_loss_bounded(small_corpus):
 
 @pytest.mark.parametrize("loss_mode", ["cluster", "wo_kmeans", "moco"])
 def test_no_target_gradients_in_any_mode(small_corpus, loss_mode):
-    cfg = TR.TrainConfig(steps=2, batch_size=2, corpus_images=8, out_size=32,
-                         loss_mode=loss_mode, kmeans_iters=3)
+    # one step inside an accumulation window: the online grads stay in place
+    cfg = TR.TrainConfig(steps=2, batch_size=2, accumulation_steps=2, corpus_images=8,
+                         out_size=32, loss_mode=loss_mode, kmeans_iters=3)
     state = TR.init_state(cfg)
-    captured = {}
-    TR.train_step(state, small_corpus, grad_probe=captured.update)
+    TR.train_step(state, small_corpus)
     assert all(p.grad is None for p in state.pair.target.values())
-    assert any(g is not None for g in captured.values())
+    assert any(p.grad is not None for p in state.pair.online.values())
     if loss_mode == "moco":
         assert len(state.queue) > 0
 
@@ -237,7 +272,7 @@ def test_target_params_follow_ema_recurrence(small_corpus):
         assert np.allclose(state.pair.target[name].data, want, atol=1e-12)
 
 
-def test_accumulated_grads_equal_sum_of_micro_batches(small_corpus):
+def test_accumulated_grads_equal_sum_of_micro_batches(small_corpus, monkeypatch):
     cfg = TR.TrainConfig(steps=2, batch_size=2, accumulation_steps=2, corpus_images=8,
                          out_size=32, kmeans_iters=3)
 
@@ -252,12 +287,21 @@ def test_accumulated_grads_equal_sum_of_micro_batches(small_corpus):
 
     state = TR.init_state(cfg)
     boundary = {}
+
+    def capturing_sgd_step(params, *args):
+        boundary.update({k: None if p.grad is None else p.grad.copy()
+                         for k, p in params.items()})
+        return sgd_step(params, *args)
+
+    monkeypatch.setattr(optim, "sgd_step", capturing_sgd_step)
     params_before_first = {k: p.data.copy() for k, p in state.pair.online.items()}
     TR.train_step(state, small_corpus)
     for name, p in state.pair.online.items():
         assert np.array_equal(p.data, params_before_first[name])  # no optimizer yet
-    TR.train_step(state, small_corpus, grad_probe=boundary.update)
+    assert not boundary
+    TR.train_step(state, small_corpus)
 
+    assert boundary.keys() == micro[0].keys()
     for name, got in boundary.items():
         want = micro[0][name] + micro[1][name]
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
