@@ -11,9 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -24,7 +28,7 @@ from .probe import full_resolution_clusters, paired_probe
 from .scenes import SceneSpec, generate
 from .train import (EVAL_SEED_OFFSET, PURPOSE_EVAL, PURPOSE_PARAMS, ConfigError,
                     TrainConfig, TrainingError, config_as_dict, config_from_pairs,
-                    config_from_text, rng_stream, run_training)
+                    pairs_from_text, rng_stream, run_training)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,21 +81,46 @@ def _split_overrides(rest: list[str]) -> list[tuple[str, str]]:
 
 
 def _load_config(config_path, overrides) -> TrainConfig:
-    cfg = TrainConfig()
+    """The --config file's pairs, then the --key=value overrides, then
+    MULTISIAM_SEED, resolved as one list: a later value of a key wins, and
+    only the result is validated."""
+    pairs = []
     if config_path is not None:
         try:
             text = Path(config_path).read_text(encoding="utf-8")
         except UnicodeDecodeError as err:
             raise ConfigError(f"{config_path}: not UTF-8 ({err.reason})") from None
+        except OSError as err:
+            raise ConfigError(f"{config_path}: {err.strerror or err}") from None
         try:
-            cfg = config_from_text(text)
+            pairs = [(key, raw, config_path) for key, raw in pairs_from_text(text)]
         except ConfigError as err:
             raise ConfigError(f"{config_path}: {err}") from None
-    cfg = config_from_pairs(overrides, base=cfg)
+    pairs += overrides
     env_seed = os.environ.get("MULTISIAM_SEED")
     if env_seed is not None:
-        cfg = config_from_pairs([("seed", env_seed)], base=cfg)
-    return cfg
+        pairs.append(("seed", env_seed, "MULTISIAM_SEED"))
+    return config_from_pairs(pairs)
+
+
+def _numeric_stack() -> dict:
+    """What a run's bytes depend on besides its config: the Python, numpy and
+    BLAS versions (k-means sums are BLAS GEMMs), and the git commit of the
+    source, None outside a git checkout."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        blas_name, blas_version = blas.get("name"), blas.get("version")
+    except (AttributeError, KeyError):
+        blas_name = blas_version = None
+    git_dir = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        out = subprocess.run(["git", "--git-dir", str(git_dir), "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=10)
+        commit = out.stdout.strip() if out.returncode == 0 else None
+    except (OSError, subprocess.TimeoutExpired):
+        commit = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas_name, "blas_version": blas_version, "git_commit": commit}
 
 
 def _out_dir(ns) -> Path:
@@ -129,6 +158,7 @@ def cmd_train(ns, overrides) -> int:
         "code_version": __version__,
         "metrics_path": metrics_path.name,
         "checkpoint_paths": [checkpoint_path.name],
+        **_numeric_stack(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")

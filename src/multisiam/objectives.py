@@ -98,16 +98,19 @@ def _cluster_sizes(slots: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cluster_sums(points: np.ndarray, slots: np.ndarray, k: int) -> np.ndarray:
-    """[P,K,c] sums of the member points of each cluster.
+    """[P,K,c] sums of the member points of each cluster of the [P,n,c]
+    points; an empty cluster sums to zero.
 
-    bincount adds each member into its bin in member order, starting from
-    0.0, which is what members.sum(axis=0) does, so the means it gives are
-    bit-for-bit those of one cluster at a time.
+    Each map's sums are one GEMM of its [K,n] one-hot membership matrix with
+    its [n,c] points. The BLAS picks the order in which a GEMM adds, so the
+    last bits of a sum follow the BLAS build and can differ from adding the
+    members one by one. A stacked matmul runs one GEMM per map, so a map's
+    sums do not depend on the other maps of its batch.
     """
-    c = points.shape[-1]
-    bins = slots[:, :, None] * c + np.arange(c)
-    return np.bincount(bins.ravel(), weights=points.ravel(),
-                       minlength=len(slots) * k * c).reshape(-1, k, c)
+    pairs, n, _ = points.shape
+    onehot = np.zeros((pairs * k, n))
+    onehot[slots, np.arange(n)] = 1.0
+    return onehot.reshape(pairs, k, n) @ points
 
 
 def _repair_empty(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
@@ -151,8 +154,10 @@ def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
 
     All maps share one Lloyd loop and a map leaves it once its assignments
     stop changing. The arithmetic per map is that of clustering it alone:
-    centroids are sums in member order divided by the count, and the cost is
-    summed per map. So a map's result does not depend on its batch.
+    centroids are member sums, from one GEMM per map, divided by the count,
+    and the cost is summed per map. So a map's result does not depend on its
+    batch. The GEMM's rounding follows the BLAS, so centroids and costs can
+    differ in the last bits from means taken one cluster at a time.
 
     An update's cost is read off the next iteration's distance matrix, at the
     assignments the centroids were just computed from; only a map that runs

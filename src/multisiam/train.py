@@ -9,7 +9,7 @@ taken at accumulation boundaries; mid-window grads are not serialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "config_to_text",
     "config_from_pairs",
     "config_from_text",
+    "pairs_from_text",
     "config_as_dict",
 ]
 
@@ -174,10 +175,15 @@ def _parse_value(key: str, field_name: str, kind, raw: str):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {getattr(kind, '__name__', kind)}") from None
 
 
-def _validate(cfg: TrainConfig) -> TrainConfig:
+def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> TrainConfig:
+    """``cfg`` if its values are valid together; ``origin`` names where a
+    field's value was read, and an error about that field starts with it."""
+    origin = origin or {}
+
     def need(cond, key, why):
         if not cond:
-            raise ConfigError(f"{key}: {why}")
+            where = origin.get(_CONFIG_KEY_TO_FIELD.get(key, key))
+            raise ConfigError(f"{where + ': ' if where else ''}{key}: {why}")
 
     for f in fields(TrainConfig):
         if f.type == "float":
@@ -212,8 +218,7 @@ def _validate(cfg: TrainConfig) -> TrainConfig:
     need(cfg.eval_images >= 1, "eval_images", "must be at least 1")
     for field_name, allowed in _CHOICES.items():
         value = getattr(cfg, field_name)
-        if value not in allowed:
-            raise ConfigError(f"{field_name}: {value!r} is not one of {list(allowed)}")
+        need(value in allowed, field_name, f"{value!r} is not one of {list(allowed)}")
     need(not cfg.dense or cfg.loss_mode == "cluster", "dense",
          f"only loss_mode=cluster has dense targets, not loss_mode={cfg.loss_mode}")
     # loss_mode=moco aligns by roi and attends without a residual, whatever these say
@@ -229,23 +234,35 @@ def _validate(cfg: TrainConfig) -> TrainConfig:
     return cfg
 
 
-def config_from_pairs(pairs, base: TrainConfig | None = None) -> TrainConfig:
-    """Apply (key, raw-string) overrides on top of defaults or ``base``."""
-    cfg = replace(base) if base is not None else TrainConfig()
+def config_from_pairs(pairs) -> TrainConfig:
+    """Resolve (key, raw-string) pairs on top of the defaults, a later pair of
+    a key winning, and validate the result once.
+
+    A pair may carry a third item, the name of where it was read, such as a
+    config file's path. An error about a key whose value came from there
+    starts with that name.
+    """
+    cfg = TrainConfig()
     by_field = {f.name: f for f in fields(TrainConfig)}
-    for key, raw in pairs:
+    origin: dict[str, str | None] = {}
+    for key, raw, *where in pairs:
+        prefix = f"{where[0]}: " if where else ""
         key = key.strip()
         field_name = _CONFIG_KEY_TO_FIELD.get(key, key)
         if field_name not in by_field:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{prefix}unknown config key {key!r}")
         spec = by_field[field_name]
         kind = {"int": int, "float": float, "bool": bool, "str": str}.get(spec.type, spec.type)
-        setattr(cfg, field_name, _parse_value(key, field_name, kind, raw))
-    return _validate(cfg)
+        try:
+            setattr(cfg, field_name, _parse_value(key, field_name, kind, raw))
+        except ConfigError as err:
+            raise ConfigError(f"{prefix}{err}") from None
+        origin[field_name] = where[0] if where else None
+    return _validate(cfg, origin)
 
 
-def config_from_text(text: str) -> TrainConfig:
-    """Parse '#'-commented key=value lines."""
+def pairs_from_text(text: str) -> list[tuple[str, str]]:
+    """The (key, raw-string) pairs of '#'-commented key=value lines."""
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -255,7 +272,12 @@ def config_from_text(text: str) -> TrainConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
         pairs.append((key, raw))
-    return config_from_pairs(pairs)
+    return pairs
+
+
+def config_from_text(text: str) -> TrainConfig:
+    """Parse and validate '#'-commented key=value lines."""
+    return config_from_pairs(pairs_from_text(text))
 
 
 def config_as_dict(cfg: TrainConfig) -> dict:

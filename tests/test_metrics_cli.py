@@ -1,4 +1,6 @@
 import json
+import platform
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +123,12 @@ def test_cli_train_outputs(tmp_path):
     assert manifest["seed"] == 0
     assert manifest["config"]["steps"] == 4
     assert manifest["metrics_path"] == "metrics.jsonl"
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert (manifest["blas"], manifest["blas_version"]) == (blas["name"], blas["version"])
+    assert manifest["git_commit"] is None or re.fullmatch(r"[0-9a-f]{40}",
+                                                          manifest["git_commit"])
     assert (out / "final.ckpt").exists()
 
 
@@ -140,6 +148,19 @@ def test_cli_config_file_and_env_seed(tmp_path, monkeypatch):
     assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11  # env var wins over the file
+
+
+def test_cli_overrides_resolve_with_the_config_file_before_validation(tmp_path):
+    # the file alone is invalid (dense needs loss_mode=cluster); with the
+    # override the resolved config is valid
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("loss_mode=moco\ndense=true\nsteps=0\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out),
+                     "--loss_mode=cluster"] + TINY) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["loss_mode"] == "cluster" and manifest["config"]["dense"]
+    assert manifest["config"]["steps"] == 4
 
 
 def test_cli_eval_report(tmp_path):
@@ -242,10 +263,25 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("make, fragment", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+], ids=["missing", "directory"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, make, fragment):
+    cfg_file = tmp_path / "run.cfg"
+    make(cfg_file)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert_one_error_line(capsys, f"error: {cfg_file}: {fragment}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("steps=3\nbogus line\n", "line 2: expected key=value, got 'bogus line'"),
     ("steps=0\n", "steps: must be at least 1"),
     ("loss_mode=moco\nresidual=true\n", "residual: "),
+    ("steps=many\n", "steps: cannot parse 'many' as int"),
+    ("bananas=3\n", "unknown config key 'bananas'"),
 ])
 def test_cli_config_file_error_names_the_file(tmp_path, capsys, text, fragment):
     cfg_file = tmp_path / "bad.cfg"
@@ -263,3 +299,23 @@ def test_cli_gradcheck_passes(tmp_path, capsys):
     assert "PASS" in captured.out and "FAIL" not in captured.out
     report = json.loads((tmp_path / "gradcheck.json").read_text())
     assert all(err < 1e-4 for err in report.values())
+
+
+@pytest.mark.parametrize("text, argv, env, error", [
+    ("steps=4\n", ["--steps=0"], None, "error: steps: must be at least 1"),
+    ("dense=true\n", ["--loss_mode=moco"], None, "error: {cfg}: dense: only loss_mode"),
+    ("seed=3\n", [], "-1", "error: MULTISIAM_SEED: seed: must be non-negative"),
+    ("seed=3\n", [], "x", "error: MULTISIAM_SEED: seed: cannot parse 'x' as int"),
+], ids=["override", "file", "env", "env-parse"])
+def test_cli_config_error_names_where_the_value_was_read(tmp_path, capsys, monkeypatch,
+                                                          text, argv, env, error):
+    # an error about a key names the file only when the key's value came from it
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    if env is not None:
+        monkeypatch.setenv("MULTISIAM_SEED", env)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error.format(cfg=cfg_file)) and err.count("\n") == 1, err
+    assert not out.exists()

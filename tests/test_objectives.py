@@ -108,8 +108,9 @@ def test_kmeans_rejects_oversized_k():
 
 
 def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
-    """The one-map-at-a-time Lloyd loop, step for step: the byte-exact oracle
-    of kmeans_batch. Returns centroids, assignments, centroid map and costs."""
+    """The one-map-at-a-time Lloyd loop, step for step: the oracle of
+    kmeans_batch, byte-exact at the model's shapes. Returns centroids,
+    assignments, centroid map and costs."""
     c, h, w = fmap.shape
     n = h * w
     points = fmap.reshape(c, n).T.copy()
@@ -158,6 +159,24 @@ def assert_same_bytes(result, want):
     assert result.cost == history[-1]
 
 
+def as_oracle_tuple(result):
+    """A ClusterResult in ``loop_kmeans``'s (centroids, assignments, map, costs) form."""
+    return (result.centroids.data, result.assignments, result.centroid_map.data,
+            list(result.cost_history))
+
+
+def assert_near_loop(result, want, atol, cost_rtol):
+    """Assignments and iteration count exactly; centroids to ``atol`` and costs
+    to ``cost_rtol``. The centroid sums are GEMMs, and the BLAS picks their
+    order of addition, where ``members.mean`` adds one member after another."""
+    centroids, assign, centroid_map, history = want
+    assert np.array_equal(result.assignments, assign)
+    assert len(result.cost_history) == len(history)
+    np.testing.assert_allclose(result.centroids.data, centroids, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(result.centroid_map.data, centroid_map, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(result.cost_history, history, rtol=cost_rtol, atol=0.0)
+
+
 def mixed_maps(rng, c=6, pairs=7, h=6, w=5):
     # pixels near a few random modes, with a per-map noise level, so maps
     # converge after different numbers of Lloyd steps
@@ -179,9 +198,13 @@ def test_kmeans_batch_matches_one_map_at_a_time(metric, k):
     assert len(results) == maps.shape[1]
     loop_rng, single_rng = np.random.default_rng(k), np.random.default_rng(k)
     for p, result in enumerate(results):
+        # byte for byte the map clustered alone
+        alone = O.kmeans(maps[:, p], k, metric=metric, rng=single_rng)
+        assert_same_bytes(result, as_oracle_tuple(alone))
+        # the loop oracle: at k=1 its one mean moves by up to 3.3e-16 and its
+        # costs by up to 2.9e-16 relative
         want = loop_kmeans(maps[:, p], k, metric, 10, rng=loop_rng)
-        assert_same_bytes(result, want)
-        assert_same_bytes(O.kmeans(maps[:, p], k, metric=metric, rng=single_rng), want)
+        assert_near_loop(result, want, atol=4e-16, cost_rtol=3e-16)
     if k > 1:
         assert len({len(r.cost_history) for r in results}) > 1
 
@@ -243,6 +266,60 @@ def test_kmeans_batch_repairs_empty_clusters_per_map():
 def test_kmeans_batch_rejects_a_lone_map():
     with pytest.raises(T.ShapeError, match=r"\[C,N,H,W\]"):
         O.kmeans_batch(np.zeros((2, 4, 4)), 2)
+
+
+# (c, pairs, h, w, k): one cluster, eight clusters on 4,096 points, and odd
+# channel counts, away from the model's k=3, c=32
+SUM_SHAPES = [(6, 5, 6, 5, 1), (32, 2, 64, 64, 8), (33, 4, 8, 8, 3), (7, 3, 5, 7, 4)]
+
+
+def test_cluster_sums_leave_an_empty_cluster_at_zero():
+    points = np.random.default_rng(0).standard_normal((2, 6, 5))
+    assign = np.array([[0, 0, 2, 2, 0, 2], [1, 1, 1, 1, 1, 1]])
+    sums = O._cluster_sums(points, O._cluster_slots(assign, 3), 3)
+    assert np.all(sums[0, 1] == 0.0) and np.all(sums[1, [0, 2]] == 0.0)
+    assert np.array_equal(sums[1, 1], points[1].sum(axis=0))
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES, ids=str)
+def test_cluster_sums_match_member_order_sums(shape):
+    c, pairs, h, w, k = shape
+    rng = np.random.default_rng(sum(shape))
+    points = rng.standard_normal((pairs, h * w, c))
+    assign = rng.integers(0, k, (pairs, h * w))
+    sums = O._cluster_sums(points, O._cluster_slots(assign, k), k)
+    eps = np.finfo(np.float64).eps
+    for p in range(pairs):
+        for idx in range(k):
+            members = points[p][assign[p] == idx]
+            total = np.zeros(c)
+            for x in members:
+                total += x
+            # 1.63 eps of the members' absolute sum at most, over 40 seeds of
+            # these shapes; a bound of every BLAS would be (members - 1) eps
+            assert np.all(np.abs(sums[p, idx] - total)
+                          <= 2.0 * eps * np.abs(members).sum(axis=0))
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("shape", SUM_SHAPES, ids=str)
+def test_kmeans_batch_and_dense_targets_do_not_depend_on_the_batch(shape, metric):
+    c, pairs, h, w, k = shape
+    rng = np.random.default_rng(sum(shape))
+    maps = rng.standard_normal((c, pairs, h, w))
+    init = np.stack([maps[:, p].reshape(c, -1).T[rng.choice(h * w, k, replace=False)]
+                     for p in range(pairs)])
+    results = O.kmeans_batch(maps, k, metric=metric, init=init)
+    dense = O._dense_targets(results, maps)
+    flipped = O.kmeans_batch(maps[:, ::-1], k, metric=metric, init=init[::-1])[::-1]
+    assert O._dense_targets(flipped[::-1], maps[:, ::-1]).tobytes() == \
+        dense[:, ::-1].copy().tobytes()
+    for p, result in enumerate(results):
+        assert_same_bytes(flipped[p], as_oracle_tuple(result))
+        alone = O.kmeans_batch(maps[:, p:p + 1], k, metric=metric, init=init[p:p + 1])
+        assert_same_bytes(alone[0], as_oracle_tuple(result))
+        assert O._dense_targets(alone, maps[:, p:p + 1]).tobytes() == \
+            dense[:, p:p + 1].copy().tobytes()
 
 
 def test_loss_1d_values():
@@ -340,9 +417,15 @@ def test_dense_targets_match_one_cluster_at_a_time(shape):
                                    centroid_map=Tensor(np.zeros((c, h, w))), cost=0.0,
                                    cost_history=(0.0,))
     got = O._dense_targets(clusters, target)
+    # byte for byte each sample on its own
+    for s in range(shape[1]):
+        alone = O._dense_targets(clusters[s:s + 1], target[:, s:s + 1])
+        assert alone.tobytes() == got[:, s:s + 1].copy().tobytes()
+    # the cluster-by-cluster means: at shape (32,4,8,8) they move by up to 8.3e-17
     want = np.stack([loop_dense_target(r, target[:, s]) for s, r in enumerate(clusters)],
                     axis=1)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-16)
 
 
 def test_loss_2d_wo_kmeans_values_and_oracle():

@@ -1,8 +1,12 @@
 """Hypothesis properties of the inputs the program reads from outside."""
 
-from hypothesis import given, settings
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from multisiam import cli
 from multisiam import train as TR
 from multisiam.align import ALIGNMENT_MODES
 from multisiam.objectives import LOSS_MODES
@@ -40,3 +44,35 @@ def test_config_overrides_are_rejected_or_round_trip(pairs):
     except TR.ConfigError:
         return
     assert TR.config_from_text(TR.config_to_text(cfg)) == cfg
+
+
+def fits_a_config_line(raw: str) -> bool:
+    """Whether ``key=raw`` reads back as the same pair from a config file."""
+    return "#" not in raw and len(f"k={raw}".splitlines()) == 1
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(overrides, max_size=8), st.integers(0, 8))
+def test_config_file_and_overrides_resolve_as_one_list(monkeypatch, pairs, split):
+    # the first ``split`` pairs in a --config file, the rest on the command
+    # line: the same config, or the same error, named by the file when the
+    # offending value came from it
+    monkeypatch.delenv("MULTISIAM_SEED", raising=False)
+    split = min(split, len(pairs))
+    assume(all(fits_a_config_line(raw) for _, raw in pairs[:split]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "run.cfg")
+        Path(path).write_text("".join(f"{key}={raw}\n" for key, raw in pairs[:split]),
+                              encoding="utf-8")
+        try:
+            want = TR.config_from_pairs(pairs)
+        except TR.ConfigError as err:
+            try:
+                cli._load_config(path, pairs[split:])
+            except TR.ConfigError as split_err:
+                assert str(split_err) in (str(err), f"{path}: {err}")
+            else:
+                raise AssertionError(f"{pairs} split at {split} resolved, but not at 0")
+            return
+        assert cli._load_config(path, pairs[split:]) == want
