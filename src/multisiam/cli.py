@@ -104,9 +104,9 @@ def _load_config(config_path, overrides) -> TrainConfig:
 
 
 def _numeric_stack() -> dict:
-    """What a run's bytes depend on besides its config: the Python, numpy and
-    BLAS versions (k-means sums are BLAS GEMMs), and the git commit of the
-    source, None outside a git checkout."""
+    """The numeric stack a run used: the Python, numpy and BLAS versions
+    (k-means sums are BLAS GEMMs), and the commit the source checkout's HEAD
+    names, None outside a git checkout. Uncommitted edits are not recorded."""
     try:
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         blas_name, blas_version = blas.get("name"), blas.get("version")

@@ -176,13 +176,15 @@ def _parse_value(key: str, field_name: str, kind, raw: str):
 
 
 def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> TrainConfig:
-    """``cfg`` if its values are valid together; ``origin`` names where a
-    field's value was read, and an error about that field starts with it."""
+    """``cfg`` if its values are valid together. ``origin`` names where a
+    field's value was read; an error starts with the first such name among
+    ``key`` and the ``also`` fields its rule reads."""
     origin = origin or {}
 
-    def need(cond, key, why):
+    def need(cond, key, why, also=()):
         if not cond:
-            where = origin.get(_CONFIG_KEY_TO_FIELD.get(key, key))
+            read = [_CONFIG_KEY_TO_FIELD.get(k, k) for k in (key, *also)]
+            where = next((origin[f] for f in read if origin.get(f)), None)
             raise ConfigError(f"{where + ': ' if where else ''}{key}: {why}")
 
     for f in fields(TrainConfig):
@@ -194,12 +196,12 @@ def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> 
     need(cfg.accumulation_steps >= 1, "accumulation_steps", "must be at least 1")
     need(cfg.steps % cfg.accumulation_steps == 0, "accumulation_steps",
          f"must divide steps={cfg.steps}: a partial last window would never reach "
-         "the optimizer")
+         "the optimizer", also=("steps",))
     need(cfg.lr_base > 0.0, "lr_base", "must be positive")
     # effective_lr doubles the batch-scaled rate before it halves it
     need(math.isfinite(2.0 * _batch_scaled_lr(cfg)), "lr_base",
          f"scaled by batch_size/256 (batch_size={cfg.batch_size}) the learning rate "
-         "overflows")
+         "overflows", also=("batch_size",))
     need(cfg.weight_decay >= 0.0, "weight_decay", "must be non-negative")
     need(0.0 <= cfg.momentum < 1.0, "momentum", "must lie in [0, 1)")
     need(cfg.trust_coeff > 0.0, "trust_coeff", "must be positive")
@@ -220,17 +222,19 @@ def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> 
         value = getattr(cfg, field_name)
         need(value in allowed, field_name, f"{value!r} is not one of {list(allowed)}")
     need(not cfg.dense or cfg.loss_mode == "cluster", "dense",
-         f"only loss_mode=cluster has dense targets, not loss_mode={cfg.loss_mode}")
+         f"only loss_mode=cluster has dense targets, not loss_mode={cfg.loss_mode}",
+         also=("loss_mode",))
     # loss_mode=moco aligns by roi and attends without a residual, whatever these say
     need(cfg.residual is None or (cfg.self_attention and cfg.loss_mode != "moco"), "residual",
          f"self_attention={str(cfg.self_attention).lower()} with loss_mode={cfg.loss_mode} "
-         "has no residual to set; leave it auto")
+         "has no residual to set; leave it auto", also=("self_attention", "loss_mode"))
     need(cfg.normalize_offset or (cfg.alignment == "offset" and cfg.loss_mode != "moco"),
          "normalize_offset", f"alignment={cfg.alignment} with loss_mode={cfg.loss_mode} "
-         "has no offsets to normalize")
+         "has no offsets to normalize", also=("alignment", "loss_mode"))
     feature_pixels = (cfg.out_size // 8) ** 2
     need(cfg.k <= feature_pixels, "k",
-         f"must not exceed the {feature_pixels} feature-map pixels at out_size={cfg.out_size}")
+         f"must not exceed the {feature_pixels} feature-map pixels at out_size={cfg.out_size}",
+         also=("out_size",))
     return cfg
 
 

@@ -282,6 +282,7 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, make, fragmen
     ("loss_mode=moco\nresidual=true\n", "residual: "),
     ("steps=many\n", "steps: cannot parse 'many' as int"),
     ("bananas=3\n", "unknown config key 'bananas'"),
+    ("out_size=8\n", "k: must not exceed the 1 feature-map pixels at out_size=8"),
 ])
 def test_cli_config_file_error_names_the_file(tmp_path, capsys, text, fragment):
     cfg_file = tmp_path / "bad.cfg"
@@ -306,10 +307,12 @@ def test_cli_gradcheck_passes(tmp_path, capsys):
     ("dense=true\n", ["--loss_mode=moco"], None, "error: {cfg}: dense: only loss_mode"),
     ("seed=3\n", [], "-1", "error: MULTISIAM_SEED: seed: must be non-negative"),
     ("seed=3\n", [], "x", "error: MULTISIAM_SEED: seed: cannot parse 'x' as int"),
-], ids=["override", "file", "env", "env-parse"])
+    ("loss_mode=moco\n", ["--dense=true"], None, "error: {cfg}: dense: only loss_mode"),
+], ids=["override", "file", "env", "env-parse", "file-rule"])
 def test_cli_config_error_names_where_the_value_was_read(tmp_path, capsys, monkeypatch,
                                                           text, argv, env, error):
-    # an error about a key names the file only when the key's value came from it
+    # an error names the file when a value its rule reads came from it, and
+    # not when every such value came from elsewhere
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text)
     if env is not None:
