@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _coerce, _require_maps, _result, concat, flip_last
+from .tensor import Tensor, _accumulate, _require_maps, _result, concat, flip_last
 from .views import ViewSpec, bilinear_sample
 
 __all__ = [
@@ -105,7 +105,6 @@ def roi_align(fmap: Tensor, rois, out_h: int, out_w: int) -> Tensor:
     One sample per bin, taken at the bin center; sample positions outside the
     pixel-center hull clamp to the edge. Differentiable w.r.t. the maps.
     """
-    fmap = _coerce(fmap)
     _require_maps(fmap, "roi_align", AlignmentError)
     c, n, h, w = fmap.shape
     if len(rois) != n:
@@ -129,8 +128,9 @@ def roi_align(fmap: Tensor, rois, out_h: int, out_w: int) -> Tensor:
 
 
 def offset_map(spec_a: ViewSpec, spec_b: ViewSpec, h: int, w: int,
-               normalize: bool = True) -> Tensor:
-    """Per-cell source-coordinate differences from view a's grid to view b's.
+               normalize: bool = True) -> np.ndarray:
+    """Per-cell source-coordinate differences from view a's grid to view b's,
+    as a constant [2,H,W] array.
 
     Channel 0 holds x offsets, channel 1 y offsets. With ``normalize`` the
     differences are divided elementwise by view a's grid span (coordinate of
@@ -149,7 +149,7 @@ def offset_map(spec_a: ViewSpec, spec_b: ViewSpec, h: int, w: int,
         span_y = (h - 1) / h * (spec_a.box.y1 - spec_a.box.y0)
         dx /= span_x if span_x != 0.0 else 1.0
         dy /= span_y if span_y != 0.0 else 1.0
-    return Tensor(np.stack([dx, dy]))
+    return np.stack([dx, dy])
 
 
 def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str,
@@ -172,7 +172,7 @@ def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str
     pairs = list(zip(spec_a, spec_b))
     h, w = online_map.shape[-2:]
     if mode == "offset":
-        offsets = [offset_map(a, b, h, w, normalize=normalize_offset).data for a, b in pairs]
+        offsets = [offset_map(a, b, h, w, normalize=normalize_offset) for a, b in pairs]
         return AlignedPair(concat([online_map, Tensor(np.stack(offsets, axis=1))], axis=0),
                            target_map)
     rel_a, rel_b = zip(*(intersection_relative(a, b) for a, b in pairs))

@@ -97,6 +97,19 @@ class _Reader:
             raise CheckpointError(f"{self.path}: {what} is not UTF-8 ({err.reason})") from None
 
 
+def _queue_state(state: np.ndarray, length: int, path) -> tuple[int, int]:
+    """The (size, cursor) that a saved ``queue.state`` holds, if a
+    ``length``-row NegativeQueue can be in that state: the cursor trails the
+    size until the queue is full."""
+    if state.shape != (2,) or not np.isfinite(state).all() or (state != np.trunc(state)).any():
+        raise CheckpointError(f"{path}: queue state {state.tolist()} is not two integers")
+    size, cursor = int(state[0]), int(state[1])
+    if not (0 <= size <= length and 0 <= cursor < length and (size == length or cursor == size)):
+        raise CheckpointError(f"{path}: queue state (size {size}, cursor {cursor}) is not "
+                              f"reachable in a queue of length {length}")
+    return size, cursor
+
+
 def load_checkpoint(path) -> TrainState:
     """Rebuild a full training state; raises CheckpointError on any damage."""
     with open(path, "rb") as fh:
@@ -158,8 +171,7 @@ def load_checkpoint(path) -> TrainState:
         if tensors["queue.buffer"].shape != queue.buffer.shape:
             raise CheckpointError(f"{path}: queue shape mismatch")
         queue.buffer[:] = tensors["queue.buffer"]
-        queue.size = int(tensors["queue.state"][0])
-        queue.cursor = int(tensors["queue.state"][1])
+        queue.size, queue.cursor = _queue_state(tensors["queue.state"], cfg.queue_length, path)
 
     return TrainState(config=cfg, pair=SiamesePair(online=online, target=target),
                       opt_buffers=buffers, queue=queue, step=int(step))

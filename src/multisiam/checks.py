@@ -94,18 +94,10 @@ def _case_conv2d_batched(rng):
     return finite_difference_check(f, [x, w3, b3, w1], name="conv2d_batched")
 
 
-def _case_pool(rng):
-    x = Tensor(rng.standard_normal((3, 1, 4, 5)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((3, 1)))
-    return finite_difference_check(lambda x_: reduce(T.global_avg_pool(x_)), [x],
-                                   name="global_avg_pool")
-
-
-def _case_pool_batched(rng):
-    x = Tensor(rng.standard_normal((3, 2, 4, 5)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((3, 2)))
-    return finite_difference_check(lambda x_: reduce(T.global_avg_pool(x_)), [x],
-                                   name="global_avg_pool_batched")
+def _case_pool(rng, samples, name):
+    x = Tensor(rng.standard_normal((3, samples, 4, 5)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((3, samples)))
+    return finite_difference_check(lambda x_: reduce(T.global_avg_pool(x_)), [x], name=name)
 
 
 def _case_broadcast(rng):
@@ -175,18 +167,10 @@ def _case_logsumexp(rng):
                                    name="logsumexp")
 
 
-def _case_flip_back(rng):
-    x = Tensor(rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((2, 1, 3, 4)))
-    return finite_difference_check(lambda x_: reduce(flip_back(x_, [True])), [x],
-                                   name="flip_back")
-
-
-def _case_flip_back_per_sample(rng):
-    x = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
-    reduce = _dot_with(rng.standard_normal((2, 3, 3, 4)))
-    return finite_difference_check(lambda x_: reduce(flip_back(x_, [True, False, True])),
-                                   [x], name="flip_back_per_sample")
+def _case_flip_back(rng, flags, name):
+    x = Tensor(rng.standard_normal((2, len(flags), 3, 4)), requires_grad=True)
+    reduce = _dot_with(rng.standard_normal((2, len(flags), 3, 4)))
+    return finite_difference_check(lambda x_: reduce(flip_back(x_, flags)), [x], name=name)
 
 
 def _random_relbox(rng):
@@ -195,20 +179,11 @@ def _random_relbox(rng):
                   float(y0 + rng.uniform(0.3, 0.55)))
 
 
-def _case_roi_align(rng):
-    x = Tensor(rng.standard_normal((2, 1, 5, 5)), requires_grad=True)
-    rois = [_random_relbox(rng)]
-    reduce = _dot_with(rng.standard_normal((2, 1, 3, 3)))
-    return finite_difference_check(lambda x_: reduce(roi_align(x_, rois, 3, 3)), [x],
-                                   name="roi_align")
-
-
-def _case_roi_align_per_sample(rng):
-    x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
-    rois = [_random_relbox(rng) for _ in range(3)]
-    reduce = _dot_with(rng.standard_normal((2, 3, 3, 3)))
-    return finite_difference_check(lambda x_: reduce(roi_align(x_, rois, 3, 3)), [x],
-                                   name="roi_align_per_sample")
+def _case_roi_align(rng, samples, name):
+    x = Tensor(rng.standard_normal((2, samples, 5, 5)), requires_grad=True)
+    rois = [_random_relbox(rng) for _ in range(samples)]
+    reduce = _dot_with(rng.standard_normal((2, samples, 3, 3)))
+    return finite_difference_check(lambda x_: reduce(roi_align(x_, rois, 3, 3)), [x], name=name)
 
 
 def _toy_pair(rng, cfg=TOY):
@@ -284,8 +259,8 @@ def _case_loss_1d(rng):
 
 
 def _case_loss_cluster(rng, dense):
-    target = Tensor(rng.standard_normal((3, 1, 3, 3)))
-    cluster = O.kmeans(target.data[:, 0], 3,
+    target = rng.standard_normal((3, 1, 3, 3))
+    cluster = O.kmeans(target[:, 0], 3,
                        rng=np.random.default_rng(int(rng.integers(1 << 30))))
     pred = Tensor(rng.standard_normal((3, 1, 3, 3)), requires_grad=True)
 
@@ -339,7 +314,7 @@ def _case_full_loss(rng, name, **overrides):
     specs = [tuple(replace(spec, flipped=flip) for spec, flip in zip(_overlapping_specs(rng),
                                                                       flips))
              for flips in ((True, False), (False, True))]
-    views = [[Tensor(rng.random((3, 8, 8))) for _ in range(2)] for _ in specs]
+    views = [[rng.random((3, 8, 8)) for _ in range(2)] for _ in specs]
     seed = int(rng.integers(1 << 30))
     queue = None
     if cfg.loss_mode == "moco":
@@ -363,18 +338,18 @@ def run_gradient_suite(seeds=range(5)) -> list[GradCheckReport]:
             _case_pointwise,
             _case_conv2d,
             _case_conv2d_batched,
-            _case_pool,
-            _case_pool_batched,
+            lambda r: _case_pool(r, 1, "global_avg_pool"),
+            lambda r: _case_pool(r, 2, "global_avg_pool_batched"),
             _case_broadcast,
             _case_l2_normalize,
             _case_structured,
             _case_matmul_stacked,
             _case_select,
             _case_logsumexp,
-            _case_flip_back,
-            _case_flip_back_per_sample,
-            _case_roi_align,
-            _case_roi_align_per_sample,
+            lambda r: _case_flip_back(r, [True], "flip_back"),
+            lambda r: _case_flip_back(r, [True, False, True], "flip_back_per_sample"),
+            lambda r: _case_roi_align(r, 1, "roi_align"),
+            lambda r: _case_roi_align(r, 3, "roi_align_per_sample"),
             _case_projector,
             _case_predictor,
             _case_heads_1d,

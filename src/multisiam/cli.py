@@ -215,7 +215,7 @@ def cmd_viz(ns, overrides) -> int:
         trained_map = full_resolution_clusters(state.pair.online, state.model_config,
                                                scene, cfg.k, cfg.kmeans_metric,
                                                cfg.kmeans_iters, rng_t)
-        panel = compose_panels([image_panel(scene.image.data),
+        panel = compose_panels([image_panel(scene.image),
                                 cluster_panel(random_map),
                                 cluster_panel(trained_map)])
         write_ppm(out / f"viz_{idx}.ppm", panel)

@@ -12,8 +12,8 @@ extents that computes every second row and column of the ``pad=1`` stride-1
 conv, and no other pixel, while keeping the output extent integral.
 
 Feature maps are channel-major [C,N,H,W] batches and the 1D heads work on
-[E,N] columns; only backbone_forward also takes a lone [3,H,W] view, which it
-runs as a batch of one.
+[E,N] columns; only backbone_forward also takes a lone [3,H,W] view, a plain
+array, which it runs as a batch of one.
 """
 
 from __future__ import annotations
@@ -127,10 +127,11 @@ def init_siamese_pair(cfg: ModelConfig, rng: np.random.Generator) -> SiamesePair
     return SiamesePair(online=online, target=target)
 
 
-def backbone_forward(params: dict[str, Tensor], view: Tensor,
+def backbone_forward(params: dict[str, Tensor], view: Tensor | np.ndarray,
                      cfg: ModelConfig) -> Tensor:
-    """Encode a [3,N,H,W] batch of views into [C, N, H/S, W/S] feature maps,
-    or one [3,H,W] view, as a batch of one, into a [C, H/S, W/S] map.
+    """Encode a [3,N,H,W] Tensor batch of views into [C, N, H/S, W/S] feature
+    maps, or one [3,H,W] array view, as a batch of one, into a [C, H/S, W/S]
+    map.
 
     relu sits between stages; the final stage stays linear so feature
     directions are not pinned to the positive orthant (a zeroed final kernel
@@ -141,7 +142,7 @@ def backbone_forward(params: dict[str, Tensor], view: Tensor,
     if h % s or w % s:
         raise ValueError(f"view extents {h}x{w} not divisible by total stride {s}")
     lone = view.ndim == 3
-    x = reshape(view, (view.shape[0], 1, h, w)) if lone else view
+    x = Tensor(view[:, None]) if lone else view
     last = len(cfg.downsample)
     for idx, down in enumerate(cfg.downsample, start=1):
         x = conv2d(x, params[f"backbone.conv{idx}.w"], stride=2 if down else 1,

@@ -1,7 +1,7 @@
 """Cluster targets and every training loss.
 
 K-means runs on the aligned target map and is always a stop-gradient target:
-its inputs carry no tape and its outputs are plain constants. The cosine
+it takes and returns plain arrays, which never join the tape. The cosine
 losses stay in [-1, 1]; the pixel-contrastive loss is a softmax cross-entropy
 and is non-negative.
 
@@ -46,12 +46,12 @@ class ClusteringError(RuntimeError):
 class ClusterResult:
     """Per-pixel cluster targets over an HxW grid."""
 
-    centroids: Tensor          # [K, C], constants
+    centroids: np.ndarray      # [K, C]
     assignments: np.ndarray    # [H, W] int
-    centroid_map: Tensor       # [C, H, W], centroid_map[:, i, j] == centroids[assignments[i, j]]
-    cost: float                # within-cluster sum of squared distances (working space),
-                               # in the clamped ||x||^2 + ||c||^2 - 2 x.c form of assignment
-    cost_history: tuple[float, ...]
+    centroid_map: np.ndarray   # [C, H, W], centroid_map[:, i, j] == centroids[assignments[i, j]]
+    cost_history: tuple[float, ...]  # per Lloyd update, the within-cluster sum of squared
+                                     # distances (working space), in the clamped
+                                     # ||x||^2 + ||c||^2 - 2 x.c form of assignment
 
 
 def _normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -139,7 +139,7 @@ def _record_costs(history: list[list[float]], active: np.ndarray, d2: np.ndarray
         history[pair].append(cost)
 
 
-def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
+def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int = 10,
                  rng: np.random.Generator | None = None,
                  init: np.ndarray | None = None) -> list[ClusterResult]:
     """Lloyd clustering of the pixels of each map of a [C,P,H,W] batch; one
@@ -164,9 +164,8 @@ def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
     out of ``max_iter`` needs one more distance matrix. Nothing else reads the
     cost, so it moves no assignment or centroid.
     """
-    data = maps.data if isinstance(maps, Tensor) else np.asarray(maps)
-    _require_maps(data, "kmeans_batch")
-    c, pairs, h, w = data.shape
+    _require_maps(maps, "kmeans_batch")
+    c, pairs, h, w = maps.shape
     n = h * w
     if k < 1 or k > n:
         raise ValueError(f"cluster count {k} outside [1, {n}]")
@@ -175,7 +174,7 @@ def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
     if metric not in ("cosine", "euclidean"):
         raise ValueError(f"unknown metric {metric!r}")
 
-    points = data.reshape(c, pairs, n).transpose(1, 2, 0).copy()  # [P, n, c]
+    points = maps.reshape(c, pairs, n).transpose(1, 2, 0).copy()  # [P, n, c]
     if metric == "cosine":
         points = _normalize_rows(points)
     if init is not None:
@@ -231,25 +230,23 @@ def kmeans_batch(maps, k: int, metric: str = "cosine", max_iter: int = 10,
             if cur > prev + 1e-9 * max(1.0, abs(prev)):
                 raise ClusteringError(f"Lloyd cost increased: {prev} -> {cur}")
         cen, assign = centroids[pair], assignments[pair]
-        results.append(ClusterResult(centroids=Tensor(cen),
+        results.append(ClusterResult(centroids=cen,
                                      assignments=assign.reshape(h, w),
-                                     centroid_map=Tensor(cen[assign].T.reshape(c, h, w)),
-                                     cost=cost_history[-1],
+                                     centroid_map=cen[assign].T.reshape(c, h, w),
                                      cost_history=tuple(cost_history)))
     return results
 
 
-def kmeans(target_map, k: int, metric: str = "cosine", max_iter: int = 10,
+def kmeans(target_map: np.ndarray, k: int, metric: str = "cosine", max_iter: int = 10,
            rng: np.random.Generator | None = None,
            init: np.ndarray | None = None) -> ClusterResult:
     """Lloyd clustering of the pixels of one [C,H,W] map: ``kmeans_batch`` on
     a batch of one, with ``init`` a [K,C] start."""
-    data = target_map.data if isinstance(target_map, Tensor) else np.asarray(target_map)
-    if data.ndim != 3:
-        raise ValueError(f"kmeans expects one [C,H,W] map, got shape {data.shape}")
+    if target_map.ndim != 3:
+        raise ValueError(f"kmeans expects one [C,H,W] map, got shape {target_map.shape}")
     if init is not None:
         init = np.asarray(init, dtype=np.float64)[None]
-    return kmeans_batch(data[:, None], k, metric=metric, max_iter=max_iter, rng=rng,
+    return kmeans_batch(target_map[:, None], k, metric=metric, max_iter=max_iter, rng=rng,
                         init=init)[0]
 
 
@@ -290,13 +287,14 @@ def _dense_targets(clusters, target: np.ndarray) -> np.ndarray:
 
 
 def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
-                    target_map: Tensor | None = None) -> Tensor:
+                    target_map: np.ndarray | None = None) -> Tensor:
     """Mean negated cosine between predictions and their cluster targets.
 
     ``clusters`` holds one ClusterResult per sample of the [C,N,H,W] batch.
     dense=False compares each pixel with its assigned centroid; dense=True
     compares with every member pixel of its cluster (averaged), which reduces
-    to a dot product with the mean of the unit-normalized member pixels.
+    to a dot product with the mean of the unit-normalized member pixels of
+    ``target_map``, the constant [C,N,H,W] array the clusters were built on.
     """
     _require_maps(pred_map, "loss_2d_cluster")
     if len(clusters) != pred_map.shape[1]:
@@ -308,9 +306,9 @@ def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
     if dense and target_map is None:
         raise ValueError("dense clustering needs the aligned target map")
     if dense:
-        const = Tensor(_dense_targets(clusters, target_map.data))
+        const = Tensor(_dense_targets(clusters, target_map))
     else:
-        const = Tensor(np.stack([r.centroid_map.data for r in clusters], axis=1))
+        const = Tensor(np.stack([r.centroid_map for r in clusters], axis=1))
     if not dense:
         return negate(_mean_pixels(_cosine_map(pred_map, const)))
     return negate(_mean_pixels(reduce_sum(mul(l2_normalize(pred_map, axis=0), const),
@@ -391,7 +389,7 @@ def moco_pixel_infonce(online_proj: Tensor, target_proj: np.ndarray, clusters,
     losses = []
     for s, cluster in enumerate(clusters):
         sample = select(pixels, s)
-        positives = Tensor(_normalize_rows(cluster.centroid_map.data.reshape(dim, n).T))
+        positives = Tensor(_normalize_rows(cluster.centroid_map.reshape(dim, n).T))
         pos_logits = scale(reduce_sum(mul(sample, positives), axis=1), 1.0 / temperature)
         neg_logits = scale(matmul(sample, Tensor(queue.negatives().T)), 1.0 / temperature)
         logits = concat([reshape(pos_logits, (n, 1)), neg_logits], axis=1)

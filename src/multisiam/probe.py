@@ -17,7 +17,6 @@ from .metrics import adjusted_rand_index, embedding_spread
 from .model import ModelConfig, backbone_forward, init_params
 from .objectives import kmeans
 from .scenes import LabeledImage, downsample_mask
-from .tensor import Tensor
 from .train import PURPOSE_EVAL, PURPOSE_PARAMS, TrainState, rng_stream
 from .views import resize_bilinear
 
@@ -40,8 +39,9 @@ class ProbeReport:
 
 def probe_image(features, instance_small: np.ndarray, class_small: np.ndarray,
                 k: int, metric: str, max_iter: int, rng) -> tuple[float, float, np.ndarray]:
-    """Cluster one feature map and score it against both mask labelings."""
-    cluster = kmeans(features, k, metric=metric, max_iter=max_iter, rng=rng)
+    """Cluster one [C,H,W] feature map Tensor and score it against both mask
+    labelings."""
+    cluster = kmeans(features.data, k, metric=metric, max_iter=max_iter, rng=rng)
     flat = cluster.assignments.reshape(-1)
     return (adjusted_rand_index(flat, instance_small.reshape(-1)),
             adjusted_rand_index(flat, class_small.reshape(-1)),
@@ -58,8 +58,7 @@ def probe_backbone(params, mcfg: ModelConfig, corpus: list[LabeledImage], k: int
         inst_small = downsample_mask(scene.instance_mask, stride)
         cls_small = downsample_mask(scene.class_mask, stride)
         rng = rng_stream(seed, PURPOSE_EVAL, idx)
-        ai, ac, _ = probe_image(Tensor(fmap.data), inst_small, cls_small,
-                                k, metric, max_iter, rng)
+        ai, ac, _ = probe_image(fmap, inst_small, cls_small, k, metric, max_iter, rng)
         ari_inst.append(ai)
         ari_cls.append(ac)
         pooled.append(fmap.data.mean(axis=(1, 2)))
@@ -91,5 +90,5 @@ def full_resolution_clusters(params, mcfg: ModelConfig, scene: LabeledImage, k: 
     fmap = backbone_forward(params, scene.image, mcfg).data
     h, w = scene.instance_mask.shape
     upsampled = resize_bilinear(fmap, (h, w))
-    cluster = kmeans(Tensor(upsampled), k, metric=metric, max_iter=max_iter, rng=rng)
+    cluster = kmeans(upsampled, k, metric=metric, max_iter=max_iter, rng=rng)
     return cluster.assignments

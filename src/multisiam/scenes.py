@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
 from .views import resize_bilinear
 
 __all__ = [
@@ -50,7 +49,7 @@ class SceneSpec:
 
 @dataclass
 class LabeledImage:
-    image: Tensor                      # [3,H,W] float in [0,1]
+    image: np.ndarray                  # [3,H,W] float in [0,1]
     instance_mask: np.ndarray          # [H,W] int, 0 = background
     class_mask: np.ndarray             # [H,W] int, 0 = background
 
@@ -147,7 +146,7 @@ def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:
     ramp = ((xs / w - 0.5) * np.cos(theta) + (ys / h - 0.5) * np.sin(theta))
     img = img * np.clip(1.0 + strength * 2.0 * ramp, 0.15, 1.9)
 
-    return LabeledImage(Tensor(np.clip(img, 0.0, 1.0)), instance_mask, class_mask)
+    return LabeledImage(np.clip(img, 0.0, 1.0), instance_mask, class_mask)
 
 
 def generate(spec: SceneSpec, n: int) -> list[LabeledImage]:

@@ -5,6 +5,10 @@ arithmetic, 2D cross-correlation, pooling, normalization, reductions and the
 backward pass itself. The tape is a per-forward DAG of closures that is freed
 as soon as backward() has consumed it; no higher-order derivatives.
 
+Every op takes Tensors and returns one, and converts nothing: a constant
+that joins the tape is wrapped in a Tensor by its caller, and a value that
+never joins it stays a plain ndarray.
+
 Feature maps are channel-major batches [C,N,H,W]; a lone map is a batch of one.
 
 Importing this module asks glibc's allocator to keep up to 64 MiB of freed
@@ -120,12 +124,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -168,7 +166,6 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
     _check_binary_shapes(a, b)
 
     def bw(g):
@@ -179,7 +176,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
     _check_binary_shapes(a, b)
 
     def bw(g):
@@ -190,7 +186,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
     _check_binary_shapes(a, b)
 
     def bw(g):
@@ -201,7 +196,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(t: Tensor, s: float) -> Tensor:
-    t = _coerce(t)
     s = float(s)
 
     def bw(g):
@@ -216,7 +210,6 @@ def negate(t: Tensor) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     """Elementwise max(x, 0); the subgradient at 0 is taken as 0."""
-    t = _coerce(t)
     mask = t.data > 0
 
     def bw(g):
@@ -258,7 +251,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     restricted to 1 or 3. Backward populates grads for the input, the kernel
     and the optional per-channel bias.
     """
-    x, w = _coerce(x), _coerce(w)
     _require_maps(x, "conv2d")
     if w.ndim != 4:
         raise ShapeError(f"conv2d expects an [O,C,kh,kw] kernel, got {w.shape}")
@@ -293,7 +285,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
         mat = cols.reshape(cin * kh * kw, n * ho * wo)
     out = w.data.reshape(cout, -1) @ mat
     if bias is not None:
-        bias = _coerce(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
         out += bias.data[:, None]
@@ -325,7 +316,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
 
 def subsample(t: Tensor, stride: int) -> Tensor:
     """Keep every stride-th row and column of the last two axes, starting at 0."""
-    t = _coerce(t)
     if t.ndim < 2:
         raise ShapeError(f"subsample expects [..., H, W], got {t.shape}")
 
@@ -339,7 +329,6 @@ def subsample(t: Tensor, stride: int) -> Tensor:
 
 def global_avg_pool(t: Tensor) -> Tensor:
     """Per-sample, per-channel spatial mean: [C,N,H,W] -> [C,N]."""
-    t = _coerce(t)
     _require_maps(t, "global_avg_pool")
     h, w = t.shape[-2:]
 
@@ -354,7 +343,6 @@ _NORM_EPS = 1e-12
 
 def l2_normalize(t: Tensor, axis: int = 0) -> Tensor:
     """Divide by max(||.||_2, 1e-12) along one axis. Zero slices stay zero."""
-    t = _coerce(t)
     norm = np.sqrt((t.data * t.data).sum(axis=axis, keepdims=True))
     denom = np.maximum(norm, _NORM_EPS)
     out = t.data / denom
@@ -371,7 +359,6 @@ def l2_normalize(t: Tensor, axis: int = 0) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two matrices, or of two equal-length stacks of
     matrices ([N,m,k] @ [N,k,n])."""
-    a, b = _coerce(a), _coerce(b)
     if (a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
@@ -387,7 +374,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(t: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     """Permute the axes (``np.transpose`` semantics); a matrix by default."""
-    t = _coerce(t)
     if axes is None:
         if t.ndim != 2:
             raise ShapeError(f"transpose expects a matrix, got {t.shape}")
@@ -403,7 +389,6 @@ def transpose(t: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    t = _coerce(t)
 
     def bw(g):
         _accumulate(t, g.reshape(t.shape))
@@ -412,7 +397,6 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    parts = [_coerce(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
     sizes = [p.shape[axis] for p in parts]
@@ -431,7 +415,6 @@ def flip_last(t: Tensor, samples) -> Tensor:
     """Mirror the samples of a [C,N,H,W] batch that the boolean mask
     ``samples`` (one flag per sample) selects along the last axis; a pure
     index permutation."""
-    t = _coerce(t)
     _require_maps(t, "flip_last")
     samples = np.asarray(samples, dtype=bool)
     if samples.shape != (t.shape[1],):
@@ -450,7 +433,6 @@ def flip_last(t: Tensor, samples) -> Tensor:
 
 def select(t: Tensor, index: int, axis: int = 0) -> Tensor:
     """The slice at ``index`` along ``axis``, with that axis removed."""
-    t = _coerce(t)
     if not -t.shape[axis] <= index < t.shape[axis]:
         raise ShapeError(f"index {index} out of range for axis {axis} of {t.shape}")
 
@@ -463,7 +445,6 @@ def select(t: Tensor, index: int, axis: int = 0) -> Tensor:
 
 
 def reduce_sum(t: Tensor, axis: int | None = None) -> Tensor:
-    t = _coerce(t)
     out = t.data.sum(axis=axis)
 
     def bw(g):
@@ -475,14 +456,12 @@ def reduce_sum(t: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reduce_mean(t: Tensor, axis: int | None = None) -> Tensor:
-    t = _coerce(t)
     count = t.size if axis is None else t.shape[axis]
     return scale(reduce_sum(t, axis=axis), 1.0 / count)
 
 
 def logsumexp(t: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-sum-exp reduction along one axis."""
-    t = _coerce(t)
     mx = t.data.max(axis=axis, keepdims=True)
     ex = np.exp(t.data - mx)
     total = ex.sum(axis=axis, keepdims=True)

@@ -253,7 +253,8 @@ def config_from_pairs(pairs) -> TrainConfig:
         prefix = f"{where[0]}: " if where else ""
         key = key.strip()
         field_name = _CONFIG_KEY_TO_FIELD.get(key, key)
-        if field_name not in by_field:
+        # a field whose config key differs is known only by that key
+        if field_name not in by_field or key in _FIELD_TO_CONFIG_KEY:
             raise ConfigError(f"{prefix}unknown config key {key!r}")
         spec = by_field[field_name]
         kind = {"int": int, "float": float, "bool": bool, "str": str}.get(spec.type, spec.type)
@@ -365,7 +366,7 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
     tg_flips = [s.flipped for s in tg_specs]
 
     def batch(which):
-        return Tensor(np.stack([views[b][v].data for b, v in which], axis=1))
+        return Tensor(np.stack([views[b][v] for b, v in which], axis=1))
 
     f_on = backbone_forward(pair.online, batch([(b, on) for b, on, _ in pairs]), mcfg)
     f_tg = backbone_forward(pair.target, batch([(b, tg) for b, _, tg in pairs]), mcfg)
@@ -395,7 +396,7 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
         if cfg.loss_mode == "moco":
             l2 = moco_pixel_infonce(pred, target.data, clusters, queue, cfg.temperature)
         else:
-            l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=target)
+            l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=target.data)
     loss = reduce_mean(loss_total(l1, l2, cfg.lambda_weight))
     # one pooled row per online view, image-major
     pooled_rows = list(f_on.data.mean(axis=(2, 3)).T)

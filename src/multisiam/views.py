@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = [
     "Box",
     "PhotoParams",
@@ -297,12 +295,12 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def render_view(image, spec: ViewSpec) -> Tensor:
-    """Render one view: bilinear crop-resize, flip, then the photometric chain
-    (jitter, grayscale, blur, solarize). Output values are clamped to [0, 1].
-    This path is not differentiated; the result is a detached tensor."""
-    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    out = _crop_resize(img, spec.box, spec.out_size)
+def render_view(image: np.ndarray, spec: ViewSpec) -> np.ndarray:
+    """Render one view of a [3,H,W] image: bilinear crop-resize, flip, then the
+    photometric chain (jitter, grayscale, blur, solarize). Output values are
+    clamped to [0, 1]. This path is not differentiated; image and view are
+    plain arrays."""
+    out = _crop_resize(image, spec.box, spec.out_size)
     if spec.flipped:
         out = out[:, :, ::-1]
     p = spec.photometric
@@ -314,4 +312,4 @@ def render_view(image, spec: ViewSpec) -> Tensor:
         out = _gaussian_blur(out, p.blur_sigma)
     if p.solarize:
         out = np.where(out < 0.5, out, 1.0 - out)
-    return Tensor(np.clip(out, 0.0, 1.0))
+    return np.clip(out, 0.0, 1.0)

@@ -101,9 +101,9 @@ def test_criterion_2_geometry_oracles():
     assert np.array_equal(roi_align(fmap, [RelBox(0, 0, 1, 1)], 8, 8).data, fmap.data)
 
     spec = ViewSpec(Box(3.0, 5.0, 35.0, 37.0), False, NEUTRAL_PHOTO, (8, 8))
-    assert np.array_equal(offset_map(spec, spec, 8, 8).data, np.zeros((2, 8, 8)))
+    assert np.array_equal(offset_map(spec, spec, 8, 8), np.zeros((2, 8, 8)))
     shifted = ViewSpec(Box(8.5, 5.0, 40.5, 37.0), False, NEUTRAL_PHOTO, (8, 8))
-    om = offset_map(spec, shifted, 8, 8, normalize=True).data
+    om = offset_map(spec, shifted, 8, 8, normalize=True)
     span_x = (8 - 1) / 8 * 32.0
     assert np.max(np.abs(om[0] - 5.5 / span_x)) < 1e-12
     assert np.max(np.abs(om[1])) < 1e-12
@@ -131,7 +131,7 @@ def test_criterion_3_sampler_properties():
 def test_criterion_4_kmeans():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        fmap = Tensor(rng.standard_normal((3, 6, 6)))
+        fmap = rng.standard_normal((3, 6, 6))
         result = O.kmeans(fmap, int(rng.integers(2, 6)),
                           metric=("cosine", "euclidean")[int(rng.integers(2))],
                           rng=rng)
@@ -140,13 +140,13 @@ def test_criterion_4_kmeans():
 
     values = 10.0 * np.eye(3)
     labels = np.tile(np.arange(3), 3)
-    fmap = Tensor(values[labels].T.reshape(3, 3, 3))
+    fmap = values[labels].T.reshape(3, 3, 3)
     exact = O.kmeans(fmap, 3, metric="euclidean", rng=np.random.default_rng(0))
-    assert exact.cost == pytest.approx(0.0, abs=1e-18)
+    assert exact.cost_history[-1] == pytest.approx(0.0, abs=1e-18)
     assert adjusted_rand_index(exact.assignments.reshape(-1), labels) == 1.0
 
-    probe = Tensor(rng.standard_normal((4, 8, 8)))
-    pixels = probe.data.reshape(4, 64).T
+    probe = rng.standard_normal((4, 8, 8))
+    pixels = probe.reshape(4, 64).T
     normalized = pixels / np.linalg.norm(pixels, axis=1, keepdims=True)
     init = normalized[[5, 21, 47]]
     mine = O.kmeans(probe, 3, metric="cosine", init=init)
@@ -176,11 +176,11 @@ def test_criterion_5_loss_algebra():
         cluster = O.kmeans(target.data[:, 0], 3, rng=rng)
         for value in (O.loss_2d_cluster(pred, [cluster]).data.item(),
                       O.loss_2d_cluster(pred, [cluster], dense=True,
-                                        target_map=target).data.item(),
+                                        target_map=target.data).data.item(),
                       O.loss_2d_wo_kmeans(pred, target).data.item()):
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
-    assert not cluster.centroid_map.requires_grad
-    assert not cluster.centroids.requires_grad
+    assert isinstance(cluster.centroid_map, np.ndarray)
+    assert isinstance(cluster.centroids, np.ndarray)
 
     l1, l2 = Tensor(0.3), Tensor(-0.9)
     assert O.loss_total(l1, l2, 1.0).item() == pytest.approx(0.3)

@@ -111,7 +111,7 @@ def test_roi_align_gradient(seed):
 def test_offset_map_zero_for_identical_specs():
     spec = spec_for(Box(5, 5, 37, 37))
     om = offset_map(spec, spec, 8, 8, normalize=True)
-    assert np.array_equal(om.data, np.zeros((2, 8, 8)))
+    assert np.array_equal(om, np.zeros((2, 8, 8)))
 
 
 def test_offset_map_translation_closed_form():
@@ -121,11 +121,11 @@ def test_offset_map_translation_closed_form():
     b = spec_for(Box(10 + shift, 12, 42 + shift, 44))
     om = offset_map(a, b, h, w, normalize=True)
     span_x = (w - 1) / w * 32.0
-    assert np.max(np.abs(om.data[0] - shift / span_x)) < 1e-12
-    assert np.max(np.abs(om.data[1])) < 1e-12
+    assert np.max(np.abs(om[0] - shift / span_x)) < 1e-12
+    assert np.max(np.abs(om[1])) < 1e-12
 
     raw = offset_map(a, b, h, w, normalize=False)
-    assert np.max(np.abs(raw.data[0] - shift)) < 1e-12
+    assert np.max(np.abs(raw[0] - shift)) < 1e-12
 
 
 def test_offset_map_raw_antisymmetry():
@@ -134,19 +134,19 @@ def test_offset_map_raw_antisymmetry():
         vals = rng.uniform(0, 20, size=4)
         a = spec_for(Box(vals[0], vals[1], vals[0] + 10 + vals[2], vals[1] + 10 + vals[3]))
         b = spec_for(Box(vals[1], vals[0], vals[1] + 8 + vals[3], vals[0] + 12 + vals[2]))
-        ab = offset_map(a, b, 4, 4, normalize=False).data
-        ba = offset_map(b, a, 4, 4, normalize=False).data
+        ab = offset_map(a, b, 4, 4, normalize=False)
+        ba = offset_map(b, a, 4, 4, normalize=False)
         assert np.allclose(ab, -ba, atol=1e-12)
 
 
 def test_offset_map_normalized_scale_invariant():
     a = spec_for(Box(2, 3, 20, 25))
     b = spec_for(Box(6, 5, 28, 29))
-    base = offset_map(a, b, 6, 6, normalize=True).data
+    base = offset_map(a, b, 6, 6, normalize=True)
     s = 3.5
     sa = spec_for(Box(2 * s, 3 * s, 20 * s, 25 * s))
     sb = spec_for(Box(6 * s, 5 * s, 28 * s, 29 * s))
-    scaled = offset_map(sa, sb, 6, 6, normalize=True).data
+    scaled = offset_map(sa, sb, 6, 6, normalize=True)
     assert np.allclose(base, scaled, atol=1e-12)
 
 

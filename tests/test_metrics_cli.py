@@ -308,7 +308,9 @@ def test_cli_gradcheck_passes(tmp_path, capsys):
     ("seed=3\n", [], "-1", "error: MULTISIAM_SEED: seed: must be non-negative"),
     ("seed=3\n", [], "x", "error: MULTISIAM_SEED: seed: cannot parse 'x' as int"),
     ("loss_mode=moco\n", ["--dense=true"], None, "error: {cfg}: dense: only loss_mode"),
-], ids=["override", "file", "env", "env-parse", "file-rule"])
+    # the lambda_weight field's config key is lambda
+    ("steps=4\n", ["--lambda_weight=0.7"], None, "error: unknown config key 'lambda_weight'"),
+], ids=["override", "file", "env", "env-parse", "file-rule", "override-field-name"])
 def test_cli_config_error_names_where_the_value_was_read(tmp_path, capsys, monkeypatch,
                                                           text, argv, env, error):
     # an error names the file when a value its rule reads came from it, and

@@ -20,7 +20,7 @@ def make_pair(cfg=DESK, seed=0):
 def test_backbone_output_shape_and_determinism():
     pair = make_pair()
     rng = np.random.default_rng(1)
-    view = Tensor(rng.random((3, 64, 64)))
+    view = rng.random((3, 64, 64))
     out = M.backbone_forward(pair.online, view, DESK)
     assert out.shape == (32, 8, 8)
     again = M.backbone_forward(pair.online, view, DESK)
@@ -32,8 +32,8 @@ def test_backbone_matches_full_resolution_conv_then_subsample(seed):
     # reference: every stage as a full-resolution conv, then every second row
     # and column of each downsampling stage's output; the same bytes expected
     pair = make_pair(seed=seed)
-    view = Tensor(np.random.default_rng(seed + 10).random((3, 64, 64)))
-    x = Tensor(view.data[:, None])
+    view = np.random.default_rng(seed + 10).random((3, 64, 64))
+    x = Tensor(view[:, None])
     for idx, down in enumerate(DESK.downsample, start=1):
         x = T.conv2d(x, pair.online[f"backbone.conv{idx}.w"], stride=1, pad=1,
                      bias=pair.online[f"backbone.conv{idx}.b"])
@@ -48,7 +48,7 @@ def test_backbone_matches_full_resolution_conv_then_subsample(seed):
 def test_backbone_rejects_indivisible_extents():
     pair = make_pair()
     with pytest.raises(ValueError):
-        M.backbone_forward(pair.online, Tensor(np.zeros((3, 60, 64))), DESK)
+        M.backbone_forward(pair.online, np.zeros((3, 60, 64)), DESK)
 
 
 def test_zeroed_final_conv_yields_bias_map():
@@ -56,7 +56,7 @@ def test_zeroed_final_conv_yields_bias_map():
     pair.online["backbone.conv4.w"].data[:] = 0.0
     bias = np.linspace(-1.5, 3.2, 32)  # negative entries must survive verbatim
     pair.online["backbone.conv4.b"].data[:] = bias
-    view = Tensor(np.random.default_rng(2).random((3, 64, 64)))
+    view = np.random.default_rng(2).random((3, 64, 64))
     out = M.backbone_forward(pair.online, view, DESK)
     assert np.allclose(out.data, bias[:, None, None], atol=1e-12)
 
@@ -222,5 +222,5 @@ def test_batched_backbone_equals_single_view_forward(size):
     batched = M.backbone_forward(pair.online, Tensor(views), DESK)
     assert batched.shape == (32, 16, size // 8, size // 8)
     for i in range(views.shape[1]):
-        single = M.backbone_forward(pair.online, Tensor(views[:, i].copy()), DESK)
+        single = M.backbone_forward(pair.online, views[:, i].copy(), DESK)
         assert np.array_equal(batched.data[:, i], single.data)

@@ -32,7 +32,7 @@ def separated_map(k, h, w, rng, spread=20.0):
     labels[:k] = np.arange(k)  # every value present
     rng.shuffle(labels)
     pixels = values[labels]
-    return Tensor(pixels.T.reshape(k, h, w)), labels.reshape(h, w)
+    return pixels.T.reshape(k, h, w), labels.reshape(h, w)
 
 
 def test_kmeans_exact_recovery_euclidean():
@@ -40,11 +40,11 @@ def test_kmeans_exact_recovery_euclidean():
     values = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
     pixels = values[labels]
-    fmap = Tensor(pixels.T.reshape(2, 3, 3))
+    fmap = pixels.T.reshape(2, 3, 3)
     result = O.kmeans(fmap, 3, metric="euclidean", rng=rng)
-    assert result.cost == pytest.approx(0.0, abs=1e-18)
+    assert result.cost_history[-1] == pytest.approx(0.0, abs=1e-18)
     assert adjusted_rand_index(result.assignments.reshape(-1), labels) == pytest.approx(1.0)
-    got = sorted(map(tuple, result.centroids.data.tolist()))
+    got = sorted(map(tuple, result.centroids.tolist()))
     assert got == sorted(map(tuple, values.tolist()))
 
 
@@ -52,7 +52,7 @@ def test_kmeans_exact_recovery_cosine():
     rng = np.random.default_rng(1)
     fmap, labels = separated_map(3, 4, 4, rng)
     result = O.kmeans(fmap, 3, metric="cosine", rng=rng)
-    assert result.cost == pytest.approx(0.0, abs=1e-6)
+    assert result.cost_history[-1] == pytest.approx(0.0, abs=1e-6)
     assert adjusted_rand_index(result.assignments.reshape(-1), labels.reshape(-1)) == 1.0
 
 
@@ -60,51 +60,50 @@ def test_kmeans_exact_recovery_cosine():
 def test_kmeans_cost_monotone(seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        fmap = Tensor(rng.standard_normal((4, 8, 8)))
+        fmap = rng.standard_normal((4, 8, 8))
         result = O.kmeans(fmap, 3, metric="cosine", max_iter=10, rng=rng)
         hist = result.cost_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-        assert result.cost == hist[-1]
 
 
 def test_kmeans_matches_reference_under_shared_init():
     rng = np.random.default_rng(2)
-    fmap = Tensor(rng.standard_normal((4, 8, 8)))
-    pixels = fmap.data.reshape(4, 64).T
+    fmap = rng.standard_normal((4, 8, 8))
+    pixels = fmap.reshape(4, 64).T
     normalized = pixels / np.linalg.norm(pixels, axis=1, keepdims=True)
     init = normalized[[3, 17, 42]]
 
     result = O.kmeans(fmap, 3, metric="cosine", max_iter=10, init=init)
     ref_assign, ref_centroids = reference_lloyd(normalized, init, max_iter=10)
     assert np.array_equal(result.assignments.reshape(-1), ref_assign)
-    assert np.allclose(result.centroids.data, ref_centroids, atol=1e-12)
+    assert np.allclose(result.centroids, ref_centroids, atol=1e-12)
 
 
 def test_kmeans_centroid_map_consistency():
     rng = np.random.default_rng(3)
-    fmap = Tensor(rng.standard_normal((3, 4, 4)))
+    fmap = rng.standard_normal((3, 4, 4))
     result = O.kmeans(fmap, 4, rng=rng)
     for i in range(4):
         for j in range(4):
-            assert np.array_equal(result.centroid_map.data[:, i, j],
-                                  result.centroids.data[result.assignments[i, j]])
-    assert not result.centroid_map.requires_grad
+            assert np.array_equal(result.centroid_map[:, i, j],
+                                  result.centroids[result.assignments[i, j]])
+    assert isinstance(result.centroid_map, np.ndarray)
 
 
 def test_kmeans_repairs_empty_clusters():
     # two far groups, three clusters seeded with duplicates: one goes empty
     pixels = np.array([[0.0, 0.0]] * 4 + [[10.0, 0.0]] * 4)
-    fmap = Tensor(pixels.T.reshape(2, 2, 4))
+    fmap = pixels.T.reshape(2, 2, 4)
     init = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     result = O.kmeans(fmap, 3, metric="euclidean", init=init, max_iter=10)
     present = np.unique(result.assignments)
     assert len(present) >= 2  # the far group was promoted out of emptiness
-    assert result.cost == pytest.approx(0.0, abs=1e-18)
+    assert result.cost_history[-1] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_kmeans_rejects_oversized_k():
     with pytest.raises(ValueError):
-        O.kmeans(Tensor(np.zeros((2, 2, 2))), 5)
+        O.kmeans(np.zeros((2, 2, 2)), 5)
 
 
 def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
@@ -152,16 +151,15 @@ def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
 
 def assert_same_bytes(result, want):
     centroids, assign, centroid_map, history = want
-    assert result.centroids.data.tobytes() == centroids.tobytes()
+    assert result.centroids.tobytes() == centroids.tobytes()
     assert np.array_equal(result.assignments, assign)
-    assert result.centroid_map.data.tobytes() == centroid_map.tobytes()
+    assert result.centroid_map.tobytes() == centroid_map.tobytes()
     assert result.cost_history == tuple(history)
-    assert result.cost == history[-1]
 
 
 def as_oracle_tuple(result):
     """A ClusterResult in ``loop_kmeans``'s (centroids, assignments, map, costs) form."""
-    return (result.centroids.data, result.assignments, result.centroid_map.data,
+    return (result.centroids, result.assignments, result.centroid_map,
             list(result.cost_history))
 
 
@@ -172,8 +170,8 @@ def assert_near_loop(result, want, atol, cost_rtol):
     centroids, assign, centroid_map, history = want
     assert np.array_equal(result.assignments, assign)
     assert len(result.cost_history) == len(history)
-    np.testing.assert_allclose(result.centroids.data, centroids, rtol=0.0, atol=atol)
-    np.testing.assert_allclose(result.centroid_map.data, centroid_map, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(result.centroids, centroids, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(result.centroid_map, centroid_map, rtol=0.0, atol=atol)
     np.testing.assert_allclose(result.cost_history, history, rtol=cost_rtol, atol=0.0)
 
 
@@ -235,8 +233,8 @@ def test_kmeans_cost_is_the_direct_within_cluster_sum(shape, metric):
         if metric == "cosine":
             points = points / np.linalg.norm(points, axis=1, keepdims=True)
         assign = result.assignments.reshape(-1)
-        direct = float(((points - result.centroids.data[assign]) ** 2).sum())
-        assert result.cost == pytest.approx(direct, rel=1e-12, abs=0.0)
+        direct = float(((points - result.centroids[assign]) ** 2).sum())
+        assert result.cost_history[-1] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
@@ -263,7 +261,7 @@ def test_kmeans_batch_repairs_empty_clusters_per_map():
     for p, result in enumerate(results):
         assert_same_bytes(result, loop_kmeans(maps[:, p], 3, "euclidean", init=init[p]))
     assert len(np.unique(results[0].assignments)) >= 2
-    assert results[0].cost == pytest.approx(0.0, abs=1e-18)
+    assert results[0].cost_history[-1] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_kmeans_batch_rejects_a_lone_map():
@@ -343,9 +341,9 @@ def test_loss_1d_stops_target_gradient():
 
 def test_loss_2d_cluster_perfect_prediction():
     rng = np.random.default_rng(4)
-    fmap = Tensor(rng.standard_normal((3, 4, 4)))
+    fmap = rng.standard_normal((3, 4, 4))
     cluster = O.kmeans(fmap, 3, rng=rng)
-    loss = O.loss_2d_cluster(Tensor(cluster.centroid_map.data[:, None]), [cluster])
+    loss = O.loss_2d_cluster(Tensor(cluster.centroid_map[:, None]), [cluster])
     assert loss.data.item() == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -370,7 +368,7 @@ def test_loss_2d_cluster_dense_collapses_for_uniform_cluster():
     pred = Tensor(np.random.default_rng(6).standard_normal((3, 1, 2, 2)))
     cluster = O.kmeans(target.data[:, 0], 1, rng=np.random.default_rng(0))
     plain = O.loss_2d_cluster(pred, [cluster], dense=False).data.item()
-    dense = O.loss_2d_cluster(pred, [cluster], dense=True, target_map=target).data.item()
+    dense = O.loss_2d_cluster(pred, [cluster], dense=True, target_map=target.data).data.item()
     assert dense == pytest.approx(plain, abs=1e-12)
 
 
@@ -379,7 +377,7 @@ def test_loss_2d_cluster_dense_matches_per_member_average():
     target = Tensor(rng.standard_normal((3, 1, 2, 3)))
     pred = Tensor(rng.standard_normal((3, 1, 2, 3)))
     cluster = O.kmeans(target.data[:, 0], 2, rng=rng)
-    got = O.loss_2d_cluster(pred, [cluster], dense=True, target_map=target).data.item()
+    got = O.loss_2d_cluster(pred, [cluster], dense=True, target_map=target.data).data.item()
 
     tp = target.data.reshape(3, 6).T
     pp = pred.data.reshape(3, 6).T
@@ -416,9 +414,8 @@ def test_dense_targets_match_one_cluster_at_a_time(shape):
     # a hand-built result whose cluster 1 has no member
     c, _, h, w = shape
     assign = rng.choice([0, 2], size=(h, w))
-    clusters[-1] = O.ClusterResult(centroids=Tensor(np.zeros((3, c))), assignments=assign,
-                                   centroid_map=Tensor(np.zeros((c, h, w))), cost=0.0,
-                                   cost_history=(0.0,))
+    clusters[-1] = O.ClusterResult(centroids=np.zeros((3, c)), assignments=assign,
+                                   centroid_map=np.zeros((c, h, w)), cost_history=(0.0,))
     got = O._dense_targets(clusters, target)
     # byte for byte each sample on its own
     for s in range(shape[1]):
@@ -492,7 +489,7 @@ def test_cosine_losses_bounded(seed):
         cluster = O.kmeans(target.data[:, 0], 3, rng=rng)
         for value in (O.loss_2d_cluster(pred, [cluster]).data.item(),
                       O.loss_2d_cluster(pred, [cluster], dense=True,
-                                        target_map=target).data.item(),
+                                        target_map=target.data).data.item(),
                       O.loss_2d_wo_kmeans(pred, target).data.item()):
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
@@ -553,7 +550,7 @@ def test_moco_matches_softmax_cross_entropy_oracle():
     for s in range(2):
         g = online.data[:, s].reshape(4, 16).T
         g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        pos = clusters[s].centroid_map.data.reshape(4, 16).T
+        pos = clusters[s].centroid_map.reshape(4, 16).T
         pos = pos / np.linalg.norm(pos, axis=1, keepdims=True)
         per_pixel = []
         for i in range(16):

@@ -11,11 +11,11 @@ def test_corpus_deterministic_per_seed():
     a = S.generate(spec, 4)
     b = S.generate(spec, 4)
     for x, y in zip(a, b):
-        assert np.array_equal(x.image.data, y.image.data)
+        assert np.array_equal(x.image, y.image)
         assert np.array_equal(x.instance_mask, y.instance_mask)
         assert np.array_equal(x.class_mask, y.class_mask)
     other = S.generate(S.SceneSpec(seed=6), 4)
-    assert not np.array_equal(a[0].image.data, other[0].image.data)
+    assert not np.array_equal(a[0].image, other[0].image)
 
 
 def test_instance_count_and_mask_consistency():
@@ -30,7 +30,7 @@ def test_instance_count_and_mask_consistency():
         for inst_id in np.unique(item.instance_mask[item.instance_mask > 0]):
             classes = np.unique(item.class_mask[item.instance_mask == inst_id])
             assert len(classes) == 1 and 1 <= classes[0] <= 3
-        assert item.image.data.min() >= 0.0 and item.image.data.max() <= 1.0
+        assert item.image.min() >= 0.0 and item.image.max() <= 1.0
 
 
 def test_instance_overlap_bounded():

@@ -65,6 +65,9 @@ def test_config_parsing_and_overrides():
         TR.config_from_pairs([("alignment", "banana")])
     with pytest.raises(TR.ConfigError, match="unknown config key"):
         TR.config_from_pairs([("bananas", "3")])
+    # a field whose config key differs is known only by its key
+    with pytest.raises(TR.ConfigError, match="unknown config key 'lambda_weight'"):
+        TR.config_from_pairs([("lambda_weight", "0.7")])
     with pytest.raises(TR.ConfigError, match="steps"):
         TR.config_from_pairs([("steps", "0")])
     with pytest.raises(TR.ConfigError, match="lambda"):
@@ -450,6 +453,48 @@ def test_checkpoint_invalid_config_block_exits_runtime(tmp_path):
     assert _eval_exit_code(tmp_path, path) == 2
 
 
+MOCO_TINY = TR.TrainConfig(steps=2, batch_size=2, corpus_images=4, eval_images=2, out_size=32,
+                           loss_mode="moco", kmeans_iters=3, queue_length=64)
+
+
+@pytest.mark.parametrize("state, accepted", [
+    ((np.nan, 0.0), False),
+    ((-5.0, 0.0), False),
+    ((1e6, 0.0), False),
+    ((2.5, 2.0), False),
+    ((0.0, np.inf), False),
+    ((64.0, 64.0), False),  # the cursor wraps to 0 at the queue length
+    ((10.0, 3.0), False),   # until the queue is full the cursor is its size
+    ((10.0,), False),
+    ((10.0, 10.0, 0.0), False),
+    ((10.0, 10.0), True),
+    ((64.0, 5.0), True),
+], ids=["nan-size", "negative-size", "oversized", "fractional-size", "inf-cursor",
+        "cursor-at-length", "cursor-behind-size", "one-value", "three-values", "filling",
+        "full"])
+def test_checkpoint_queue_state_must_be_reachable(tmp_path, capsys, state, accepted):
+    path = tmp_path / "moco.ckpt"
+    CK.save_checkpoint(TR.init_state(MOCO_TINY), path)
+    blob = path.read_bytes()
+    name = b"queue.state"
+    # after the name: u32 ndim, u64 dims, u8 dtype tag, then the f64 values
+    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    assert blob[at:at + 13] == struct.pack("<IQB", 1, 2, 0)
+    path.write_bytes(blob[:at] + struct.pack("<IQB", 1, len(state), 0)
+                     + struct.pack(f"<{len(state)}d", *state) + blob[at + 13 + 16:])
+    capsys.readouterr()
+    if accepted:
+        queue = CK.load_checkpoint(path).queue
+        assert (queue.size, queue.cursor) == tuple(map(int, state))
+        assert _eval_exit_code(tmp_path, path) == 0
+        return
+    with pytest.raises(CK.CheckpointError, match="queue state"):
+        CK.load_checkpoint(path)
+    assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: queue state") and err.count("\n") == 1, err
+
+
 def test_resume_matches_uninterrupted_run(tmp_path, small_corpus):
     cfg = TR.TrainConfig(steps=6, batch_size=2, corpus_images=8, out_size=32,
                          kmeans_iters=3)
@@ -639,7 +684,7 @@ def test_batched_loss_equals_mean_of_single_image_losses(overrides):
     for _ in range(3):
         vp = sample_view_pair((32, 32), aug, rng)
         specs.append((vp.spec_a, vp.spec_b))
-        views.append([Tensor(rng.random((3, 8, 8))) for _ in range(2)])
+        views.append([rng.random((3, 8, 8)) for _ in range(2)])
     assert len({s.flipped for pair_specs in specs for s in pair_specs}) == 2
     queue = None
     if cfg.loss_mode == "moco":
@@ -700,7 +745,7 @@ def test_moco_image_loss_matches_hand_composed_chain(alignment, self_attention):
         vp = sample_view_pair((32, 32), aug, rng)
         specs.append(tuple(dataclasses.replace(s, flipped=f)
                            for s, f in zip((vp.spec_a, vp.spec_b), flips)))
-        views.append([Tensor(rng.random((3, 8, 8))) for _ in range(2)])
+        views.append([rng.random((3, 8, 8)) for _ in range(2)])
     queue = NegativeQueue(cfg.queue_length, mcfg.proj2d_out)
     queue.push(rng.standard_normal((12, mcfg.proj2d_out)))
     want_queue = copy.deepcopy(queue)
@@ -708,10 +753,8 @@ def test_moco_image_loss_matches_hand_composed_chain(alignment, self_attention):
     _, _, l2s, _ = TR.image_loss(pair, cfg, mcfg, views, specs, np.random.default_rng(3), queue)
 
     on_specs, tg_specs = [s[0] for s in specs], [s[1] for s in specs]
-    f_on = backbone_forward(pair.online, Tensor(np.stack([v[0].data for v in views], axis=1)),
-                            mcfg)
-    f_tg = backbone_forward(pair.target, Tensor(np.stack([v[1].data for v in views], axis=1)),
-                            mcfg)
+    f_on = backbone_forward(pair.online, Tensor(np.stack([v[0] for v in views], axis=1)), mcfg)
+    f_tg = backbone_forward(pair.target, Tensor(np.stack([v[1] for v in views], axis=1)), mcfg)
     raw_on = flip_back(f_on, [s.flipped for s in on_specs])
     raw_tg = flip_back(f_tg, [s.flipped for s in tg_specs])
     rel_on, rel_tg = zip(*(intersection_relative(a, b) for a, b in zip(on_specs, tg_specs)))

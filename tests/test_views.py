@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from multisiam.tensor import Tensor
 from multisiam.views import (AugmentConfig, Box, PhotoParams, NEUTRAL_PHOTO, ViewSpec,
                              bilinear_sample, compute_iou, render_view, resize_bilinear,
                              sample_view_pair, _hsv_to_rgb, _sample_box)
@@ -85,62 +84,62 @@ def test_acceptance_rate_monotone_in_threshold():
 
 def test_render_identity_spec():
     rng = np.random.default_rng(3)
-    img = Tensor(rng.random((3, 16, 16)))
+    img = rng.random((3, 16, 16))
     out = render_view(img, full_spec(16, 16))
-    assert np.array_equal(out.data, img.data)
+    assert np.array_equal(out, img)
 
 
 def test_render_flip_involution():
     rng = np.random.default_rng(4)
-    img = Tensor(rng.random((3, 8, 8)))
+    img = rng.random((3, 8, 8))
     spec = full_spec(8, 8, flipped=True)
     once = render_view(img, spec)
     twice = render_view(once, spec)
-    assert np.array_equal(twice.data, img.data)
+    assert np.array_equal(twice, img)
 
 
 def test_render_constant_crop_stays_constant():
-    img = Tensor(np.full((3, 32, 32), 0.42))
+    img = np.full((3, 32, 32), 0.42)
     spec = ViewSpec(Box(3.7, 5.2, 20.1, 29.0), False, NEUTRAL_PHOTO, (10, 12))
     out = render_view(img, spec)
-    assert np.allclose(out.data, 0.42, atol=1e-12)
+    assert np.allclose(out, 0.42, atol=1e-12)
 
 
 def test_render_geometry_independent_of_photometrics():
     rng = np.random.default_rng(5)
-    img = Tensor(rng.random((3, 24, 24)))
+    img = rng.random((3, 24, 24))
     box = Box(2.0, 3.0, 18.0, 21.0)
-    neutral = render_view(img, ViewSpec(box, True, NEUTRAL_PHOTO, (8, 8))).data
+    neutral = render_view(img, ViewSpec(box, True, NEUTRAL_PHOTO, (8, 8)))
 
-    sol = render_view(img, ViewSpec(box, True, PhotoParams(solarize=True), (8, 8))).data
+    sol = render_view(img, ViewSpec(box, True, PhotoParams(solarize=True), (8, 8)))
     assert np.allclose(sol, np.where(neutral < 0.5, neutral, 1.0 - neutral), atol=1e-12)
 
-    gray = render_view(img, ViewSpec(box, True, PhotoParams(grayscale=True), (8, 8))).data
+    gray = render_view(img, ViewSpec(box, True, PhotoParams(grayscale=True), (8, 8)))
     luma = (np.array([0.299, 0.587, 0.114])[:, None, None] * neutral).sum(axis=0)
     assert np.allclose(gray, np.clip(np.stack([luma] * 3), 0, 1), atol=1e-12)
 
 
 def test_render_clamps_to_unit_interval():
-    img = Tensor(np.full((3, 8, 8), 0.9))
+    img = np.full((3, 8, 8), 0.9)
     spec = full_spec(8, 8, photo=PhotoParams(brightness=0.4))
     out = render_view(img, spec)
-    assert out.data.max() <= 1.0
-    assert out.data.min() >= 0.0
+    assert out.max() <= 1.0
+    assert out.min() >= 0.0
 
 
 def test_render_blur_preserves_constant_field():
-    img = Tensor(np.full((3, 16, 16), 0.3))
+    img = np.full((3, 16, 16), 0.3)
     spec = full_spec(16, 16, photo=PhotoParams(blur_sigma=1.5))
     out = render_view(img, spec)
-    assert np.allclose(out.data, 0.3, atol=1e-12)
+    assert np.allclose(out, 0.3, atol=1e-12)
 
 
 def test_hue_shift_roundtrip():
     rng = np.random.default_rng(8)
-    img = Tensor(rng.random((3, 6, 6)))
+    img = rng.random((3, 6, 6))
     fwd = render_view(img, full_spec(6, 6, photo=PhotoParams(hue=0.25)))
     back = render_view(fwd, full_spec(6, 6, photo=PhotoParams(hue=-0.25)))
-    assert np.allclose(back.data, img.data, atol=1e-9)
+    assert np.allclose(back, img, atol=1e-9)
 
 
 def choose_hsv_to_rgb(hsv):
