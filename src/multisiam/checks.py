@@ -254,7 +254,7 @@ def _case_attention(rng, residual):
 
 def _case_loss_1d(rng):
     q = Tensor(_away_from_zero(rng, (5,)), requires_grad=True)
-    z = Tensor(_away_from_zero(rng, (5,)))
+    z = _away_from_zero(rng, (5,))
     return finite_difference_check(lambda q_: O.loss_1d(q_, z), [q], name="loss_1d")
 
 
@@ -272,7 +272,7 @@ def _case_loss_cluster(rng, dense):
 
 
 def _case_loss_wo_kmeans(rng):
-    target = Tensor(rng.standard_normal((3, 1, 2, 3)))
+    target = rng.standard_normal((3, 1, 2, 3))
     pred = Tensor(rng.standard_normal((3, 1, 2, 3)), requires_grad=True)
     return finite_difference_check(lambda p_: T.reduce_sum(O.loss_2d_wo_kmeans(p_, target)),
                                    [pred], name="loss_2d_wo_kmeans")

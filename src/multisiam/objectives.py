@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, _require_maps, add, concat, detach, l2_normalize, logsumexp,
-                     matmul, mul, negate, reduce_mean, reduce_sum, reshape, scale, select,
-                     sub, transpose)
+from .tensor import (Tensor, _require_maps, add, concat, l2_normalize, logsumexp, matmul, mul,
+                     negate, reduce_mean, reduce_sum, reshape, scale, select, sub, transpose)
 
 __all__ = [
     "ClusterResult",
@@ -55,51 +54,81 @@ class ClusterResult:
 
 
 def _normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    return x / np.maximum(norms, eps)
+    """Rows of ``x`` over their norms, floored at ``eps``. The squares and the
+    quotients share one buffer, laid out as ``x * x`` lays out ``x``."""
+    out = x * x
+    norms = np.sqrt(out.sum(axis=-1, keepdims=True))
+    return np.divide(x, np.maximum(norms, eps), out=out)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, 2007) of [n,c] points: the
+    first centroid uniformly, each next one with probability proportional to
+    a point's squared distance to its nearest centroid so far. One buffer
+    serves every subtract-and-square pass, and no pass follows the last
+    pick, which nothing reads."""
     n = points.shape[0]
-    first = int(rng.integers(n))
-    centroids = [points[first]]
-    d2 = ((points - points[first]) ** 2).sum(axis=1)
+    centroids = [points[int(rng.integers(n))]]
+    diff = np.empty_like(points)
+    d2 = None
     for _ in range(1, k):
+        np.subtract(points, centroids[-1], out=diff)
+        sq = np.multiply(diff, diff, out=diff).sum(axis=1)
+        d2 = sq if d2 is None else np.minimum(d2, sq, out=d2)
         total = d2.sum()
         if total <= 0.0:
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=d2 / total))
         centroids.append(points[pick])
-        d2 = np.minimum(d2, ((points - points[pick]) ** 2).sum(axis=1))
     return np.array(centroids)
 
 
 def _pairwise_sq_dists(points: np.ndarray, points_sq: np.ndarray,
                        centroids: np.ndarray) -> np.ndarray:
-    """[P,n,c] points, with their [P,n] squared norms, against [P,k,c]
-    centroids: [P,n,k] squared distances."""
-    # ||x - c||^2 expanded; clamp tiny negatives from cancellation. Doubling
-    # is exact away from subnormals, so doubling the [P,n,k] products gives
-    # the bytes of doubling the points first.
-    d2 = (points_sq[:, :, None] + (centroids ** 2).sum(-1)[:, None, :]
-          - 2.0 * (points @ centroids.transpose(0, 2, 1)))
-    return np.maximum(d2, 0.0)
+    """[P,n,c] points, with their [P,1,n] squared norms, against [P,k,c]
+    centroids: [P,k,n] squared distances, k-major.
+
+    Each distance is ``(||x||^2 + ||c||^2) - 2 x.c``, clamped at zero against
+    cancellation. The x.c products are one GEMM per map of its [k,c]
+    centroids with the transposed view of its [n,c] points. On OpenBLAS
+    0.3.31 that gives the bytes of the [n,c] @ [c,k] GEMM, where a contiguous
+    [c,n] copy of the points does not. The norms then broadcast along the n
+    points of a row, not along rows of k entries. Doubling is exact away from
+    subnormals, so doubling the products gives the bytes of doubling the
+    points first.
+    """
+    prod = centroids @ points.transpose(0, 2, 1)
+    prod *= 2.0
+    d2 = np.add(points_sq, (centroids * centroids).sum(-1, keepdims=True))
+    d2 -= prod
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _cluster_slots(assign: np.ndarray, k: int) -> np.ndarray:
-    """[P,n] assignments as rows of the flattened [P*K] cluster table."""
-    return assign + (np.arange(len(assign)) * k)[:, None]
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """Each point's cluster under finite [..., k, n] squared distances: the
+    first of equal minima, as ``np.argmin(axis=-2)`` picks. A point's index
+    counts the leading rows that miss its minimum. The minimum over k and
+    the row comparisons stream along n, where ``argmin`` walks rows of k
+    entries."""
+    low = np.minimum.reduce(d2, axis=-2)
+    missed = d2[..., 0, :] != low
+    assign = missed.astype(np.intp)
+    for idx in range(1, d2.shape[-2] - 1):
+        missed &= d2[..., idx, :] != low
+        assign += missed
+    return assign
 
 
-def _cluster_sizes(slots: np.ndarray, k: int) -> np.ndarray:
-    """[P,K] member counts of the [P,n] cluster slots."""
-    return np.bincount(slots.ravel(), minlength=len(slots) * k).reshape(-1, k)
+def _membership(assign: np.ndarray, k: int) -> np.ndarray:
+    """[..., k, n] one-hot float membership of [..., n] assignments. Its sum
+    over n counts each cluster's members exactly."""
+    return (assign[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
 
 
-def _cluster_sums(points: np.ndarray, slots: np.ndarray, k: int) -> np.ndarray:
+def _cluster_sums(points: np.ndarray, member: np.ndarray) -> np.ndarray:
     """[P,K,c] sums of the member points of each cluster of the [P,n,c]
-    points; an empty cluster sums to zero.
+    points, given the [P,K,n] membership; an empty cluster sums to zero.
 
     Each map's sums are one GEMM of its [K,n] one-hot membership matrix with
     its [n,c] points. The BLAS picks the order in which a GEMM adds, so the
@@ -107,34 +136,33 @@ def _cluster_sums(points: np.ndarray, slots: np.ndarray, k: int) -> np.ndarray:
     members one by one. A stacked matmul runs one GEMM per map, so a map's
     sums do not depend on the other maps of its batch.
     """
-    pairs, n, _ = points.shape
-    onehot = np.zeros((pairs * k, n))
-    onehot[slots, np.arange(n)] = 1.0
-    return onehot.reshape(pairs, k, n) @ points
+    return member @ points
 
 
 def _repair_empty(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
                   d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """Promote the globally farthest point into each empty cluster of one map;
-    updates ``centroids`` in place and returns the new assignments."""
-    n, k = d2.shape
+    """Promote the globally farthest point into each empty cluster of one map,
+    given its [k,n] distances; updates ``centroids`` in place and returns the
+    new assignments."""
+    k, n = d2.shape
     for _repair in range(k):
         empties = [idx for idx in range(k) if not (assign == idx).any()]
         if not empties:
             break
-        pick = int(d2[np.arange(n), assign].argmax())
+        pick = int(d2[assign, np.arange(n)].argmax())
         centroids[empties[0]] = points[pick]
         d2 = _pairwise_sq_dists(points[None], points_sq[None], centroids[None])[0]
-        assign = d2.argmin(axis=1)
+        assign = _nearest(d2)
         assign[pick] = empties[0]
     return assign
 
 
 def _record_costs(history: list[list[float]], active: np.ndarray, d2: np.ndarray,
-                  assign: np.ndarray) -> None:
-    """Append to each active map's history its cost: the sum of its [n,k]
-    squared distances ``d2`` at its [n] assignments ``assign``."""
-    costs = np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+                  cells: np.ndarray) -> None:
+    """Append to each active map's history its cost: the sum of its [k,n]
+    squared distances ``d2`` at its [n] ``cells``, the flat indices into
+    ``d2`` of its points' clusters."""
+    costs = d2.take(cells).sum(axis=1)
     for pair, cost in zip(active.tolist(), costs.tolist()):
         history[pair].append(cost)
 
@@ -159,10 +187,12 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     batch. The GEMM's rounding follows the BLAS, so centroids and costs can
     differ in the last bits from means taken one cluster at a time.
 
-    An update's cost is read off the next iteration's distance matrix, at the
-    assignments the centroids were just computed from; only a map that runs
-    out of ``max_iter`` needs one more distance matrix. Nothing else reads the
-    cost, so it moves no assignment or centroid.
+    Distances are k-major, [P,K,n] (see ``_pairwise_sq_dists``), and a point
+    joins the first of its equally near centroids, as ``np.argmin`` would
+    pick. An update's cost is read off the next iteration's distance matrix,
+    at the assignments the centroids were just computed from; only a map
+    that runs out of ``max_iter`` needs one more distance matrix. Nothing
+    else reads the cost, so it moves no assignment or centroid.
     """
     _require_maps(maps, "kmeans_batch")
     c, pairs, h, w = maps.shape
@@ -188,40 +218,47 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
 
     assignments = np.zeros((pairs, n), dtype=np.intp)
     history: list[list[float]] = [[] for _ in range(pairs)]
-    # the maps still iterating: their points, the points' squared norms (the
-    # same every iteration) and their working centroids
-    active, pts, pts_sq, cen = np.arange(pairs), points, (points ** 2).sum(-1), centroids.copy()
+    # a point's flat index in a [P,k,n] distance matrix, at cluster 0
+    offsets = np.arange(pairs)[:, None] * (k * n) + np.arange(n)
+    # the maps still iterating: their points, the points' [1,n] squared norms
+    # (the same every iteration), their working centroids and their
+    # assignments; a map's centroids and assignments are written back when
+    # it leaves
+    active, pts, pts_sq, cen = (np.arange(pairs), points, (points ** 2).sum(-1)[:, None, :],
+                                centroids.copy())
+    assign = None
     for step in range(max_iter):
         d2 = _pairwise_sq_dists(pts, pts_sq, cen)
         if step:  # the last update's cost, before a repair moves a centroid
-            _record_costs(history, active, d2, assignments[active])
-        new_assign = d2.argmin(axis=2)
-        slots = _cluster_slots(new_assign, k)
-        size = _cluster_sizes(slots, k)
-        empty = np.flatnonzero((size == 0).any(axis=1))
-        for row in empty:
-            new_assign[row] = _repair_empty(pts[row], pts_sq[row], cen[row], d2[row],
-                                            new_assign[row])
-            centroids[active[row]] = cen[row]  # kept even if the map converges now
-        recount = empty.size > 0
+            _record_costs(history, active, d2, assign * n + offsets[:len(active)])
+        new_assign = _nearest(d2)
+        member = _membership(new_assign, k)
+        size = member.sum(axis=2)
+        if not size.all():
+            for row in np.flatnonzero((size == 0).any(axis=1)):
+                new_assign[row] = _repair_empty(pts[row], pts_sq[row], cen[row], d2[row],
+                                                new_assign[row])
+                member[row] = _membership(new_assign[row], k)
+                size[row] = member[row].sum(axis=1)
         if step:
-            moved = (new_assign != assignments[active]).any(axis=1)
+            moved = (new_assign != assign).any(axis=1)
             if not moved.all():
-                active, pts, pts_sq, cen, new_assign = (
-                    active[moved], pts[moved], pts_sq[moved], cen[moved], new_assign[moved])
-                recount = True
-            if not active.size:
-                break
-        if recount:
-            slots = _cluster_slots(new_assign, k)
-            size = _cluster_sizes(slots, k)
-        assignments[active] = new_assign
-        has = size > 0
-        cen[has] = _cluster_sums(pts, slots, k)[has] / size[has][:, None]
-        centroids[active] = cen
+                # a converged map keeps its last update, and a repair made now
+                left = active[~moved]
+                assignments[left], centroids[left] = assign[~moved], cen[~moved]
+                active, pts, pts_sq, cen, new_assign, member, size = (
+                    active[moved], pts[moved], pts_sq[moved], cen[moved], new_assign[moved],
+                    member[moved], size[moved])
+        assign = new_assign
+        if not active.size:
+            break
+        # an empty cluster keeps its centroid
+        np.divide(_cluster_sums(pts, member), size[:, :, None], out=cen,
+                  where=size[:, :, None] > 0)
     else:  # out of iterations: the last update's cost needs its own distances
         _record_costs(history, active, _pairwise_sq_dists(pts, pts_sq, cen),
-                      assignments[active])
+                      assign * n + offsets[:len(active)])
+    assignments[active], centroids[active] = assign, cen
 
     results = []
     for pair in range(pairs):
@@ -266,11 +303,11 @@ def _cosine_map(pred_map: Tensor, const_map: Tensor) -> Tensor:
                           l2_normalize(const_map, axis=0)), axis=0)
 
 
-def loss_1d(online_pred: Tensor, target_proj: Tensor) -> Tensor:
-    """Negated cosine between the online prediction and the (stopped) target
+def loss_1d(online_pred: Tensor, target_proj: np.ndarray) -> Tensor:
+    """Negated cosine between the online prediction and the constant target
     projection, per column of [E,N] inputs; lies in [-1, 1]."""
     q = l2_normalize(online_pred, axis=0)
-    z = l2_normalize(detach(target_proj), axis=0)
+    z = l2_normalize(Tensor(target_proj), axis=0)
     return negate(reduce_sum(mul(q, z), axis=0))
 
 
@@ -280,9 +317,11 @@ def _dense_targets(clusters, target: np.ndarray) -> np.ndarray:
     c, samples, h, w = target.shape
     k = clusters[0].centroids.shape[0]
     pix = _normalize_rows(target.reshape(c, samples, h * w).transpose(1, 2, 0))
-    slots = _cluster_slots(np.stack([r.assignments.reshape(-1) for r in clusters]), k)
+    assign = np.stack([r.assignments.reshape(-1) for r in clusters])
+    member = _membership(assign, k)
     # an empty cluster is no pixel's target; its zero sum stays zero
-    means = _cluster_sums(pix, slots, k) / np.maximum(_cluster_sizes(slots, k), 1)[:, :, None]
+    means = _cluster_sums(pix, member) / np.maximum(member.sum(axis=2), 1.0)[:, :, None]
+    slots = assign + (np.arange(samples) * k)[:, None]  # rows of the [N*K] cluster table
     return means.reshape(-1, c)[slots].transpose(2, 0, 1).reshape(c, samples, h, w)
 
 
@@ -315,13 +354,14 @@ def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
                                           axis=0)))
 
 
-def loss_2d_wo_kmeans(pred_map: Tensor, target_map: Tensor) -> Tensor:
-    """Mean negated per-pixel cosine against the raw aligned target map."""
+def loss_2d_wo_kmeans(pred_map: Tensor, target_map: np.ndarray) -> Tensor:
+    """Mean negated per-pixel cosine against the raw aligned target map, a
+    constant [C,N,H,W] array."""
     _require_maps(pred_map, "loss_2d_wo_kmeans")
     _require_maps(target_map, "loss_2d_wo_kmeans")
     if pred_map.shape[1:] != target_map.shape[1:]:
         raise ValueError(f"extent mismatch: {pred_map.shape} vs {target_map.shape}")
-    return negate(_mean_pixels(_cosine_map(pred_map, detach(target_map))))
+    return negate(_mean_pixels(_cosine_map(pred_map, Tensor(target_map))))
 
 
 def loss_total(l1d: Tensor, l2d: Tensor, weight: float) -> Tensor:

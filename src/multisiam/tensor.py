@@ -50,7 +50,6 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "logsumexp",
-    "detach",
     "backward",
     "zero_grads",
     "finite_difference_check",
@@ -471,11 +470,6 @@ def logsumexp(t: Tensor, axis: int = -1) -> Tensor:
         _accumulate(t, np.expand_dims(g, axis) * (ex / total))
 
     return _result(out, (t,), bw)
-
-
-def detach(t: Tensor) -> Tensor:
-    """A view of the same values with no tape attachment."""
-    return Tensor(t.data)
 
 
 # ---------------------------------------------------------------------------

@@ -371,32 +371,32 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
     f_on = backbone_forward(pair.online, batch([(b, on) for b, on, _ in pairs]), mcfg)
     f_tg = backbone_forward(pair.target, batch([(b, tg) for b, _, tg in pairs]), mcfg)
     l1 = loss_1d(project_predict_1d(pair.online, f_on, with_predictor=True),
-                 project_predict_1d(pair.target, f_tg, with_predictor=False))
+                 project_predict_1d(pair.target, f_tg, with_predictor=False).data)
     if cfg.loss_mode == "moco":
         # region alignment of the raw maps happens before projection
         regions = align_pair(flip_back(f_on, on_flips), flip_back(f_tg, tg_flips),
                              on_specs, tg_specs, "roi")
         keys, residual = regions.online, False
         pred = project_2d(pair.online, keys)
-        target = project_2d(pair.target, regions.target)
+        target = project_2d(pair.target, regions.target).data
     else:
         aligned = align_pair(flip_back(project_2d(pair.online, f_on), on_flips),
                              flip_back(project_2d(pair.target, f_tg), tg_flips),
                              on_specs, tg_specs, cfg.alignment,
                              normalize_offset=cfg.normalize_offset)
-        keys, residual, target = aligned.online, cfg.resolved_residual, aligned.target
+        keys, residual, target = aligned.online, cfg.resolved_residual, aligned.target.data
         pred = predict_local(pair.online, keys)
     if cfg.self_attention:
         pred = self_attention_predict(keys, pred, residual=residual)
     if cfg.loss_mode == "wo_kmeans":
         l2 = loss_2d_wo_kmeans(pred, target)
     else:
-        clusters = kmeans_batch(target.data, cfg.k, metric=cfg.kmeans_metric,
+        clusters = kmeans_batch(target, cfg.k, metric=cfg.kmeans_metric,
                                 max_iter=cfg.kmeans_iters, rng=krng)
         if cfg.loss_mode == "moco":
-            l2 = moco_pixel_infonce(pred, target.data, clusters, queue, cfg.temperature)
+            l2 = moco_pixel_infonce(pred, target, clusters, queue, cfg.temperature)
         else:
-            l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=target.data)
+            l2 = loss_2d_cluster(pred, clusters, dense=cfg.dense, target_map=target)
     loss = reduce_mean(loss_total(l1, l2, cfg.lambda_weight))
     # one pooled row per online view, image-major
     pooled_rows = list(f_on.data.mean(axis=(2, 3)).T)

@@ -196,11 +196,11 @@ def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
 
     Returns the samples and their four (rows, cols, weights) taps, rows as a
     column and cols as a row, which a caller can reuse to scatter gradients
-    back onto the source. Each tap is gathered with ``take`` along the rows,
-    then the columns: cheaper than one broadcast fancy index, and it yields a
-    C-contiguous array, which the weighting then streams through.
+    back onto the source. Each tap is one flat ``take`` of its row-major
+    pixel indices from the source viewed as [C,H*W] (a view also for a
+    strided map of a batch), weighted and summed in place, tap by tap.
     """
-    _, h, w = img.shape
+    c, h, w = img.shape
     u = np.clip(xs - 0.5, 0.0, w - 1.0)
     v = np.clip(ys - 0.5, 0.0, h - 1.0)
     j0 = np.floor(u).astype(np.intp)
@@ -209,15 +209,18 @@ def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     i1 = np.minimum(i0 + 1, h - 1)
     fx = u - j0
     fy = v - i0
-    corners = ((i0, j0, np.outer(1.0 - fy, 1.0 - fx)),
-               (i0, j1, np.outer(1.0 - fy, fx)),
-               (i1, j0, np.outer(fy, 1.0 - fx)),
-               (i1, j1, np.outer(fy, fx)))
-    out = img.take(i0, axis=1).take(j0, axis=2) * corners[0][2]
-    for rows, cols, weights in corners[1:]:
-        out += img.take(rows, axis=1).take(cols, axis=2) * weights
-    return out, tuple((rows[:, None], cols[None, :], weights)
-                      for rows, cols, weights in corners)
+    taps = ((i0[:, None], j0[None, :], np.outer(1.0 - fy, 1.0 - fx)),
+            (i0[:, None], j1[None, :], np.outer(1.0 - fy, fx)),
+            (i1[:, None], j0[None, :], np.outer(fy, 1.0 - fx)),
+            (i1[:, None], j1[None, :], np.outer(fy, fx)))
+    flat = img.reshape(c, h * w)
+    out = flat.take(taps[0][0] * w + taps[0][1], axis=1)
+    out *= taps[0][2]
+    for rows, cols, weights in taps[1:]:
+        tap = flat.take(rows * w + cols, axis=1)
+        tap *= weights
+        out += tap
+    return out, taps
 
 
 def _crop_resize(img: np.ndarray, box: Box, out_size: tuple[int, int]) -> np.ndarray:

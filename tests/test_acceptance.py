@@ -177,7 +177,7 @@ def test_criterion_5_loss_algebra():
         for value in (O.loss_2d_cluster(pred, [cluster]).data.item(),
                       O.loss_2d_cluster(pred, [cluster], dense=True,
                                         target_map=target.data).data.item(),
-                      O.loss_2d_wo_kmeans(pred, target).data.item()):
+                      O.loss_2d_wo_kmeans(pred, target.data).data.item()):
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
     assert isinstance(cluster.centroid_map, np.ndarray)
     assert isinstance(cluster.centroids, np.ndarray)

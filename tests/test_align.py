@@ -209,7 +209,7 @@ LONE_CLUSTER = O.kmeans(np.random.default_rng(0).standard_normal((2, 4, 4)), 2)
     (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "roi"), AlignmentError),
     (lambda m: self_attention_predict(m, m), T.ShapeError),
     (lambda m: O.loss_2d_cluster(m, [LONE_CLUSTER]), T.ShapeError),
-    (lambda m: O.loss_2d_wo_kmeans(m, m), T.ShapeError),
+    (lambda m: O.loss_2d_wo_kmeans(m, m.data), T.ShapeError),
     (lambda m: O.moco_pixel_infonce(m, np.zeros((2, 1, 4, 4)), [LONE_CLUSTER],
                                     O.NegativeQueue(4, 2), 0.2), T.ShapeError),
 ], ids=["conv2d", "global_avg_pool", "flip_back_unflipped", "flip_back_flipped", "roi_align",

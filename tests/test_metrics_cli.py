@@ -218,6 +218,22 @@ def tiny_checkpoints(tmp_path_factory):
     return {name: root / name / "final.ckpt" for name in ("k3", "k9")}
 
 
+def test_cli_eval_and_viz_repeat_byte_for_byte(tiny_checkpoints, tmp_path):
+    checkpoint = str(tiny_checkpoints["k3"])
+    for run in ("first", "second"):
+        assert cli.main(["eval", "--checkpoint", checkpoint,
+                         "--out", str(tmp_path / run / "eval")]) == 0
+        assert cli.main(["viz", "--checkpoint", checkpoint,
+                         "--out", str(tmp_path / run / "viz")]) == 0
+    first, second = tmp_path / "first", tmp_path / "second"
+    report = "eval/probe_report.json"
+    assert (first / report).read_bytes() == (second / report).read_bytes()
+    panels = sorted(p.name for p in (first / "viz").glob("viz_*.ppm"))
+    assert panels and panels == sorted(p.name for p in (second / "viz").glob("viz_*.ppm"))
+    for name in panels:
+        assert (first / "viz" / name).read_bytes() == (second / "viz" / name).read_bytes()
+
+
 def assert_one_error_line(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -106,6 +106,24 @@ def test_kmeans_rejects_oversized_k():
         O.kmeans(np.zeros((2, 2, 2)), 5)
 
 
+def textbook_kmeanspp(points, k, rng):
+    """k-means++ seeding (Arthur & Vassilvitskii, 2007) with fresh arrays for
+    every pass: the oracle of the buffered ``_kmeanspp_init``, draw for draw."""
+    n = points.shape[0]
+    first = int(rng.integers(n))
+    centroids = [points[first]]
+    d2 = ((points - points[first]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        centroids.append(points[pick])
+        d2 = np.minimum(d2, ((points - points[pick]) ** 2).sum(axis=1))
+    return np.array(centroids)
+
+
 def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
     """The one-map-at-a-time Lloyd loop, step for step: the oracle of
     kmeans_batch, byte-exact at the model's shapes. Returns centroids,
@@ -119,7 +137,7 @@ def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
     if init is not None:
         centroids = np.array(init, dtype=np.float64)
     else:
-        centroids = O._kmeanspp_init(points, k, rng)
+        centroids = textbook_kmeanspp(points, k, rng)
 
     def dists():
         return np.maximum((points ** 2).sum(1)[:, None] + (centroids ** 2).sum(1)[None, :]
@@ -222,6 +240,31 @@ def test_kmeans_batch_matches_one_map_at_a_time_at_model_shapes(shape):
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 @pytest.mark.parametrize("shape", [(32, 16, 8, 8), (32, 1, 64, 64)], ids=["train", "eval"])
+def test_kmeans_batch_breaks_exact_ties_as_argmin(shape, metric):
+    # integer-valued pixels at corners of a 4-cube: many duplicate pixels and
+    # points exactly as far from two centroids; the first of equal minima wins
+    c, pairs, h, w = shape
+    rng = np.random.default_rng(31)
+    maps = np.zeros(shape)
+    maps[:4] = rng.integers(0, 2, (4, pairs, h, w))
+    maps[4] = 1.0  # no all-zero pixel, so cosine normalization divides by a norm
+    results = O.kmeans_batch(maps, 3, metric=metric, rng=np.random.default_rng(13))
+    loop_rng, seed_rng = np.random.default_rng(13), np.random.default_rng(13)
+    ties = 0
+    for p, result in enumerate(results):
+        assert_same_bytes(result, loop_kmeans(maps[:, p], 3, metric, rng=loop_rng))
+        points = maps[:, p].reshape(c, -1).T
+        if metric == "cosine":
+            points = points / np.linalg.norm(points, axis=1, keepdims=True)
+        seeds = textbook_kmeanspp(points, 3, seed_rng)
+        d2 = np.maximum((points ** 2).sum(1)[:, None] + (seeds ** 2).sum(1)[None, :]
+                        - 2.0 * points @ seeds.T, 0.0)
+        ties += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties > 0  # the first assignment already meets exact ties
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("shape", [(32, 16, 8, 8), (32, 1, 64, 64)], ids=["train", "eval"])
 def test_kmeans_cost_is_the_direct_within_cluster_sum(shape, metric):
     # the cost is read off the distance matrix; it is still the sum of squared
     # distances from each point to its returned centroid
@@ -277,7 +320,7 @@ SUM_SHAPES = [(6, 5, 6, 5, 1), (32, 2, 64, 64, 8), (33, 4, 8, 8, 3), (7, 3, 5, 7
 def test_cluster_sums_leave_an_empty_cluster_at_zero():
     points = np.random.default_rng(0).standard_normal((2, 6, 5))
     assign = np.array([[0, 0, 2, 2, 0, 2], [1, 1, 1, 1, 1, 1]])
-    sums = O._cluster_sums(points, O._cluster_slots(assign, 3), 3)
+    sums = O._cluster_sums(points, O._membership(assign, 3))
     assert np.all(sums[0, 1] == 0.0) and np.all(sums[1, [0, 2]] == 0.0)
     assert np.array_equal(sums[1, 1], points[1].sum(axis=0))
 
@@ -288,7 +331,7 @@ def test_cluster_sums_match_member_order_sums(shape):
     rng = np.random.default_rng(sum(shape))
     points = rng.standard_normal((pairs, h * w, c))
     assign = rng.integers(0, k, (pairs, h * w))
-    sums = O._cluster_sums(points, O._cluster_slots(assign, k), k)
+    sums = O._cluster_sums(points, O._membership(assign, k))
     eps = np.finfo(np.float64).eps
     for p in range(pairs):
         for idx in range(k):
@@ -324,19 +367,22 @@ def test_kmeans_batch_and_dense_targets_do_not_depend_on_the_batch(shape, metric
 
 
 def test_loss_1d_values():
-    q = Tensor(np.array([1.0, 2.0, -0.5]))
-    assert O.loss_1d(q, q).item() == pytest.approx(-1.0, abs=1e-12)
-    assert O.loss_1d(q, T.negate(q)).item() == pytest.approx(1.0, abs=1e-12)
-    got = O.loss_1d(Tensor([1.0, 0.0]), Tensor([1.0, 1.0])).item()
+    q = np.array([1.0, 2.0, -0.5])
+    assert O.loss_1d(Tensor(q), q).item() == pytest.approx(-1.0, abs=1e-12)
+    assert O.loss_1d(Tensor(q), -q).item() == pytest.approx(1.0, abs=1e-12)
+    got = O.loss_1d(Tensor([1.0, 0.0]), np.array([1.0, 1.0])).item()
     assert got == pytest.approx(-np.sqrt(2.0) / 2.0, abs=1e-9)
 
 
 def test_loss_1d_stops_target_gradient():
+    # the target is a constant array: the gradient is that of -q.z/|q||z| in q alone
     q = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    z = Tensor(np.array([2.0, 1.0]), requires_grad=True)
+    z = np.array([2.0, 1.0])
     T.backward(O.loss_1d(q, z))
-    assert q.grad is not None
-    assert z.grad is None
+    q_hat, z_hat = q.data / np.linalg.norm(q.data), z / np.linalg.norm(z)
+    want = -(z_hat - (q_hat @ z_hat) * q_hat) / np.linalg.norm(q.data)
+    np.testing.assert_allclose(q.grad, want, rtol=0.0, atol=1e-15)
+    assert z.tolist() == [2.0, 1.0]
 
 
 def test_loss_2d_cluster_perfect_prediction():
@@ -433,37 +479,44 @@ def test_dense_targets_match_one_cluster_at_a_time(shape):
 
 def test_loss_2d_wo_kmeans_values_and_oracle():
     rng = np.random.default_rng(8)
-    target = Tensor(rng.standard_normal((3, 1, 2, 2)))
-    assert O.loss_2d_wo_kmeans(target, target).data.item() == pytest.approx(-1.0, abs=1e-12)
+    target = rng.standard_normal((3, 1, 2, 2))
+    assert O.loss_2d_wo_kmeans(Tensor(target), target).data.item() == pytest.approx(-1.0,
+                                                                                    abs=1e-12)
 
     single_p = Tensor(rng.standard_normal((4, 1, 1, 1)))
-    single_t = Tensor(rng.standard_normal((4, 1, 1, 1)))
-    want = O.loss_1d(Tensor(single_p.data.reshape(-1)), Tensor(single_t.data.reshape(-1))).item()
+    single_t = rng.standard_normal((4, 1, 1, 1))
+    want = O.loss_1d(Tensor(single_p.data.reshape(-1)), single_t.reshape(-1)).item()
     assert O.loss_2d_wo_kmeans(single_p, single_t).data.item() == pytest.approx(want, abs=1e-12)
 
     pred = Tensor(rng.standard_normal((3, 1, 2, 2)))
     cosines = []
     for i in range(2):
         for j in range(2):
-            a, b = pred.data[:, 0, i, j], target.data[:, 0, i, j]
+            a, b = pred.data[:, 0, i, j], target[:, 0, i, j]
             cosines.append(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
     assert O.loss_2d_wo_kmeans(pred, target).data.item() == pytest.approx(-np.mean(cosines),
                                                                           abs=1e-12)
 
 
 def test_loss_2d_wo_kmeans_stops_target_gradient():
+    # the target is a constant array: each pixel's gradient is loss_1d's in
+    # that pixel's prediction alone, over the 4 pixels of the mean
     pred = Tensor(np.random.default_rng(9).random((2, 1, 2, 2)), requires_grad=True)
-    target = Tensor(np.random.default_rng(10).random((2, 1, 2, 2)), requires_grad=True)
+    target = np.random.default_rng(10).random((2, 1, 2, 2))
     T.backward(T.reduce_sum(O.loss_2d_wo_kmeans(pred, target)))
-    assert pred.grad is not None
-    assert target.grad is None
+    for i in range(2):
+        for j in range(2):
+            q = Tensor(pred.data[:, 0, i, j].copy(), requires_grad=True)
+            T.backward(O.loss_1d(q, target[:, 0, i, j]))
+            np.testing.assert_allclose(pred.grad[:, 0, i, j], q.grad / 4.0, rtol=1e-12,
+                                       atol=1e-15)
 
 
 def test_kmeans_per_pixel_clusters_match_wo_kmeans():
     rng = np.random.default_rng(11)
-    target = Tensor(rng.standard_normal((3, 1, 2, 2)))
+    target = rng.standard_normal((3, 1, 2, 2))
     pred = Tensor(rng.standard_normal((3, 1, 2, 2)))
-    cluster = O.kmeans(target.data[:, 0], 4, metric="cosine", rng=rng)
+    cluster = O.kmeans(target[:, 0], 4, metric="cosine", rng=rng)
     assert len(np.unique(cluster.assignments)) == 4
     via_cluster = O.loss_2d_cluster(pred, [cluster]).data.item()
     direct = O.loss_2d_wo_kmeans(pred, target).data.item()
@@ -485,11 +538,11 @@ def test_cosine_losses_bounded(seed):
     rng = np.random.default_rng(seed)
     for _ in range(10):
         pred = Tensor(rng.standard_normal((3, 1, 3, 3)) * 10.0 ** rng.integers(-3, 4))
-        target = Tensor(rng.standard_normal((3, 1, 3, 3)) * 10.0 ** rng.integers(-3, 4))
-        cluster = O.kmeans(target.data[:, 0], 3, rng=rng)
+        target = rng.standard_normal((3, 1, 3, 3)) * 10.0 ** rng.integers(-3, 4)
+        cluster = O.kmeans(target[:, 0], 3, rng=rng)
         for value in (O.loss_2d_cluster(pred, [cluster]).data.item(),
                       O.loss_2d_cluster(pred, [cluster], dense=True,
-                                        target_map=target.data).data.item(),
+                                        target_map=target).data.item(),
                       O.loss_2d_wo_kmeans(pred, target).data.item()):
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
@@ -590,8 +643,8 @@ def every_other_call_by_parity(points, points_sq, centroids):
     if calls[0] % 2:
         return real(points, points_sq, centroids)
     n, k = points.shape[1], centroids.shape[1]
-    d2 = np.ones((len(points), n, k))
-    d2[:, np.arange(n), np.arange(n) % k] = 0.0
+    d2 = np.ones((len(points), k, n))  # k-major, as the real distances
+    d2[:, np.arange(n) % k, np.arange(n)] = 0.0
     return d2
 
 

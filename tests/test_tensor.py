@@ -228,13 +228,6 @@ def test_finite_difference_check_rejects_non_finite():
         T.finite_difference_check(exploding, [x], name="bad")
 
 
-def test_detach_blocks_gradient():
-    x = Tensor(np.ones(3), requires_grad=True)
-    out = T.reduce_sum(T.mul(T.detach(x), x))
-    T.backward(out)
-    assert np.allclose(x.grad, np.ones(3))  # only the live branch contributes
-
-
 def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(42)

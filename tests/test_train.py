@@ -495,6 +495,60 @@ def test_checkpoint_queue_state_must_be_reachable(tmp_path, capsys, state, accep
     assert err.startswith(f"error: {path}: queue state") and err.count("\n") == 1, err
 
 
+def _moco_state_with_buffers():
+    """A moco state whose checkpoint holds every group of saved values:
+    online and target parameters, optimizer buffers and the queue."""
+    state = TR.init_state(MOCO_TINY)
+    rng = np.random.default_rng(0)
+    state.opt_buffers = {name: rng.standard_normal(p.shape)
+                         for name, p in state.pair.online.items()}
+    state.queue.push(rng.standard_normal((10, state.queue.buffer.shape[1])))
+    return state
+
+
+def _first_value_offset(blob, name):
+    """The byte offset of the first f64 value of tensor ``name``."""
+    encoded = name.encode()
+    at = blob.index(struct.pack("<I", len(encoded)) + encoded) + 4 + len(encoded)
+    (ndim,) = struct.unpack_from("<I", blob, at)
+    return at + 4 + 8 * ndim + 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["online.backbone.conv4.b", "target.proj2d.conv1.w",
+                                  "opt.pred1d.fc2.w", "queue.buffer"])
+def test_checkpoint_rejects_non_finite_values(tmp_path, capsys, name, value):
+    path = tmp_path / "moco.ckpt"
+    CK.save_checkpoint(_moco_state_with_buffers(), path)
+    blob = bytearray(path.read_bytes())
+    at = _first_value_offset(blob, name)
+    blob[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CK.CheckpointError, match=f"tensor {name} holds a non-finite value"):
+        CK.load_checkpoint(path)
+    capsys.readouterr()
+    assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: tensor {name}") and err.count("\n") == 1, err
+
+
+def test_checkpoint_with_finite_values_loads_the_saved_state(tmp_path):
+    state = _moco_state_with_buffers()
+    path = tmp_path / "moco.ckpt"
+    CK.save_checkpoint(state, path)
+    loaded = CK.load_checkpoint(path)
+    for group, want in (("online", state.pair.online), ("target", state.pair.target)):
+        got = getattr(loaded.pair, group)
+        assert set(got) == set(want)
+        for name, p in want.items():
+            assert got[name].data.tobytes() == p.data.tobytes()
+    assert set(loaded.opt_buffers) == set(state.opt_buffers)
+    for name, buf in state.opt_buffers.items():
+        assert loaded.opt_buffers[name].tobytes() == buf.tobytes()
+    assert loaded.queue.buffer.tobytes() == state.queue.buffer.tobytes()
+    assert (loaded.queue.size, loaded.queue.cursor) == (state.queue.size, state.queue.cursor)
+
+
 def test_resume_matches_uninterrupted_run(tmp_path, small_corpus):
     cfg = TR.TrainConfig(steps=6, batch_size=2, corpus_images=8, out_size=32,
                          kmeans_iters=3)

@@ -180,12 +180,26 @@ def test_resize_bilinear_identity_and_constant():
 @pytest.mark.parametrize("seed", range(5))
 def test_bilinear_sample_matches_broadcast_gather(seed):
     rng = np.random.default_rng(seed)
-    img = rng.standard_normal((3, 9, 11))
-    xs = rng.uniform(-2.0, 13.0, size=7)  # past both edges: clamping included
-    ys = rng.uniform(-2.0, 11.0, size=5)
-    out, taps = bilinear_sample(img, xs, ys)
-    expect = img[:, taps[0][0], taps[0][1]] * taps[0][2]
-    for rows, cols, weights in taps[1:]:
-        assert rows.shape == (5, 1) and cols.shape == (1, 7) and weights.shape == (5, 7)
-        expect += img[:, rows, cols] * weights
-    assert out.tobytes() == expect.tobytes()
+    batch = rng.standard_normal((16, 4, 8, 8))
+    box = np.sort(rng.uniform(0.0, 1.0, (2, 2)), axis=1)
+    centers = (np.arange(8) + 0.5) / 8
+    cases = [
+        # past both edges: clamping included
+        (rng.standard_normal((3, 9, 11)), rng.uniform(-2.0, 13.0, 7),
+         rng.uniform(-2.0, 11.0, 5)),
+        # the eval upsample of a [32,8,8] map to 64x64, as resize_bilinear asks
+        (rng.standard_normal((32, 8, 8)), (np.arange(64) + 0.5) / 64 * 8,
+         (np.arange(64) + 0.5) / 64 * 8),
+        # roi_align's strided source: one map of a [C,N,H,W] batch
+        (batch[:, seed % 4], 8 * (box[0, 0] + centers * (box[0, 1] - box[0, 0])),
+         8 * (box[1, 0] + centers * (box[1, 1] - box[1, 0]))),
+    ]
+    for img, xs, ys in cases:
+        out, taps = bilinear_sample(img, xs, ys)
+        expect = img[:, taps[0][0], taps[0][1]] * taps[0][2]
+        for rows, cols, weights in taps[1:]:
+            assert rows.shape == (len(ys), 1) and cols.shape == (1, len(xs))
+            assert weights.shape == (len(ys), len(xs))
+            expect += img[:, rows, cols] * weights
+        assert out.tobytes() == expect.tobytes()
+    assert not cases[2][0].flags.c_contiguous
