@@ -55,7 +55,8 @@ class ClusterResult:
 
 def _normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Rows of ``x`` over their norms, floored at ``eps``. The squares and the
-    quotients share one buffer, laid out as ``x * x`` lays out ``x``."""
+    quotients share one buffer, in the memory order numpy gives ``x * x``,
+    so a strided ``x`` keeps the order in which its norms are summed."""
     out = x * x
     norms = np.sqrt(out.sum(axis=-1, keepdims=True))
     return np.divide(x, np.maximum(norms, eps), out=out)
@@ -122,21 +123,15 @@ def _nearest(d2: np.ndarray) -> np.ndarray:
 
 def _membership(assign: np.ndarray, k: int) -> np.ndarray:
     """[..., k, n] one-hot float membership of [..., n] assignments. Its sum
-    over n counts each cluster's members exactly."""
-    return (assign[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
+    over n counts each cluster's members exactly, and its product with the
+    [..., n, c] points sums each cluster's members, zero for an empty one.
 
-
-def _cluster_sums(points: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """[P,K,c] sums of the member points of each cluster of the [P,n,c]
-    points, given the [P,K,n] membership; an empty cluster sums to zero.
-
-    Each map's sums are one GEMM of its [K,n] one-hot membership matrix with
-    its [n,c] points. The BLAS picks the order in which a GEMM adds, so the
-    last bits of a sum follow the BLAS build and can differ from adding the
-    members one by one. A stacked matmul runs one GEMM per map, so a map's
-    sums do not depend on the other maps of its batch.
+    That product is one GEMM per map. The BLAS picks the order in which a
+    GEMM adds, so the last bits of a sum follow the BLAS build and can differ
+    from adding the members one by one. A stacked matmul runs one GEMM per
+    map, so a map's sums do not depend on the other maps of its batch.
     """
-    return member @ points
+    return (assign[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
 
 
 def _repair_empty(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
@@ -253,8 +248,7 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
         if not active.size:
             break
         # an empty cluster keeps its centroid
-        np.divide(_cluster_sums(pts, member), size[:, :, None], out=cen,
-                  where=size[:, :, None] > 0)
+        np.divide(member @ pts, size[:, :, None], out=cen, where=size[:, :, None] > 0)
     else:  # out of iterations: the last update's cost needs its own distances
         _record_costs(history, active, _pairwise_sq_dists(pts, pts_sq, cen),
                       assign * n + offsets[:len(active)])
@@ -320,7 +314,7 @@ def _dense_targets(clusters, target: np.ndarray) -> np.ndarray:
     assign = np.stack([r.assignments.reshape(-1) for r in clusters])
     member = _membership(assign, k)
     # an empty cluster is no pixel's target; its zero sum stays zero
-    means = _cluster_sums(pix, member) / np.maximum(member.sum(axis=2), 1.0)[:, :, None]
+    means = (member @ pix) / np.maximum(member.sum(axis=2), 1.0)[:, :, None]
     slots = assign + (np.arange(samples) * k)[:, None]  # rows of the [N*K] cluster table
     return means.reshape(-1, c)[slots].transpose(2, 0, 1).reshape(c, samples, h, w)
 

@@ -320,7 +320,7 @@ SUM_SHAPES = [(6, 5, 6, 5, 1), (32, 2, 64, 64, 8), (33, 4, 8, 8, 3), (7, 3, 5, 7
 def test_cluster_sums_leave_an_empty_cluster_at_zero():
     points = np.random.default_rng(0).standard_normal((2, 6, 5))
     assign = np.array([[0, 0, 2, 2, 0, 2], [1, 1, 1, 1, 1, 1]])
-    sums = O._cluster_sums(points, O._membership(assign, 3))
+    sums = O._membership(assign, 3) @ points
     assert np.all(sums[0, 1] == 0.0) and np.all(sums[1, [0, 2]] == 0.0)
     assert np.array_equal(sums[1, 1], points[1].sum(axis=0))
 
@@ -331,7 +331,7 @@ def test_cluster_sums_match_member_order_sums(shape):
     rng = np.random.default_rng(sum(shape))
     points = rng.standard_normal((pairs, h * w, c))
     assign = rng.integers(0, k, (pairs, h * w))
-    sums = O._cluster_sums(points, O._membership(assign, k))
+    sums = O._membership(assign, k) @ points
     eps = np.finfo(np.float64).eps
     for p in range(pairs):
         for idx in range(k):
