@@ -31,11 +31,6 @@ class CheckpointError(ValueError):
     """Raised for malformed, truncated, or mismatched checkpoint files."""
 
 
-# the tensors that hold learnt or optimizer values, which training keeps
-# finite; ``queue.state`` is checked on its own
-_VALUE_GROUPS = ("online.", "target.", "opt.")
-
-
 def _named_tensors(state: TrainState) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for name, p in state.pair.online.items():
@@ -146,9 +141,9 @@ def load_checkpoint(path) -> TrainState:
     if r.off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes")
     for name, arr in tensors.items():
-        if name.startswith(_VALUE_GROUPS) or name == "queue.buffer":
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{path}: tensor {name} holds a non-finite value")
+        # training keeps every saved value finite; _queue_state checks queue.state
+        if name != "queue.state" and not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name} holds a non-finite value")
 
     mcfg = model_config_for(cfg)
     expected = set(init_params(mcfg, np.random.default_rng(0)).keys())
