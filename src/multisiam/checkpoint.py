@@ -8,6 +8,7 @@ block of key=value config lines closes the file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -130,7 +131,7 @@ def load_checkpoint(path) -> TrainState:
         (tag,) = r.unpack("<B")
         if tag != F64_TAG:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name}")
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)  # a Python int: an int64 product of huge dims would wrap
         tensors[name] = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64).reshape(dims)
 
     (cfg_len,) = r.unpack("<I")

@@ -495,6 +495,21 @@ def test_checkpoint_queue_state_must_be_reachable(tmp_path, capsys, state, accep
     assert err.startswith(f"error: {path}: queue state") and err.count("\n") == 1, err
 
 
+def test_checkpoint_dims_whose_product_overflows_int64_exit_runtime(tmp_path, capsys):
+    path, blob = _saved_checkpoint_bytes(tmp_path)
+    name = b"online.backbone.conv1.w"
+    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    assert struct.unpack_from("<I", blob, at) == (4,)
+    struct.pack_into("<QQ", blob, at + 4, 2 ** 32, 2 ** 32)  # 2**64 values: 0 in int64
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CK.CheckpointError, match="truncated"):
+        CK.load_checkpoint(path)
+    capsys.readouterr()
+    assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: truncated") and err.count("\n") == 1, err
+
+
 def _moco_state_with_buffers():
     """A moco state whose checkpoint holds every group of saved values:
     online and target parameters, optimizer buffers and the queue."""
