@@ -213,7 +213,8 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
 
     assignments = np.zeros((pairs, n), dtype=np.intp)
     history: list[list[float]] = [[] for _ in range(pairs)]
-    # a point's flat index in a [P,k,n] distance matrix, at cluster 0
+    # each point's flat index at cluster 0 of a [P,k,n] distance matrix; the
+    # active maps are packed, so the first len(active) rows serve them
     offsets = np.arange(pairs)[:, None] * (k * n) + np.arange(n)
     # the maps still iterating: their points, the points' [1,n] squared norms
     # (the same every iteration), their working centroids and their
