@@ -198,7 +198,8 @@ def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     column and cols as a row, which a caller can reuse to scatter gradients
     back onto the source. Each tap is one flat ``take`` of its row-major
     pixel indices from the source viewed as [C,H*W] (a view also for a
-    strided map of a batch), weighted and summed in place, tap by tap.
+    strided map of a batch), weighted and summed in place, tap by tap; the
+    indices and the gathered tap reuse one buffer each.
     """
     c, h, w = img.shape
     u = np.clip(xs - 0.5, 0.0, w - 1.0)
@@ -214,10 +215,15 @@ def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
             (i1[:, None], j0[None, :], np.outer(fy, 1.0 - fx)),
             (i1[:, None], j1[None, :], np.outer(fy, fx)))
     flat = img.reshape(c, h * w)
-    out = flat.take(taps[0][0] * w + taps[0][1], axis=1)
+    cells = np.add(taps[0][0] * w, taps[0][1])
+    out = flat.take(cells, axis=1)
     out *= taps[0][2]
+    tap = np.empty_like(out)
     for rows, cols, weights in taps[1:]:
-        tap = flat.take(rows * w + cols, axis=1)
+        np.add(rows * w, cols, out=cells)
+        # the cells are in range; "wrap" only spares the copy numpy makes of
+        # an ``out=`` take in its default "raise" mode
+        flat.take(cells, axis=1, out=tap, mode="wrap")
         tap *= weights
         out += tap
     return out, taps
