@@ -1,10 +1,9 @@
 """Pixel correspondence between two views' feature maps.
 
-Grid cells use the pixel-center convention: cell (i, j) of an HxW grid sits at
-((j + 0.5) / W, (i + 0.5) / H) of its view, so full-box region pooling at the
-native resolution is exactly the identity. All alignment runs on flip-backed
-maps, i.e. column j of an incoming map corresponds to column j of the
-unflipped crop.
+Grid cells use the pixel-center convention of ``views.cell_centers``: cell
+(i, j) of an HxW grid sits at ((j + 0.5) / W, (i + 0.5) / H) of its box, so
+full-box region pooling at the native resolution is exactly the identity. All alignment runs on flip-backed maps, i.e. column j
+of an incoming map corresponds to column j of the unflipped crop.
 
 Feature maps are [C,N,H,W] batches with one spec (and box) per sample; a lone
 map is a batch of one.
@@ -12,16 +11,12 @@ map is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _require_maps, _result, concat, flip_last
-from .views import ViewSpec, bilinear_sample
+from .tensor import Tensor, _accumulate, _require_maps, _result, concat
+from .views import Box, ViewSpec, bilinear_sample, cell_centers
 
 __all__ = [
-    "RelBox",
-    "AlignedPair",
     "AlignmentError",
     "flip_back",
     "intersection_relative",
@@ -38,47 +33,30 @@ class AlignmentError(ValueError):
     """Raised when alignment preconditions are violated (e.g. empty overlap)."""
 
 
-@dataclass(frozen=True)
-class RelBox:
-    """A box in [0,1]^2 coordinates relative to one view's own extent."""
-
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x0 < self.x1 <= 1.0 and 0.0 <= self.y0 < self.y1 <= 1.0):
-            raise AlignmentError(f"invalid relative box {(self.x0, self.y0, self.x1, self.y1)}")
-
-
-@dataclass
-class AlignedPair:
-    """Online/target maps with restored one-to-one pixel correspondence."""
-
-    online: Tensor
-    target: Tensor
-
-
-def _cell_xy(spec: ViewSpec, i, j, h: int, w: int):
-    box = spec.box
-    x = box.x0 + (np.asarray(j, dtype=np.float64) + 0.5) / w * (box.x1 - box.x0)
-    y = box.y0 + (np.asarray(i, dtype=np.float64) + 0.5) / h * (box.y1 - box.y0)
-    return x, y
-
-
 def flip_back(fmap: Tensor, flipped) -> Tensor:
-    """Undo horizontal flips of a [C,N,H,W] batch, one flag per sample;
-    identity when nothing is flipped."""
+    """Undo horizontal flips of a [C,N,H,W] batch: mirror along the last axis
+    the samples that ``flipped`` (one flag per sample) selects, a pure index
+    permutation. The batch itself when nothing is flipped."""
     _require_maps(fmap, "flip_back", AlignmentError)
     flags = np.asarray(flipped, dtype=bool)
+    if flags.shape != (fmap.shape[1],):
+        raise AlignmentError(f"a flip mask of shape {flags.shape} does not fit {fmap.shape}")
     if not flags.any():
         return fmap
-    return flip_last(fmap, flags)
+
+    def mirror(a):
+        out = a.copy()
+        out[:, flags] = a[:, flags, :, ::-1]
+        return out
+
+    def bw(g):
+        _accumulate(fmap, mirror(g))
+
+    return _result(mirror(fmap.data), (fmap,), bw)
 
 
-def intersection_relative(spec_a: ViewSpec, spec_b: ViewSpec) -> tuple[RelBox, RelBox]:
-    """The overlap of the two crop boxes, expressed relative to each view.
+def intersection_relative(spec_a: ViewSpec, spec_b: ViewSpec) -> tuple[Box, Box]:
+    """The overlap of the two crop boxes, in units of each view's extent.
 
     Operates on the unflipped source boxes since alignment consumes
     flip-backed maps.
@@ -90,17 +68,18 @@ def intersection_relative(spec_a: ViewSpec, spec_b: ViewSpec) -> tuple[RelBox, R
         raise AlignmentError("views do not overlap; the sampler contract was violated")
 
     def rel(box):
-        return RelBox((ix0 - box.x0) / (box.x1 - box.x0),
-                      (iy0 - box.y0) / (box.y1 - box.y0),
-                      (ix1 - box.x0) / (box.x1 - box.x0),
-                      (iy1 - box.y0) / (box.y1 - box.y0))
+        return Box((ix0 - box.x0) / (box.x1 - box.x0),
+                   (iy0 - box.y0) / (box.y1 - box.y0),
+                   (ix1 - box.x0) / (box.x1 - box.x0),
+                   (iy1 - box.y0) / (box.y1 - box.y0))
 
     return rel(a), rel(b)
 
 
 def roi_align(fmap: Tensor, rois, out_h: int, out_w: int) -> Tensor:
     """Bilinearly sample each map of a [C,N,H,W] batch at out_h x out_w bin
-    centers in its own roi, a sequence of N RelBoxes.
+    centers in its own roi, a sequence of N Boxes in units of the map's
+    extent, each inside the unit square.
 
     One sample per bin, taken at the bin center; sample positions outside the
     pixel-center hull clamp to the edge. Differentiable w.r.t. the maps.
@@ -112,8 +91,11 @@ def roi_align(fmap: Tensor, rois, out_h: int, out_w: int) -> Tensor:
     out = np.empty((c, n, out_h, out_w))
     taps = []
     for s, box in enumerate(rois):
-        xs = box.x0 + (np.arange(out_w) + 0.5) / out_w * (box.x1 - box.x0)
-        ys = box.y0 + (np.arange(out_h) + 0.5) / out_h * (box.y1 - box.y0)
+        if not (0.0 <= box.x0 and box.x1 <= 1.0 and 0.0 <= box.y0 and box.y1 <= 1.0):
+            raise AlignmentError(
+                f"roi {(box.x0, box.y0, box.x1, box.y1)} leaves the unit square")
+        xs = cell_centers(box.x0, box.x1, out_w)
+        ys = cell_centers(box.y0, box.y1, out_h)
         out[:, s], sample_taps = bilinear_sample(fmap.data[:, s], xs * w, ys * h)
         taps.append(sample_taps)
 
@@ -138,24 +120,24 @@ def offset_map(spec_a: ViewSpec, spec_b: ViewSpec, h: int, w: int,
     spans fall back to a denominator of 1. Flip flags are ignored because the
     maps being aligned are already flip-backed.
     """
-    cols = np.arange(w)
-    rows = np.arange(h)
-    xa, ya = _cell_xy(spec_a, rows, cols, h, w)
-    xb, yb = _cell_xy(spec_b, rows, cols, h, w)
-    dx = np.broadcast_to((xb - xa)[None, :], (h, w)).copy()
-    dy = np.broadcast_to((yb - ya)[:, None], (h, w)).copy()
+    a, b = spec_a.box, spec_b.box
+    dx = cell_centers(b.x0, b.x1, w) - cell_centers(a.x0, a.x1, w)
+    dy = cell_centers(b.y0, b.y1, h) - cell_centers(a.y0, a.y1, h)
+    dx = np.broadcast_to(dx[None, :], (h, w)).copy()
+    dy = np.broadcast_to(dy[:, None], (h, w)).copy()
     if normalize:
-        span_x = (w - 1) / w * (spec_a.box.x1 - spec_a.box.x0)
-        span_y = (h - 1) / h * (spec_a.box.y1 - spec_a.box.y0)
+        span_x = (w - 1) / w * (a.x1 - a.x0)
+        span_y = (h - 1) / h * (a.y1 - a.y0)
         dx /= span_x if span_x != 0.0 else 1.0
         dy /= span_y if span_y != 0.0 else 1.0
     return np.stack([dx, dy])
 
 
 def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str,
-               normalize_offset: bool = True) -> AlignedPair:
+               normalize_offset: bool = True) -> tuple[Tensor, Tensor]:
     """Restore pixel correspondence between two flip-backed [C,N,H,W] batches
-    of projected maps, with a sequence of N ViewSpecs each.
+    of projected maps, with a sequence of N ViewSpecs each; returns the
+    (online, target) maps.
 
     roi: both maps pooled over the intersection region at their native
     resolution. offset: the online map gains two coordinate-offset channels,
@@ -168,13 +150,11 @@ def align_pair(online_map: Tensor, target_map: Tensor, spec_a, spec_b, mode: str
         raise AlignmentError(
             f"spatial extents differ: {online_map.shape} vs {target_map.shape}")
     if mode == "none":
-        return AlignedPair(online_map, target_map)
+        return online_map, target_map
     pairs = list(zip(spec_a, spec_b))
     h, w = online_map.shape[-2:]
     if mode == "offset":
         offsets = [offset_map(a, b, h, w, normalize=normalize_offset) for a, b in pairs]
-        return AlignedPair(concat([online_map, Tensor(np.stack(offsets, axis=1))], axis=0),
-                           target_map)
+        return concat([online_map, Tensor(np.stack(offsets, axis=1))], axis=0), target_map
     rel_a, rel_b = zip(*(intersection_relative(a, b) for a, b in pairs))
-    return AlignedPair(roi_align(online_map, rel_a, h, w),
-                       roi_align(target_map, rel_b, h, w))
+    return roi_align(online_map, rel_a, h, w), roi_align(target_map, rel_b, h, w)

@@ -147,16 +147,18 @@ def load_checkpoint(path) -> TrainState:
             raise CheckpointError(f"{path}: tensor {name} holds a non-finite value")
 
     mcfg = model_config_for(cfg)
-    expected = set(init_params(mcfg, np.random.default_rng(0)).keys())
+    architecture = init_params(mcfg, np.random.default_rng(0))
     online = {name[len("online."):]: Tensor(arr, requires_grad=True)
               for name, arr in tensors.items() if name.startswith("online.")}
     target = {name[len("target."):]: Tensor(arr)
               for name, arr in tensors.items() if name.startswith("target.")}
-    if set(online) != expected or set(target) != expected:
+    if set(online) != set(architecture) or set(target) != set(architecture):
         raise CheckpointError(f"{path}: parameter names do not match the architecture")
-    for name in expected:
-        if online[name].shape != target[name].shape:
-            raise CheckpointError(f"{path}: online/target shape mismatch for {name}")
+    for name, param in architecture.items():
+        for group, saved in (("online", online[name]), ("target", target[name])):
+            if saved.shape != param.shape:
+                raise CheckpointError(f"{path}: {group}.{name} has shape {saved.shape}, "
+                                      f"the architecture has {param.shape}")
 
     buffers = {name[len("opt."):]: arr for name, arr in tensors.items()
                if name.startswith("opt.")}

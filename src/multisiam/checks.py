@@ -21,7 +21,7 @@ import numpy as np
 from . import model as M
 from . import objectives as O
 from . import tensor as T
-from .align import RelBox, flip_back, roi_align
+from .align import flip_back, roi_align
 from .tensor import GradCheckReport, Tensor, finite_difference_check
 from .train import TrainConfig, image_loss
 from .views import Box, NEUTRAL_PHOTO, ViewSpec
@@ -173,15 +173,15 @@ def _case_flip_back(rng, flags, name):
     return finite_difference_check(lambda x_: reduce(flip_back(x_, flags)), [x], name=name)
 
 
-def _random_relbox(rng):
+def _random_roi(rng):
     x0, y0 = rng.uniform(0.02, 0.4, 2)
-    return RelBox(float(x0), float(y0), float(x0 + rng.uniform(0.3, 0.55)),
-                  float(y0 + rng.uniform(0.3, 0.55)))
+    return Box(float(x0), float(y0), float(x0 + rng.uniform(0.3, 0.55)),
+               float(y0 + rng.uniform(0.3, 0.55)))
 
 
 def _case_roi_align(rng, samples, name):
     x = Tensor(rng.standard_normal((2, samples, 5, 5)), requires_grad=True)
-    rois = [_random_relbox(rng) for _ in range(samples)]
+    rois = [_random_roi(rng) for _ in range(samples)]
     reduce = _dot_with(rng.standard_normal((2, samples, 3, 3)))
     return finite_difference_check(lambda x_: reduce(roi_align(x_, rois, 3, 3)), [x], name=name)
 

@@ -22,13 +22,11 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .checks import GRADCHECK_TOLERANCE, run_gradient_suite
-from .model import init_params
 from .objectives import ClusteringError
-from .probe import full_resolution_clusters, paired_probe
+from .probe import paired_clusters, paired_probe
 from .scenes import SceneSpec, generate
-from .train import (EVAL_SEED_OFFSET, PURPOSE_EVAL, PURPOSE_PARAMS, ConfigError,
-                    TrainConfig, TrainingError, config_as_dict, config_from_pairs,
-                    pairs_from_text, rng_stream, run_training)
+from .train import (EVAL_SEED_OFFSET, ConfigError, TrainConfig, TrainingError,
+                    config_as_dict, config_from_pairs, pairs_from_text, run_training)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,16 +203,8 @@ def cmd_viz(ns, overrides) -> int:
     out = _out_dir(ns)
     count = ns.images if ns.images is not None else 4
     corpus = _eval_corpus(cfg, count)
-    random_params = init_params(state.model_config, rng_stream(cfg.seed, PURPOSE_PARAMS))
-    for idx, scene in enumerate(corpus):
-        rng_r = rng_stream(cfg.seed, PURPOSE_EVAL, idx)
-        rng_t = rng_stream(cfg.seed, PURPOSE_EVAL, idx)
-        random_map = full_resolution_clusters(random_params, state.model_config, scene,
-                                              cfg.k, cfg.kmeans_metric, cfg.kmeans_iters,
-                                              rng_r)
-        trained_map = full_resolution_clusters(state.pair.online, state.model_config,
-                                               scene, cfg.k, cfg.kmeans_metric,
-                                               cfg.kmeans_iters, rng_t)
+    clusters = paired_clusters(state, corpus)
+    for idx, (scene, (random_map, trained_map)) in enumerate(zip(corpus, clusters)):
         panel = compose_panels([image_panel(scene.image),
                                 cluster_panel(random_map),
                                 cluster_panel(trained_map)])

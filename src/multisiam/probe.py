@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import CheckpointError
 from .metrics import adjusted_rand_index, embedding_spread
 from .model import ModelConfig, backbone_forward, init_params
 from .objectives import kmeans
@@ -21,7 +22,7 @@ from .train import PURPOSE_EVAL, PURPOSE_PARAMS, TrainState, rng_stream
 from .views import resize_bilinear
 
 __all__ = ["ProbeReport", "probe_image", "probe_backbone", "paired_probe",
-           "full_resolution_clusters"]
+           "paired_clusters", "full_resolution_clusters"]
 
 
 @dataclass
@@ -48,6 +49,27 @@ def probe_image(features, instance_small: np.ndarray, class_small: np.ndarray,
             cluster.assignments)
 
 
+def _eval_rng(seed: int, idx: int) -> np.random.Generator:
+    """Held-out image ``idx``'s clustering seed, the same for both backbones."""
+    return rng_stream(seed, PURPOSE_EVAL, idx)
+
+
+def _trained_and_random(state: TrainState, probe) -> list:
+    """``probe(params)`` of the trained online backbone, then of its random-init
+    twin built from the run's seed. Finite weights can still overflow the
+    features (a conv1 of 1e300 does), which then score nothing: arithmetic
+    that overflows or turns invalid stops the probe with a CheckpointError."""
+    twin = init_params(state.model_config, rng_stream(state.config.seed, PURPOSE_PARAMS))
+    results = []
+    for which, params in (("trained", state.pair.online), ("random-init", twin)):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                results.append(probe(params))
+        except FloatingPointError as err:
+            raise CheckpointError(f"the {which} weights overflow the probe ({err})") from None
+    return results
+
+
 def probe_backbone(params, mcfg: ModelConfig, corpus: list[LabeledImage], k: int,
                    metric: str, max_iter: int, seed: int):
     """Per-image cluster ARIs plus the pooled-embedding spread of a backbone."""
@@ -57,8 +79,8 @@ def probe_backbone(params, mcfg: ModelConfig, corpus: list[LabeledImage], k: int
         fmap = backbone_forward(params, scene.image, mcfg)
         inst_small = downsample_mask(scene.instance_mask, stride)
         cls_small = downsample_mask(scene.class_mask, stride)
-        rng = rng_stream(seed, PURPOSE_EVAL, idx)
-        ai, ac, _ = probe_image(fmap, inst_small, cls_small, k, metric, max_iter, rng)
+        ai, ac, _ = probe_image(fmap, inst_small, cls_small, k, metric, max_iter,
+                                _eval_rng(seed, idx))
         ari_inst.append(ai)
         ari_cls.append(ac)
         pooled.append(fmap.data.mean(axis=(1, 2)))
@@ -70,18 +92,26 @@ def paired_probe(state: TrainState, corpus: list[LabeledImage]) -> ProbeReport:
     """Score the trained online backbone against a random-init twin built from
     the same seed, on the same corpus with the same per-image clustering seeds."""
     cfg = state.config
-    mcfg = state.model_config
-    trained = probe_backbone(state.pair.online, mcfg, corpus, cfg.k,
-                             cfg.kmeans_metric, cfg.kmeans_iters, cfg.seed)
-    random_params = init_params(mcfg, rng_stream(cfg.seed, PURPOSE_PARAMS))
-    control = probe_backbone(random_params, mcfg, corpus, cfg.k,
-                             cfg.kmeans_metric, cfg.kmeans_iters, cfg.seed)
+    trained, control = _trained_and_random(state, lambda params: probe_backbone(
+        params, state.model_config, corpus, cfg.k, cfg.kmeans_metric, cfg.kmeans_iters,
+        cfg.seed))
     return ProbeReport(
         ari_instance=trained[0], ari_class=trained[1],
         feature_std=trained[2],
         ari_instance_random=control[0], ari_class_random=control[1],
         margin_instance=trained[0] - control[0],
         margin_class=trained[1] - control[1])
+
+
+def paired_clusters(state: TrainState, corpus: list[LabeledImage]) -> list:
+    """Per held-out image, the (random-init, trained) full-resolution cluster
+    maps, with the same per-image clustering seeds as ``paired_probe``."""
+    cfg = state.config
+    trained, control = _trained_and_random(state, lambda params: [
+        full_resolution_clusters(params, state.model_config, scene, cfg.k, cfg.kmeans_metric,
+                                 cfg.kmeans_iters, _eval_rng(cfg.seed, idx))
+        for idx, scene in enumerate(corpus)])
+    return list(zip(control, trained))
 
 
 def full_resolution_clusters(params, mcfg: ModelConfig, scene: LabeledImage, k: int,

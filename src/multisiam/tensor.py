@@ -45,7 +45,6 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
-    "flip_last",
     "select",
     "reduce_sum",
     "reduce_mean",
@@ -408,26 +407,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
             _accumulate(p, g[tuple(idx)])
 
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
-
-
-def flip_last(t: Tensor, samples) -> Tensor:
-    """Mirror the samples of a [C,N,H,W] batch that the boolean mask
-    ``samples`` (one flag per sample) selects along the last axis; a pure
-    index permutation."""
-    _require_maps(t, "flip_last")
-    samples = np.asarray(samples, dtype=bool)
-    if samples.shape != (t.shape[1],):
-        raise ShapeError(f"a flip mask of shape {samples.shape} does not fit {t.shape}")
-
-    def mirror(a):
-        out = a.copy()
-        out[:, samples] = a[:, samples, :, ::-1]
-        return out
-
-    def bw(g):
-        _accumulate(t, mirror(g))
-
-    return _result(mirror(t.data), (t,), bw)
 
 
 def select(t: Tensor, index: int, axis: int = 0) -> Tensor:

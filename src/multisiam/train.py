@@ -374,17 +374,17 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
                  project_predict_1d(pair.target, f_tg, with_predictor=False).data)
     if cfg.loss_mode == "moco":
         # region alignment of the raw maps happens before projection
-        regions = align_pair(flip_back(f_on, on_flips), flip_back(f_tg, tg_flips),
-                             on_specs, tg_specs, "roi")
-        keys, residual = regions.online, False
+        keys, regions = align_pair(flip_back(f_on, on_flips), flip_back(f_tg, tg_flips),
+                                   on_specs, tg_specs, "roi")
+        residual = False
         pred = project_2d(pair.online, keys)
-        target = project_2d(pair.target, regions.target).data
+        target = project_2d(pair.target, regions).data
     else:
-        aligned = align_pair(flip_back(project_2d(pair.online, f_on), on_flips),
-                             flip_back(project_2d(pair.target, f_tg), tg_flips),
-                             on_specs, tg_specs, cfg.alignment,
-                             normalize_offset=cfg.normalize_offset)
-        keys, residual, target = aligned.online, cfg.resolved_residual, aligned.target.data
+        keys, target_map = align_pair(flip_back(project_2d(pair.online, f_on), on_flips),
+                                      flip_back(project_2d(pair.target, f_tg), tg_flips),
+                                      on_specs, tg_specs, cfg.alignment,
+                                      normalize_offset=cfg.normalize_offset)
+        residual, target = cfg.resolved_residual, target_map.data
         pred = predict_local(pair.online, keys)
     if cfg.self_attention:
         pred = self_attention_predict(keys, pred, residual=residual)

@@ -23,6 +23,7 @@ __all__ = [
     "render_view",
     "resize_bilinear",
     "bilinear_sample",
+    "cell_centers",
 ]
 
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -30,7 +31,9 @@ LUMA = np.array([0.299, 0.587, 0.114])
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned crop box in continuous source-image pixel coordinates."""
+    """An axis-aligned box with x0 < x1 and y0 < y1: a crop in continuous
+    source-image pixel coordinates, or (in ``align``) a region in units of
+    one view's own extent."""
 
     x0: float
     y0: float
@@ -42,16 +45,8 @@ class Box:
             raise ValueError(f"degenerate box {(self.x0, self.y0, self.x1, self.y1)}")
 
     @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    @property
     def area(self) -> float:
-        return self.width * self.height
+        return (self.x1 - self.x0) * (self.y1 - self.y0)
 
 
 @dataclass(frozen=True)
@@ -229,11 +224,17 @@ def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     return out, taps
 
 
+def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """The centers of n equal cells that tile [lo, hi]: cell i sits at
+    lo + (i + 0.5) / n * (hi - lo). Every grid placed over a box uses this
+    rule: view crops, resizes, roi bins and the offset channels."""
+    return lo + (np.arange(n) + 0.5) / n * (hi - lo)
+
+
 def _crop_resize(img: np.ndarray, box: Box, out_size: tuple[int, int]) -> np.ndarray:
     out_h, out_w = out_size
-    xs = box.x0 + (np.arange(out_w) + 0.5) / out_w * box.width
-    ys = box.y0 + (np.arange(out_h) + 0.5) / out_h * box.height
-    return bilinear_sample(img, xs, ys)[0]
+    return bilinear_sample(img, cell_centers(box.x0, box.x1, out_w),
+                           cell_centers(box.y0, box.y1, out_h))[0]
 
 
 def resize_bilinear(img: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:

@@ -18,7 +18,7 @@ from multisiam import objectives as O
 from multisiam import scenes as S
 from multisiam import train as TR
 from multisiam import model as M
-from multisiam.align import RelBox, offset_map, roi_align
+from multisiam.align import offset_map, roi_align
 from multisiam.checks import GRADCHECK_TOLERANCE, run_gradient_suite
 from multisiam.metrics import adjusted_rand_index, smoothed_endpoints
 from multisiam.probe import paired_probe
@@ -90,15 +90,15 @@ def test_criterion_2_geometry_oracles():
     for _ in range(100):
         arr = rng.random((2, rng.integers(3, 7), rng.integers(3, 7)))
         x0, y0 = rng.uniform(0.0, 0.5, 2)
-        roi = RelBox(float(x0), float(y0), float(x0 + rng.uniform(0.2, 0.5)),
-                     float(y0 + rng.uniform(0.2, 0.5)))
+        roi = Box(float(x0), float(y0), float(x0 + rng.uniform(0.2, 0.5)),
+                  float(y0 + rng.uniform(0.2, 0.5)))
         oh, ow = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         got = roi_align(Tensor(arr[:, None]), [roi], oh, ow).data[:, 0]
         worst = max(worst, float(np.max(np.abs(got - _naive_bilinear(arr, roi, oh, ow)))))
     assert worst < 1e-9
 
     fmap = Tensor(rng.random((3, 1, 8, 8)))
-    assert np.array_equal(roi_align(fmap, [RelBox(0, 0, 1, 1)], 8, 8).data, fmap.data)
+    assert np.array_equal(roi_align(fmap, [Box(0, 0, 1, 1)], 8, 8).data, fmap.data)
 
     spec = ViewSpec(Box(3.0, 5.0, 35.0, 37.0), False, NEUTRAL_PHOTO, (8, 8))
     assert np.array_equal(offset_map(spec, spec, 8, 8), np.zeros((2, 8, 8)))

@@ -3,8 +3,8 @@ import pytest
 
 from multisiam import objectives as O
 from multisiam import tensor as T
-from multisiam.align import (AlignmentError, RelBox, align_pair, flip_back,
-                             intersection_relative, offset_map, roi_align)
+from multisiam.align import (AlignmentError, align_pair, flip_back, intersection_relative,
+                             offset_map, roi_align)
 from multisiam.model import self_attention_predict
 from multisiam.tensor import Tensor
 from multisiam.views import Box, NEUTRAL_PHOTO, ViewSpec
@@ -35,11 +35,11 @@ def naive_bilinear_roi(arr, roi, out_h, out_w):
     return out
 
 
-def random_relbox(rng):
+def random_roi(rng):
     x0, y0 = rng.uniform(0.0, 0.6, size=2)
     x1 = rng.uniform(x0 + 0.2, 1.0)
     y1 = rng.uniform(y0 + 0.2, 1.0)
-    return RelBox(float(x0), float(y0), float(x1), float(y1))
+    return Box(float(x0), float(y0), float(x1), float(y1))
 
 
 def test_flip_back_identity_involution_mirror():
@@ -52,6 +52,22 @@ def test_flip_back_identity_involution_mirror():
     assert np.array_equal(flip_back(row, [True]).data, [[[[2.0, 1.0]]]])
     # channel sums are preserved
     assert flip_back(m, [True]).data.sum(axis=(2, 3)) == pytest.approx(m.data.sum(axis=(2, 3)))
+
+
+def test_flip_back_involution_and_grad():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
+    assert np.array_equal(flip_back(flip_back(x, [True]), [True]).data, x.data)
+    d = Tensor(rng.standard_normal((2, 1, 3, 4)))
+    report = T.finite_difference_check(
+        lambda x_: T.reduce_sum(T.mul(flip_back(x_, [True]), d)), [x], name="flip_back")
+    assert report.max_relative_error < 1e-8
+
+
+@pytest.mark.parametrize("flags", [[], [False, False], [True, True]])
+def test_flip_back_rejects_a_mask_that_does_not_fit_the_batch(flags):
+    with pytest.raises(AlignmentError, match="flip mask"):
+        flip_back(Tensor(np.zeros((2, 1, 3, 4))), flags)
 
 
 def test_intersection_relative_cases():
@@ -75,15 +91,22 @@ def test_intersection_relative_cases():
 def test_roi_align_full_box_identity_is_exact():
     rng = np.random.default_rng(1)
     m = Tensor(rng.random((4, 1, 6, 5)))
-    out = roi_align(m, [RelBox(0, 0, 1, 1)], 6, 5)
+    out = roi_align(m, [Box(0, 0, 1, 1)], 6, 5)
     assert np.array_equal(out.data, m.data)
+
+
+@pytest.mark.parametrize("roi", [Box(-0.1, 0, 1, 1), Box(0, 0, 1.1, 1), Box(0, -0.5, 1, 0.5),
+                                 Box(0.5, 0.5, 1, 1.25)])
+def test_roi_align_rejects_a_roi_outside_the_unit_square(roi):
+    with pytest.raises(AlignmentError, match="leaves the unit square"):
+        roi_align(Tensor(np.zeros((2, 1, 4, 4))), [roi], 2, 2)
 
 
 def test_roi_align_constant_map():
     m = Tensor(np.full((2, 1, 5, 5), 3.25))
     rng = np.random.default_rng(2)
     for _ in range(10):
-        out = roi_align(m, [random_relbox(rng)], 3, 4)
+        out = roi_align(m, [random_roi(rng)], 3, 4)
         assert np.allclose(out.data, 3.25, atol=1e-12)
 
 
@@ -91,7 +114,7 @@ def test_roi_align_matches_naive_oracle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         m = rng.random((1, 4, 4))
-        roi = random_relbox(rng)
+        roi = random_roi(rng)
         got = roi_align(Tensor(m[:, None]), [roi], 2, 2).data[:, 0]
         want = naive_bilinear_roi(m, roi, 2, 2)
         assert np.max(np.abs(got - want)) < 1e-9
@@ -101,7 +124,7 @@ def test_roi_align_matches_naive_oracle():
 def test_roi_align_gradient(seed):
     rng = np.random.default_rng(seed)
     m = Tensor(rng.standard_normal((2, 1, 5, 5)), requires_grad=True)
-    rois = [random_relbox(rng)]
+    rois = [random_roi(rng)]
     d = Tensor(rng.standard_normal((2, 1, 3, 3)))
     rep = T.finite_difference_check(
         lambda m_: T.reduce_sum(T.mul(roi_align(m_, rois, 3, 3), d)), [m], name="roi_align")
@@ -157,18 +180,18 @@ def test_align_pair_modes():
     a = [spec_for(Box(0, 0, 32, 32))]
     b = [spec_for(Box(8, 8, 32, 32))]
 
-    out = align_pair(g, gp, a, b, "none")
-    assert out.online is g and out.target is gp
+    online, target = align_pair(g, gp, a, b, "none")
+    assert online is g and target is gp
 
-    same = align_pair(g, gp, a, a, "offset")
-    assert same.online.shape == (5, 1, 8, 8)
-    assert np.array_equal(same.online.data[:3], g.data)
-    assert np.array_equal(same.online.data[3:], np.zeros((2, 1, 8, 8)))
-    assert same.target is gp
+    online, target = align_pair(g, gp, a, a, "offset")
+    assert online.shape == (5, 1, 8, 8)
+    assert np.array_equal(online.data[:3], g.data)
+    assert np.array_equal(online.data[3:], np.zeros((2, 1, 8, 8)))
+    assert target is gp
 
-    roi_same = align_pair(g, gp, a, a, "roi")
-    assert np.array_equal(roi_same.online.data, g.data)
-    assert np.array_equal(roi_same.target.data, gp.data)
+    online, target = align_pair(g, gp, a, a, "roi")
+    assert np.array_equal(online.data, g.data)
+    assert np.array_equal(target.data, gp.data)
 
     with pytest.raises(AlignmentError):
         align_pair(g, gp, a, b, "banana")
@@ -188,8 +211,8 @@ def test_roi_mode_correspondence_through_both_views():
             for spec, rel in ((a, rel_a), (b, rel_b)):
                 px = rel.x0 + (j + 0.5) / w * (rel.x1 - rel.x0)
                 py = rel.y0 + (i + 0.5) / h * (rel.y1 - rel.y0)
-                via.append((spec.box.x0 + px * spec.box.width,
-                            spec.box.y0 + py * spec.box.height))
+                box = spec.box
+                via.append((box.x0 + px * (box.x1 - box.x0), box.y0 + py * (box.y1 - box.y0)))
             assert via[0] == pytest.approx(via[1], abs=1e-9)
 
 
@@ -203,7 +226,7 @@ LONE_CLUSTER = O.kmeans(np.random.default_rng(0).standard_normal((2, 4, 4)), 2)
     (lambda m: T.global_avg_pool(m), T.ShapeError),
     (lambda m: flip_back(m, [False]), AlignmentError),
     (lambda m: flip_back(m, [True]), AlignmentError),
-    (lambda m: roi_align(m, [RelBox(0, 0, 1, 1)], 2, 2), AlignmentError),
+    (lambda m: roi_align(m, [Box(0, 0, 1, 1)], 2, 2), AlignmentError),
     (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "none"), AlignmentError),
     (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "offset"), AlignmentError),
     (lambda m: align_pair(m, m, LONE_SPEC, LONE_SPEC, "roi"), AlignmentError),

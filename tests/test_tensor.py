@@ -177,16 +177,6 @@ def test_matmul_transpose_reshape_concat_gradients():
     assert report.max_relative_error < 1e-6
 
 
-def test_flip_last_involution_and_grad():
-    rng = np.random.default_rng(11)
-    x = randt(rng, (2, 1, 3, 4))
-    assert np.array_equal(T.flip_last(T.flip_last(x, [True]), [True]).data, x.data)
-    d = Tensor(rng.standard_normal((2, 1, 3, 4)))
-    report = T.finite_difference_check(
-        lambda x_: T.reduce_sum(T.mul(T.flip_last(x_, [True]), d)), [x], name="flip_last")
-    assert report.max_relative_error < 1e-8
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_logsumexp_matches_naive_and_grad(seed):
     rng = np.random.default_rng(seed)

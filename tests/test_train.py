@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,51 @@ def test_checkpoint_invalid_config_block_exits_runtime(tmp_path):
     with pytest.raises(CK.CheckpointError, match="config block: steps"):
         CK.load_checkpoint(path)
     assert _eval_exit_code(tmp_path, path) == 2
+
+
+@pytest.mark.parametrize("groups", [("online", "target", "opt"), ("target",)],
+                         ids=["every-group", "target-only"])
+def test_checkpoint_rejects_parameter_shapes_the_architecture_does_not_have(tmp_path, capsys,
+                                                                            groups):
+    # online, target and optimizer tensors that agree with one another pass
+    # every check among them; only the architecture tells the shape is wrong
+    state = TR.init_state(FAST)
+    name = "backbone.conv4.b"
+    if "online" in groups:
+        state.pair.online[name] = Tensor(np.zeros(5), requires_grad=True)
+    if "target" in groups:
+        state.pair.target[name] = Tensor(np.zeros(5))
+    if "opt" in groups:
+        state.opt_buffers = {name: np.zeros(5)}
+    path = tmp_path / "run.ckpt"
+    CK.save_checkpoint(state, path)
+    with pytest.raises(CK.CheckpointError, match=rf"{groups[0]}\.{name} has shape \(5,\)"):
+        CK.load_checkpoint(path)
+    capsys.readouterr()
+    assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {groups[0]}.{name}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, output", [("eval", "probe_report.json"),
+                                             ("viz", "viz_0.ppm")])
+def test_weights_that_overflow_the_probe_exit_runtime(tmp_path, capsys, command, output):
+    # finite weights, so the checkpoint loads; the features they give overflow
+    # the probe's arithmetic, and nothing may be scored from them
+    state = TR.init_state(FAST)
+    state.pair.online["backbone.conv1.w"].data[:] = 1e300
+    path = tmp_path / "run.ckpt"
+    CK.save_checkpoint(state, path)
+    out = tmp_path / command
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--checkpoint", str(path), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the trained weights overflow") and err.count("\n") == 1, err
+    assert not (out / output).exists()
 
 
 MOCO_TINY = TR.TrainConfig(steps=2, batch_size=2, corpus_images=4, eval_images=2, out_size=32,
