@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Tensor, _accumulate, _require_maps, _result, concat
-from .views import Box, ViewSpec, bilinear_sample, cell_centers
+from .views import Box, ViewSpec, bilinear_sample, cell_centers, separable
 
 __all__ = [
     "AlignmentError",
@@ -89,21 +89,21 @@ def roi_align(fmap: Tensor, rois, out_h: int, out_w: int) -> Tensor:
     if len(rois) != n:
         raise AlignmentError(f"{len(rois)} boxes for {n} samples")
     out = np.empty((c, n, out_h, out_w))
-    taps = []
+    weights = []
     for s, box in enumerate(rois):
         if not (0.0 <= box.x0 and box.x1 <= 1.0 and 0.0 <= box.y0 and box.y1 <= 1.0):
             raise AlignmentError(
                 f"roi {(box.x0, box.y0, box.x1, box.y1)} leaves the unit square")
         xs = cell_centers(box.x0, box.x1, out_w)
         ys = cell_centers(box.y0, box.y1, out_h)
-        out[:, s], sample_taps = bilinear_sample(fmap.data[:, s], xs * w, ys * h)
-        taps.append(sample_taps)
+        out[:, s], sample_weights = bilinear_sample(fmap.data[:, s], xs * w, ys * h)
+        weights.append(sample_weights)
 
     def bw(g):
-        grad = np.zeros_like(fmap.data)
-        for s, sample_taps in enumerate(taps):
-            for rows, cols, weights in sample_taps:
-                np.add.at(grad[:, s], (slice(None), rows, cols), g[:, s] * weights)
+        # the adjoint of each sample: rows.T @ g @ cols
+        grad = np.empty_like(fmap.data)
+        for s, (rows, cols) in enumerate(weights):
+            grad[:, s] = separable(g[:, s], rows.T, cols.T)
         _accumulate(fmap, grad)
 
     return _result(out, (fmap,), bw)

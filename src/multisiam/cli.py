@@ -1,6 +1,7 @@
 """Command-line entry point.
 
     multisiam train|eval|viz|gradcheck --config <path> [--key=value ...] --out <dir>
+    multisiam compare RUN_A RUN_B
 
 Exit codes: 0 ok, 1 usage or config error, 2 runtime failure, 3 verification
 failure. The environment variable MULTISIAM_SEED overrides the config seed.
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .checks import GRADCHECK_TOLERANCE, run_gradient_suite
+from .metrics import smoothed_endpoints
 from .objectives import ClusteringError
 from .probe import paired_clusters, paired_probe
 from .scenes import SceneSpec, generate
@@ -33,7 +35,7 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
-COMMANDS = ("train", "eval", "viz", "gradcheck")
+COMMANDS = ("train", "eval", "viz", "gradcheck", "compare")
 
 
 class UsageError(Exception):
@@ -57,6 +59,10 @@ def _positive_int(raw: str) -> int:
 
 def _build_parser(command: str) -> _Parser:
     parser = _Parser(prog=f"multisiam {command}", add_help=False)
+    if command == "compare":
+        parser.add_argument("run_a")
+        parser.add_argument("run_b")
+        return parser
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=None)
     if command in ("eval", "viz"):
@@ -122,11 +128,11 @@ def _numeric_stack() -> dict:
 
 
 def _out_dir(ns) -> Path:
+    """The --out directory, checked before any work; a command creates it
+    only once it has something to write."""
     if ns.out is None:
         raise UsageError("--out <dir> is required")
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(ns.out)
 
 
 def _scene_specs(cfg: TrainConfig) -> tuple[SceneSpec, SceneSpec]:
@@ -140,6 +146,7 @@ def cmd_train(ns, overrides) -> int:
     out = _out_dir(ns)
     train_spec, _ = _scene_specs(cfg)
     corpus = generate(train_spec, cfg.corpus_images)
+    out.mkdir(parents=True, exist_ok=True)
 
     metrics_path = out / "metrics.jsonl"
     checkpoint_path = out / "final.ckpt"
@@ -180,6 +187,7 @@ def cmd_eval(ns, overrides) -> int:
     out = _out_dir(ns)
     corpus = _eval_corpus(cfg, ns.images if ns.images is not None else cfg.eval_images)
     report = paired_probe(state, corpus)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "probe_report.json").write_text(json.dumps(asdict(report), indent=2) + "\n",
                                            encoding="utf-8")
     print(f"ari_instance trained={report.ari_instance:.4f} "
@@ -204,6 +212,7 @@ def cmd_viz(ns, overrides) -> int:
     count = ns.images if ns.images is not None else 4
     corpus = _eval_corpus(cfg, count)
     clusters = paired_clusters(state, corpus)
+    out.mkdir(parents=True, exist_ok=True)
     for idx, (scene, (random_map, trained_map)) in enumerate(zip(corpus, clusters)):
         panel = compose_panels([image_panel(scene.image),
                                 cluster_panel(random_map),
@@ -227,6 +236,7 @@ def cmd_gradcheck(ns, overrides) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name:28s} max_rel_err={worst[name]:.3e}")
     if ns.out is not None:
         out = _out_dir(ns)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "gradcheck.json").write_text(json.dumps(worst, indent=2) + "\n",
                                             encoding="utf-8")
     if failures:
@@ -237,8 +247,76 @@ def cmd_gradcheck(ns, overrides) -> int:
     return EXIT_OK
 
 
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as err:
+        raise UsageError(f"{path}: {err.strerror or err}") from None
+
+
+def _metric_rows(path: Path, raw: bytes, keys: list[str] | None = None) -> list[dict]:
+    """The rows of a metrics.jsonl: objects of numbers that share their keys
+    (``keys`` when given), the loss and feature_std among them."""
+    try:
+        rows = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
+    except ValueError:
+        rows = []
+    if keys is None and rows and isinstance(rows[0], dict):
+        keys = list(rows[0])
+    if not rows or not {"loss", "feature_std"} <= set(keys or ()) or any(
+            not isinstance(row, dict) or list(row) != keys
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row.values())
+            for row in rows):
+        raise UsageError(f"{path}: not the metrics of a run"
+                         + (f" with the columns {keys}" if keys else ""))
+    return rows
+
+
+def _margins(path: Path) -> tuple[float, float]:
+    try:
+        report = json.loads(_read(path))
+        return float(report["margin_instance"]), float(report["margin_class"])
+    except (ValueError, TypeError, KeyError):
+        raise UsageError(f"{path}: not a probe report") from None
+
+
+def cmd_compare(ns, overrides) -> int:
+    """Set two run directories side by side: whether their metrics.jsonl is
+    byte-identical, the largest difference per column, the smoothed loss
+    endpoints and feature_std floors, and the eval margins when both
+    directories hold a probe_report.json."""
+    if overrides:
+        raise UsageError("compare takes two run directories and nothing else")
+    runs = [Path(ns.run_a), Path(ns.run_b)]
+    for run in runs:
+        if not run.is_dir():
+            raise UsageError(f"{run}: not a run directory")
+    raws = [_read(run / "metrics.jsonl") for run in runs]
+    rows_a = _metric_rows(runs[0] / "metrics.jsonl", raws[0])
+    rows_b = _metric_rows(runs[1] / "metrics.jsonl", raws[1], list(rows_a[0]))
+    reports = [run / "probe_report.json" for run in runs]
+    margins = [_margins(path) for path in reports] if all(p.is_file() for p in reports) else None
+    print(f"a: {runs[0]}\nb: {runs[1]}")
+    if raws[0] == raws[1]:
+        print(f"metrics.jsonl: byte-identical, {len(rows_a)} rows")
+    else:
+        differ = sum(ra != rb for ra, rb in zip(rows_a, rows_b))
+        print(f"metrics.jsonl: differs; {len(rows_a)} and {len(rows_b)} rows, "
+              f"{differ} of the first {min(len(rows_a), len(rows_b))} differ")
+        for key in rows_a[0]:
+            delta = max(abs(ra[key] - rb[key]) for ra, rb in zip(rows_a, rows_b))
+            print(f"  max |delta| {key:12s} {delta:.3e}")
+    for name, rows in zip("ab", (rows_a, rows_b)):
+        first, last = smoothed_endpoints(row["loss"] for row in rows)
+        floor = min(row["feature_std"] for row in rows)
+        print(f"{name}: smoothed loss {first!r} -> {last!r}, feature_std floor {floor!r}")
+    for name, pair in zip("ab", margins or ()):
+        print(f"{name}: margin_instance {pair[0]!r}, margin_class {pair[1]!r}")
+    return EXIT_OK
+
+
 _HANDLERS = {"train": cmd_train, "eval": cmd_eval, "viz": cmd_viz,
-             "gradcheck": cmd_gradcheck}
+             "gradcheck": cmd_gradcheck, "compare": cmd_compare}
 
 
 def main(argv=None) -> int:

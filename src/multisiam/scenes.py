@@ -105,7 +105,10 @@ def _background(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.size
     tint = rng.uniform(0.05, 0.25, size=3)
     cells = tint[:, None, None] + rng.uniform(-0.04, 0.04, size=(3, 4, 4))
-    return np.clip(resize_bilinear(cells, (h, w)), 0.0, 1.0)
+    img = resize_bilinear(cells, (h, w))
+    # in place: a freed resize output under each kept image left about 1.4 MB
+    # of heap holes over a 128-scene corpus, all in the peak resident set
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def _generate_one(spec: SceneSpec, rng: np.random.Generator) -> LabeledImage:

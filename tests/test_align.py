@@ -131,6 +131,20 @@ def test_roi_align_gradient(seed):
     assert rep.max_relative_error < 1e-5
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_roi_align_backward_is_the_adjoint_of_its_forward(seed):
+    # <roi_align(x), g> = <x, grad>: the backward applies the transposed
+    # weights of the forward, over a strided batch with one roi per sample
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((3, 4, 8, 8)), requires_grad=True)
+    rois = [random_roi(rng) for _ in range(4)]
+    g = rng.standard_normal((3, 4, 5, 6))
+    out = roi_align(x, rois, 5, 6)
+    T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+    lhs, rhs = np.vdot(out.data, g), np.vdot(x.data, x.grad)
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
 def test_offset_map_zero_for_identical_specs():
     spec = spec_for(Box(5, 5, 37, 37))
     om = offset_map(spec, spec, 8, 8, normalize=True)

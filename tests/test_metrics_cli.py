@@ -340,3 +340,94 @@ def test_cli_config_error_names_where_the_value_was_read(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith(error.format(cfg=cfg_file)) and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def compared_runs(tmp_path_factory):
+    """TINY runs: two of one seed, one with lambda=0.7, each with its
+    probe_report.json in the run directory."""
+    root = tmp_path_factory.mktemp("compare")
+    for name, extra in (("a", []), ("b", []), ("lambda", ["--lambda=0.7"])):
+        run = root / name
+        assert cli.main(["train", "--out", str(run)] + TINY + extra) == 0
+        assert cli.main(["eval", "--checkpoint", str(run / "final.ckpt"), "--out", str(run),
+                         "--images", "2"]) == 0
+    return root
+
+
+def test_cli_compare_two_runs_of_one_seed_are_identical(compared_runs, capsys):
+    capsys.readouterr()
+    assert cli.main(["compare", str(compared_runs / "a"), str(compared_runs / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "metrics.jsonl: byte-identical, 4 rows"
+    rows = [json.loads(line) for line in (compared_runs / "a" / "metrics.jsonl").open()]
+    first, last = smoothed_endpoints(r["loss"] for r in rows)
+    floor = min(r["feature_std"] for r in rows)
+    summary = f"smoothed loss {first!r} -> {last!r}, feature_std floor {floor!r}"
+    assert lines[3:5] == [f"a: {summary}", f"b: {summary}"]
+    report = json.loads((compared_runs / "a" / "probe_report.json").read_text())
+    margins = (f"margin_instance {report['margin_instance']!r}, "
+               f"margin_class {report['margin_class']!r}")
+    assert lines[5:] == [f"a: {margins}", f"b: {margins}"]
+
+
+def test_cli_compare_flags_a_changed_lambda(compared_runs, capsys):
+    capsys.readouterr()
+    assert cli.main(["compare", str(compared_runs / "a"), str(compared_runs / "lambda")]) == 0
+    out = capsys.readouterr().out
+    assert "metrics.jsonl: differs; 4 and 4 rows, 4 of the first 4 differ" in out
+    deltas = dict(re.findall(r"max \|delta\| (\w+) +(\S+)", out))
+    assert list(deltas) == ["step", "loss", "l1d", "l2d", "lr", "tau", "feature_std"]
+    assert float(deltas["step"]) == float(deltas["lr"]) == float(deltas["tau"]) == 0.0
+    assert float(deltas["loss"]) > 1e-3
+    a_loss, b_loss = re.findall(r"^[ab]: smoothed loss (.*) ->", out, re.M)
+    assert a_loss != b_loss
+
+
+def test_cli_compare_without_probe_reports_prints_no_margins(compared_runs, tmp_path, capsys):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "metrics.jsonl").write_bytes((compared_runs / "a" / "metrics.jsonl").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["compare", str(compared_runs / "a"), str(bare)]) == 0
+    out = capsys.readouterr().out
+    assert "byte-identical" in out and "margin" not in out
+
+
+@pytest.mark.parametrize("case, fragment", [
+    ("missing-dir", "not a run directory"),
+    ("missing-metrics", "No such file"),
+    ("not-json", "not the metrics of a run"),
+    ("empty", "not the metrics of a run"),
+    ("other-columns", "not the metrics of a run"),
+    ("bad-report", "not a probe report"),
+    ("one-run", "required"),
+    ("extra-key", "compare takes two run directories"),
+])
+def test_cli_compare_rejects_what_is_not_two_runs(compared_runs, tmp_path, capsys, case,
+                                                  fragment):
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "probe_report.json").write_bytes(
+        (compared_runs / "a" / "probe_report.json").read_bytes())
+    metrics = (compared_runs / "a" / "metrics.jsonl").read_text()
+    if case == "not-json":
+        (other / "metrics.jsonl").write_text(metrics + "{oops\n")
+    elif case == "empty":
+        (other / "metrics.jsonl").write_text("")
+    elif case == "other-columns":
+        (other / "metrics.jsonl").write_text(metrics.replace('"tau"', '"tau2"'))
+    elif case != "missing-metrics":
+        (other / "metrics.jsonl").write_text(metrics)
+    if case == "bad-report":
+        (other / "probe_report.json").write_text('{"margin_instance": 0.1}')
+    argv = ["compare", str(compared_runs / "a"), str(other)]
+    if case == "missing-dir":
+        argv[2] = str(tmp_path / "nowhere")
+    elif case == "one-run":
+        argv = argv[:2]
+    elif case == "extra-key":
+        argv.append("--lambda=0.7")
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys, fragment)

@@ -497,6 +497,7 @@ def test_weights_that_overflow_the_probe_exit_runtime(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: the trained weights overflow") and err.count("\n") == 1, err
     assert not (out / output).exists()
+    assert not out.exists()
 
 
 MOCO_TINY = TR.TrainConfig(steps=2, batch_size=2, corpus_images=4, eval_images=2, out_size=32,

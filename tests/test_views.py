@@ -3,7 +3,7 @@ import pytest
 
 from multisiam.views import (AugmentConfig, Box, PhotoParams, NEUTRAL_PHOTO, ViewSpec,
                              bilinear_sample, compute_iou, render_view, resize_bilinear,
-                             sample_view_pair, _hsv_to_rgb, _sample_box)
+                             sample_view_pair, _gaussian_blur, _hsv_to_rgb, _sample_box)
 
 
 def full_spec(h, w, flipped=False, photo=NEUTRAL_PHOTO):
@@ -177,8 +177,27 @@ def test_resize_bilinear_identity_and_constant():
     assert np.allclose(up, 2.5, atol=1e-12)
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def four_tap_sample(img, xs, ys):
+    """Per-pixel oracle: each sample is the sum of its four clamped taps."""
+    c, h, w = img.shape
+    out = np.empty((c, len(ys), len(xs)))
+    for i, y in enumerate(ys):
+        for j, x in enumerate(xs):
+            u = min(max(x - 0.5, 0.0), w - 1.0)
+            v = min(max(y - 0.5, 0.0), h - 1.0)
+            j0, i0 = int(np.floor(u)), int(np.floor(v))
+            j1, i1 = min(j0 + 1, w - 1), min(i0 + 1, h - 1)
+            fx, fy = u - j0, v - i0
+            out[:, i, j] = (img[:, i0, j0] * ((1 - fy) * (1 - fx)) + img[:, i0, j1] * ((1 - fy) * fx)
+                            + img[:, i1, j0] * (fy * (1 - fx)) + img[:, i1, j1] * (fy * fx))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_bilinear_sample_matches_broadcast_gather(seed):
+def test_bilinear_sample_matches_four_tap_oracle(seed):
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((16, 4, 8, 8))
     box = np.sort(rng.uniform(0.0, 1.0, (2, 2)), axis=1)
@@ -195,11 +214,55 @@ def test_bilinear_sample_matches_broadcast_gather(seed):
          8 * (box[1, 0] + centers * (box[1, 1] - box[1, 0]))),
     ]
     for img, xs, ys in cases:
-        out, taps = bilinear_sample(img, xs, ys)
-        expect = img[:, taps[0][0], taps[0][1]] * taps[0][2]
-        for rows, cols, weights in taps[1:]:
-            assert rows.shape == (len(ys), 1) and cols.shape == (1, len(xs))
-            assert weights.shape == (len(ys), len(xs))
-            expect += img[:, rows, cols] * weights
-        assert out.tobytes() == expect.tobytes()
+        out, (rows, cols) = bilinear_sample(img, xs, ys)
+        assert rows.shape == (len(ys), img.shape[1]) and cols.shape == (len(xs), img.shape[2])
+        for weights in (rows, cols):
+            # two taps a sample, convex
+            assert ((weights != 0).sum(axis=1) <= 2).all() and (weights >= 0).all()
+            assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=EPS)
+        # each sample is two rounded two-term sums of the source, the oracle
+        # one four-term sum: a few eps of the largest magnitude apart
+        bound = 4 * EPS * np.abs(img).max()
+        assert np.abs(out - four_tap_sample(img, xs, ys)).max() <= bound
     assert not cases[2][0].flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape, out_size", [((32, 8, 8), (64, 64)), ((3, 9, 11), (5, 7)),
+                                             ((2, 4, 6), (12, 12))])
+def test_resize_bilinear_matches_four_tap_oracle(shape, out_size):
+    # the square case shares one weight matrix between the axes
+    img = np.random.default_rng(shape[1]).standard_normal(shape)
+    (_, h, w), (out_h, out_w) = shape, out_size
+    want = four_tap_sample(img, (np.arange(out_w) + 0.5) / out_w * w,
+                           (np.arange(out_h) + 0.5) / out_h * h)
+    got = resize_bilinear(img, out_size)
+    assert np.abs(got - want).max() <= 4 * EPS * np.abs(img).max()
+
+
+def tap_loop_blur(img, sigma):
+    """The Gaussian blur as an edge-padded tap loop, horizontal then vertical."""
+    radius = max(1, int(3.0 * sigma + 0.5))
+    taps = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (taps / sigma) ** 2)
+    kernel /= kernel.sum()
+    padded = np.pad(img, ((0, 0), (0, 0), (radius, radius)), mode="edge")
+    out = np.zeros_like(img)
+    for k, coef in enumerate(kernel):
+        out += coef * padded[:, :, k:k + img.shape[2]]
+    padded = np.pad(out, ((0, 0), (radius, radius), (0, 0)), mode="edge")
+    out = np.zeros_like(img)
+    for k, coef in enumerate(kernel):
+        out += coef * padded[:, k:k + img.shape[1], :]
+    return out
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 1.0, 2.0])
+@pytest.mark.parametrize("shape", [(3, 64, 64), (3, 32, 48), (1, 5, 3)])
+def test_gaussian_blur_matches_tap_loop(sigma, shape):
+    rng = np.random.default_rng(int(sigma * 10) + shape[1])
+    img = rng.random(shape)
+    # both sum the same convex taps in a different order, in two passes
+    bound = 4 * EPS * np.abs(img).max()
+    assert np.abs(_gaussian_blur(img, sigma) - tap_loop_blur(img, sigma)).max() <= bound
+    flat = _gaussian_blur(np.full(shape, 0.7), sigma)
+    assert np.abs(flat - 0.7).max() <= 4 * EPS * 0.7
