@@ -26,6 +26,7 @@ __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 MAGIC = b"MSIA"
 VERSION = 1
 F64_TAG = 0
+GROUPS = ("online", "target", "opt", "queue")  # every tensor name is <group>.<name>
 
 
 class CheckpointError(ValueError):
@@ -126,6 +127,8 @@ def load_checkpoint(path) -> TrainState:
     for _ in range(count):
         (name_len,) = r.unpack("<I")
         name = r.text(name_len, "tensor name")
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} appears twice")
         (ndim,) = r.unpack("<I")
         dims = r.unpack(f"<{ndim}Q") if ndim else ()
         (tag,) = r.unpack("<B")
@@ -141,7 +144,13 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError(f"{path}: config block: {err}") from None
     if r.off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes")
+    queue_names = ("queue.buffer", "queue.state") if cfg.loss_mode == "moco" else ()
     for name, arr in tensors.items():
+        group = name.partition(".")[0]
+        if group not in GROUPS:
+            raise CheckpointError(f"{path}: tensor {name} is in none of the groups {GROUPS}")
+        if group == "queue" and name not in queue_names:
+            raise CheckpointError(f"{path}: loss_mode={cfg.loss_mode} keeps no tensor {name}")
         # training keeps every saved value finite; _queue_state checks queue.state
         if name != "queue.state" and not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name} holds a non-finite value")

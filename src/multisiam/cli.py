@@ -132,7 +132,11 @@ def _out_dir(ns) -> Path:
     only once it has something to write."""
     if ns.out is None:
         raise UsageError("--out <dir> is required")
-    return Path(ns.out)
+    out = Path(ns.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"--out {out}: {existing} is not a directory")
+    return out
 
 
 def _scene_specs(cfg: TrainConfig) -> tuple[SceneSpec, SceneSpec]:
@@ -182,9 +186,9 @@ def _eval_corpus(cfg: TrainConfig, n_images: int):
 def cmd_eval(ns, overrides) -> int:
     if overrides:
         raise UsageError("eval takes its config from the checkpoint")
+    out = _out_dir(ns)
     state = load_checkpoint(ns.checkpoint)
     cfg = state.config
-    out = _out_dir(ns)
     corpus = _eval_corpus(cfg, ns.images if ns.images is not None else cfg.eval_images)
     report = paired_probe(state, corpus)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,12 +207,12 @@ def cmd_viz(ns, overrides) -> int:
 
     if overrides:
         raise UsageError("viz takes its config from the checkpoint")
+    out = _out_dir(ns)
     state = load_checkpoint(ns.checkpoint)
     cfg = state.config
     if cfg.k > len(PALETTE):
         raise UsageError(f"viz draws at most {len(PALETTE)} clusters, and the checkpoint "
                          f"has k={cfg.k}")
-    out = _out_dir(ns)
     count = ns.images if ns.images is not None else 4
     corpus = _eval_corpus(cfg, count)
     clusters = paired_clusters(state, corpus)
@@ -225,6 +229,7 @@ def cmd_viz(ns, overrides) -> int:
 def cmd_gradcheck(ns, overrides) -> int:
     if overrides:
         raise UsageError("gradcheck takes no config overrides")
+    out = _out_dir(ns) if ns.out is not None else None
     reports = run_gradient_suite(seeds=range(ns.seeds))
     worst: dict[str, float] = {}
     for rep in reports:
@@ -234,8 +239,7 @@ def cmd_gradcheck(ns, overrides) -> int:
         ok = worst[name] < GRADCHECK_TOLERANCE
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} {name:28s} max_rel_err={worst[name]:.3e}")
-    if ns.out is not None:
-        out = _out_dir(ns)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "gradcheck.json").write_text(json.dumps(worst, indent=2) + "\n",
                                             encoding="utf-8")

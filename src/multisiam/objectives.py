@@ -77,7 +77,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         sq = np.multiply(diff, diff, out=diff).sum(axis=1)
         d2 = sq if d2 is None else np.minimum(d2, sq, out=d2)
         total = d2.sum()
-        if total <= 0.0:
+        if not total > 0.0:  # also NaN, which the non-finite loss check reports
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=d2 / total))

@@ -207,13 +207,14 @@ def negate(t: Tensor) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
-    """Elementwise max(x, 0); the subgradient at 0 is taken as 0."""
+    """Elementwise max(x, 0); the subgradient at 0 is taken as 0. A NaN input
+    stays NaN, so the non-finite loss check sees it."""
     mask = t.data > 0
 
     def bw(g):
         _accumulate(t, g * mask)
 
-    return _result(np.where(mask, t.data, 0.0), (t,), bw)
+    return _result(np.maximum(t.data, 0.0), (t,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -249,50 +249,33 @@ def resize_bilinear(img: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     return separable(img, rows, cols)
 
 
-def _rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
-    r, g, b = rgb
-    maxc = rgb.max(axis=0)
-    minc = rgb.min(axis=0)
-    v = maxc
-    delta = maxc - minc
-    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    dsafe = np.where(delta > 0, delta, 1.0)
-    h = np.where(maxc == r, ((g - b) / dsafe) % 6.0,
-                 np.where(maxc == g, (b - r) / dsafe + 2.0, (r - g) / dsafe + 4.0))
-    h = np.where(delta > 0, h / 6.0, 0.0)
-    return np.stack([h, s, v])
-
-
-# per hue sextant, the rows of the stacked (v, q, p, t) that give r, g and b
-_SEXTANT_RGB = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1]])
-
-
-def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
-    h, s, v = hsv
-    h6 = (h % 1.0) * 6.0
-    i = np.floor(h6).astype(int) % 6
-    f = h6 - np.floor(h6)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    rows = _SEXTANT_RGB.T[:, i]  # [3, H, W]
-    return np.stack([v, q, p, t]).take(rows * i.size + np.arange(i.size).reshape(i.shape))
-
-
 def _color_jitter(img: np.ndarray, p: PhotoParams) -> np.ndarray:
-    if p.brightness != 0.0:
-        img = img * (1.0 + p.brightness)
-    if p.contrast != 0.0:
-        gray_mean = float((LUMA[:, None, None] * img).sum(axis=0).mean())
-        img = (1.0 + p.contrast) * img + (-p.contrast) * gray_mean
-    if p.saturation != 0.0:
-        luma = (LUMA[:, None, None] * img).sum(axis=0, keepdims=True)
-        img = (1.0 + p.saturation) * img + (-p.saturation) * luma
-    if p.hue != 0.0:
-        hsv = _rgb_to_hsv(np.clip(img, 0.0, 1.0))
-        hsv[0] = (hsv[0] + p.hue) % 1.0
-        img = _hsv_to_rgb(hsv)
-    return img
+    """Brightness, contrast and saturation as one affine color map (a GEMM,
+    so its rounding follows the BLAS): contrast pulls toward the mean luma of
+    the brightened image, a constant that saturation keeps because the luma
+    weights sum to 1. Then the hue rotation of the clipped image, which keeps
+    each pixel's max, min and delta = max - min: channel n in (5, 3, 1) (r, g,
+    b) is max - delta * clip(min(k, 4 - k), 0, 1), where k = (n + 6 h') mod 6
+    and h' is the shifted hue in turns (Smith, SIGGRAPH 1978)."""
+    if (p.brightness, p.contrast, p.saturation) != (0.0, 0.0, 0.0):
+        flat = img.reshape(3, -1)
+        scale = (1.0 + p.brightness) * (1.0 + p.contrast)
+        mix = scale * ((1.0 + p.saturation) * np.eye(3) - p.saturation * LUMA)
+        offset = -p.contrast * (1.0 + p.brightness) * float(LUMA @ flat.mean(axis=1))
+        img = (mix @ flat + offset).reshape(img.shape)
+    if p.hue == 0.0:
+        return img
+    img = np.clip(img, 0.0, 1.0)
+    r, g, b = img
+    maxc = img.max(axis=0)
+    delta = maxc - img.min(axis=0)
+    dsafe = np.where(delta > 0, delta, 1.0)
+    # the hue in sextants, in [-1, 5); a gray pixel (delta 0) keeps its value
+    h = np.where(maxc == r, (g - b) / dsafe,
+                 np.where(maxc == g, (b - r) / dsafe + 2.0, (r - g) / dsafe + 4.0))
+    k = np.array([5.0, 3.0, 1.0])[:, None, None] + (h + 6.0 * p.hue)
+    k -= 6.0 * np.floor(k / 6.0)  # mod 6; numpy's float % is several times slower
+    return maxc - delta * np.clip(np.minimum(k, 4.0 - k), 0.0, 1.0)
 
 
 def _blur_weights(n: int, sigma: float) -> np.ndarray:

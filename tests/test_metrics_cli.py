@@ -309,6 +309,25 @@ def test_cli_config_file_error_names_the_file(tmp_path, capsys, text, fragment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("argv", [["train"], ["eval", "--checkpoint", "x.ckpt"],
+                                  ["viz", "--checkpoint", "x.ckpt"], ["gradcheck"]],
+                         ids=["train", "eval", "viz", "gradcheck"])
+def test_cli_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                           argv, below):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("generate", "load_checkpoint", "run_gradient_suite"):
+        monkeypatch.setattr(cli, name, no_work)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    out = afile / "run" if below else afile
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert_one_error_line(capsys, f"--out {out}: {afile} is not a directory")
+    assert afile.read_bytes() == b"kept"
+
+
 def test_cli_gradcheck_passes(tmp_path, capsys):
     rc = cli.main(["gradcheck", "--seeds", "1", "--out", str(tmp_path)])
     captured = capsys.readouterr()

@@ -14,6 +14,19 @@ def test_add_and_relu_values():
     assert np.array_equal(T.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
 
+def test_relu_bytes_and_nan():
+    # for finite inputs, signed zeros and subnormals included, the bytes are
+    # those of the masked select; a NaN propagates instead of reading 0
+    x = np.array([-0.0, 0.0, -5e-324, 5e-324, -1.5, 2.5, -np.inf, np.inf])
+    x = np.concatenate([x, np.random.default_rng(0).standard_normal(64)])
+    t = Tensor(x, requires_grad=True)
+    out = T.relu(t)
+    assert out.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    T.backward(T.reduce_sum(out))
+    assert t.grad.tobytes() == (x > 0).astype(np.float64).tobytes()
+    assert np.isnan(T.relu(Tensor([np.nan, -1.0])).data).tolist() == [True, False]
+
+
 def test_mul_gradient_matches_partner_value():
     a = Tensor(3.0, requires_grad=True)
     b = Tensor(5.0, requires_grad=True)

@@ -611,6 +611,33 @@ def test_checkpoint_with_finite_values_loads_the_saved_state(tmp_path):
     assert (loaded.queue.size, loaded.queue.cursor) == (state.queue.size, state.queue.cursor)
 
 
+@pytest.mark.parametrize("loss_mode, old, new, message", [
+    # one byte: the buffer of conv1.b is read as a second conv2.b
+    ("moco", "opt.backbone.conv1.b", "opt.backbone.conv2.b", "appears twice"),
+    ("moco", "opt.backbone.conv1.b", "ppt.backbone.conv1.b", "is in none of the groups"),
+    ("moco", "queue.state", "queue.stats", "loss_mode=moco keeps no tensor queue.stats"),
+    ("cluster", "queue.buffer", "queue.buffer", "loss_mode=cluster keeps no tensor queue.buffer"),
+], ids=["repeated", "unknown-group", "unknown-queue-name", "queue-without-moco"])
+def test_checkpoint_rejects_names_it_would_not_read(tmp_path, capsys, loss_mode, old, new,
+                                                    message):
+    state = _moco_state_with_buffers()
+    state.config = dataclasses.replace(state.config, loss_mode=loss_mode)
+    path = tmp_path / "edited.ckpt"
+    CK.save_checkpoint(state, path)
+    blob = path.read_bytes()
+    values = blob[_first_value_offset(blob, old):][:64]
+    blob = blob.replace(struct.pack("<I", len(old)) + old.encode(),
+                        struct.pack("<I", len(new)) + new.encode())
+    assert blob[_first_value_offset(blob, new):][:64] == values  # only the name changed
+    path.write_bytes(blob)
+    with pytest.raises(CK.CheckpointError, match=message):
+        CK.load_checkpoint(path)
+    capsys.readouterr()
+    assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1, err
+
+
 def test_resume_matches_uninterrupted_run(tmp_path, small_corpus):
     cfg = TR.TrainConfig(steps=6, batch_size=2, corpus_images=8, out_size=32,
                          kmeans_iters=3)

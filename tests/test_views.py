@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from multisiam import views
 from multisiam.views import (AugmentConfig, Box, PhotoParams, NEUTRAL_PHOTO, ViewSpec,
                              bilinear_sample, compute_iou, render_view, resize_bilinear,
-                             sample_view_pair, _gaussian_blur, _hsv_to_rgb, _sample_box)
+                             sample_view_pair, _color_jitter, _gaussian_blur, _sample_box,
+                             _sample_photo)
 
 
 def full_spec(h, w, flipped=False, photo=NEUTRAL_PHOTO):
@@ -142,9 +144,21 @@ def test_hue_shift_roundtrip():
     assert np.allclose(back, img, atol=1e-9)
 
 
-def choose_hsv_to_rgb(hsv):
-    """The three-``np.choose`` conversion: the byte-exact oracle of
-    ``_hsv_to_rgb``'s one ``take``."""
+# The jitter through HSV and back: the oracle of ``_color_jitter``'s closed form.
+def rgb_to_hsv(rgb):
+    r, g, b = rgb
+    maxc = rgb.max(axis=0)
+    minc = rgb.min(axis=0)
+    delta = maxc - minc
+    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    dsafe = np.where(delta > 0, delta, 1.0)
+    h = np.where(maxc == r, ((g - b) / dsafe) % 6.0,
+                 np.where(maxc == g, (b - r) / dsafe + 2.0, (r - g) / dsafe + 4.0))
+    h = np.where(delta > 0, h / 6.0, 0.0)
+    return np.stack([h, s, maxc])
+
+
+def hsv_to_rgb(hsv):
     h, s, v = hsv
     h6 = (h % 1.0) * 6.0
     i = np.floor(h6).astype(int) % 6
@@ -156,17 +170,86 @@ def choose_hsv_to_rgb(hsv):
                      np.choose(i, [p, p, t, v, v, q])])
 
 
-def test_hsv_to_rgb_matches_np_choose():
-    rng = np.random.default_rng(12)
-    hsv = rng.random((3, 9, 7))
-    hsv[0, 0, :7] = np.arange(7) / 6.0  # every sextant boundary, 1.0 included
-    hsv[0, 1, :7] = np.nextafter(np.arange(7) / 6.0, -1.0)  # one ulp below each
-    hsv[1, 2] = 0.0
-    hsv[2, 3] = 0.0
-    hsv[1:, 4, :3] = 0.0
-    got = _hsv_to_rgb(hsv)
-    assert got.shape == hsv.shape
-    assert got.tobytes() == choose_hsv_to_rgb(hsv).tobytes()
+def oracle_jitter(img, p):
+    """Brightness, contrast and saturation as three elementwise passes, then
+    the hue shift through HSV and back."""
+    luma_w = np.array([0.299, 0.587, 0.114])[:, None, None]
+    if p.brightness != 0.0:
+        img = img * (1.0 + p.brightness)
+    if p.contrast != 0.0:
+        gray_mean = float((luma_w * img).sum(axis=0).mean())
+        img = (1.0 + p.contrast) * img + (-p.contrast) * gray_mean
+    if p.saturation != 0.0:
+        luma = (luma_w * img).sum(axis=0, keepdims=True)
+        img = (1.0 + p.saturation) * img + (-p.saturation) * luma
+    if p.hue != 0.0:
+        hsv = rgb_to_hsv(np.clip(img, 0.0, 1.0))
+        hsv[0] = (hsv[0] + p.hue) % 1.0
+        img = hsv_to_rgb(hsv)
+    return img
+
+
+# pixels on the hue sextant boundaries, gray, black and white, and channel ties
+EDGE_PIXELS = np.array([
+    [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 1, 1], [0, 0, 1], [1, 0, 1],
+    [0.6, 0.3, 0.3], [0.6, 0.6, 0.3], [0.3, 0.6, 0.3], [0.3, 0.6, 0.6], [0.3, 0.3, 0.6],
+    [0.6, 0.3, 0.6], [0.5, 0.5, 0.5], [0, 0, 0], [1, 1, 1], [0.8, 0.8, 0.2],
+    [0.8, 0.2, 0.8], [0.2, 0.8, 0.8], [0.2, 0.2, 0.8], [0.8, 0.2, 0.2], [0.2, 0.8, 0.2],
+]).T
+
+
+def jitter_image(rng, h=8, w=12):
+    """A [3,h,w] image: the edge pixels, a row from [-0.25, 1.25] (values the
+    hue shift clips), and the rest uniform in [0, 1]."""
+    img = rng.random((3, h, w))
+    img[:, 1] = rng.uniform(-0.25, 1.25, (3, w))
+    img.reshape(3, -1)[:, -EDGE_PIXELS.shape[1]:] = EDGE_PIXELS
+    return img
+
+
+def assert_jitter_matches_oracle(img, p):
+    got = _color_jitter(img, p)
+    assert got.shape == img.shape
+    assert np.abs(got - oracle_jitter(img, p)).max() <= 1e-14, p
+
+
+@pytest.mark.parametrize("photo", [
+    *[PhotoParams(**{key: value}) for key in ("brightness", "contrast", "saturation", "hue")
+      for value in (-0.4, -0.05, 0.05, 0.4)],
+    *[PhotoParams(hue=shift) for shift in (1 / 6, -1 / 6, 1 / 3, -1 / 3, 0.5, -0.5, 1.0,
+                                           np.nextafter(1 / 6, 0.0), -0.1, 0.1)],
+    PhotoParams(0.4, -0.4, 0.2, 0.1), PhotoParams(-0.4, 0.4, -0.2, -0.1),
+], ids=lambda p: ",".join(f"{k}={float(v)!r}" for k, v in vars(p).items() if v))
+def test_color_jitter_matches_hsv_oracle_on_edge_pixels(photo):
+    rng = np.random.default_rng(13)
+    for flipped in (False, True):
+        img = jitter_image(rng)
+        assert_jitter_matches_oracle(img[:, :, ::-1] if flipped else img, photo)
+
+
+def test_color_jitter_matches_hsv_oracle_on_sampled_recipes():
+    rng = np.random.default_rng(14)
+    jittered = 0
+    while jittered < 200:
+        photo = _sample_photo(jittered % 2, rng)
+        if photo.hue != 0.0:
+            assert_jitter_matches_oracle(jitter_image(rng), photo)
+            jittered += 1
+
+
+def test_views_without_jitter_render_byte_identically(monkeypatch):
+    rng = np.random.default_rng(15)
+    img = rng.random((3, 24, 24))
+    cfg = AugmentConfig(out_size=(16, 16))
+    pairs = [sample_view_pair((24, 24), cfg, rng) for _ in range(60)]
+    specs = [s for pair in pairs for s in (pair.spec_a, pair.spec_b)
+             if s.photometric.hue == 0.0]
+    specs.append(full_spec(24, 24))
+    assert len(specs) > 20
+    got = [render_view(img, s) for s in specs]
+    monkeypatch.setattr(views, "_color_jitter", oracle_jitter)
+    for spec, out in zip(specs, got):
+        assert out.tobytes() == render_view(img, spec).tobytes()
 
 
 def test_resize_bilinear_identity_and_constant():
