@@ -15,18 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SiamesePair, init_params
-from .objectives import NegativeQueue
-from .tensor import Tensor
-from .train import (ConfigError, TrainState, config_from_text, config_to_text,
-                    model_config_for)
+from .train import ConfigError, TrainState, config_from_text, config_to_text, init_state
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"MSIA"
 VERSION = 1
 F64_TAG = 0
-GROUPS = ("online", "target", "opt", "queue")  # every tensor name is <group>.<name>
 
 
 class CheckpointError(ValueError):
@@ -34,6 +29,8 @@ class CheckpointError(ValueError):
 
 
 def _named_tensors(state: TrainState) -> dict[str, np.ndarray]:
+    """What a checkpoint of ``state`` holds, by name. The loader checks a file
+    against this map of a fresh ``init_state``, and fills its arrays."""
     tensors: dict[str, np.ndarray] = {}
     for name, p in state.pair.online.items():
         tensors[f"online.{name}"] = p.data
@@ -51,8 +48,11 @@ def _named_tensors(state: TrainState) -> dict[str, np.ndarray]:
 def save_checkpoint(state: TrainState, path) -> None:
     """Write ``state`` to ``path``. The bytes go to a sibling temporary file
     that replaces ``path`` only once complete, so a failed save leaves an
-    existing checkpoint as it was."""
+    existing checkpoint as it was. A state inside an accumulation window,
+    whose grads a checkpoint does not hold, is refused."""
     path = Path(path)
+    if state.step % state.config.accumulation_steps:
+        raise CheckpointError(f"{path}: step {state.step} is inside an accumulation window")
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -78,11 +78,11 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 class _Reader:
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)  # slices share the file's bytes
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.blob):
             raise CheckpointError(f"{self.path}: truncated (needed {n} more bytes)")
         out = self.blob[self.off:self.off + n]
@@ -94,26 +94,28 @@ class _Reader:
 
     def text(self, n: int, what: str) -> str:
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as err:
             raise CheckpointError(f"{self.path}: {what} is not UTF-8 ({err.reason})") from None
 
 
 def _queue_state(state: np.ndarray, length: int, path) -> tuple[int, int]:
-    """The (size, cursor) that a saved ``queue.state`` holds, if a
+    """The (size, cursor) that a saved two-value ``queue.state`` holds, if a
     ``length``-row NegativeQueue can be in that state: the cursor trails the
     size until the queue is full."""
-    if state.shape != (2,) or not np.isfinite(state).all() or (state != np.trunc(state)).any():
-        raise CheckpointError(f"{path}: queue state {state.tolist()} is not two integers")
+    if not np.isfinite(state).all() or (state != np.trunc(state)).any():
+        raise CheckpointError(f"{path}: queue.state {state.tolist()} is not two integers")
     size, cursor = int(state[0]), int(state[1])
     if not (0 <= size <= length and 0 <= cursor < length and (size == length or cursor == size)):
-        raise CheckpointError(f"{path}: queue state (size {size}, cursor {cursor}) is not "
+        raise CheckpointError(f"{path}: queue.state (size {size}, cursor {cursor}) is not "
                               f"reachable in a queue of length {length}")
     return size, cursor
 
 
 def load_checkpoint(path) -> TrainState:
-    """Rebuild a full training state; raises CheckpointError on any damage."""
+    """Rebuild a full training state; raises CheckpointError on any damage.
+    The file holds what ``save_checkpoint`` writes of ``init_state`` of its
+    config, optimizer buffers optional, and its values fill that state."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob, path)
@@ -135,7 +137,8 @@ def load_checkpoint(path) -> TrainState:
         if tag != F64_TAG:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name}")
         n = math.prod(dims)  # a Python int: an int64 product of huge dims would wrap
-        tensors[name] = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64).reshape(dims)
+        # a read-only view of the file's bytes, copied only into the state
+        tensors[name] = np.frombuffer(r.take(n * 8), dtype="<f8").reshape(dims)
 
     (cfg_len,) = r.unpack("<I")
     try:
@@ -144,50 +147,31 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError(f"{path}: config block: {err}") from None
     if r.off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes")
-    queue_names = ("queue.buffer", "queue.state") if cfg.loss_mode == "moco" else ()
+    if step > cfg.steps or step % cfg.accumulation_steps:
+        raise CheckpointError(f"{path}: step {step} is no accumulation boundary of steps="
+                              f"{cfg.steps} (accumulation_steps={cfg.accumulation_steps})")
+
+    state = init_state(cfg)
+    state.step = step
+    fresh = _named_tensors(state)
     for name, arr in tensors.items():
-        group = name.partition(".")[0]
-        if group not in GROUPS:
-            raise CheckpointError(f"{path}: tensor {name} is in none of the groups {GROUPS}")
-        if group == "queue" and name not in queue_names:
+        group, _, key = name.partition(".")
+        want = fresh.get(f"online.{key}" if group == "opt" else name)
+        if want is None:
             raise CheckpointError(f"{path}: loss_mode={cfg.loss_mode} keeps no tensor {name}")
+        if arr.shape != want.shape:
+            raise CheckpointError(f"{path}: {name} has shape {arr.shape}, not {want.shape}")
         # training keeps every saved value finite; _queue_state checks queue.state
         if name != "queue.state" and not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name} holds a non-finite value")
-
-    mcfg = model_config_for(cfg)
-    architecture = init_params(mcfg, np.random.default_rng(0))
-    online = {name[len("online."):]: Tensor(arr, requires_grad=True)
-              for name, arr in tensors.items() if name.startswith("online.")}
-    target = {name[len("target."):]: Tensor(arr)
-              for name, arr in tensors.items() if name.startswith("target.")}
-    if set(online) != set(architecture) or set(target) != set(architecture):
-        raise CheckpointError(f"{path}: parameter names do not match the architecture")
-    for name, param in architecture.items():
-        for group, saved in (("online", online[name]), ("target", target[name])):
-            if saved.shape != param.shape:
-                raise CheckpointError(f"{path}: {group}.{name} has shape {saved.shape}, "
-                                      f"the architecture has {param.shape}")
-
-    buffers = {name[len("opt."):]: arr for name, arr in tensors.items()
-               if name.startswith("opt.")}
-    for name, buf in buffers.items():
-        if name not in online:
-            raise CheckpointError(f"{path}: optimizer buffer {name} names no parameter")
-        if buf.shape != online[name].shape:
-            raise CheckpointError(
-                f"{path}: optimizer buffer {name} has shape {buf.shape}, "
-                f"parameter has {online[name].shape}")
-
-    queue = None
-    if cfg.loss_mode == "moco":
-        if "queue.buffer" not in tensors or "queue.state" not in tensors:
-            raise CheckpointError(f"{path}: missing queue state for loss_mode=moco")
-        queue = NegativeQueue(cfg.queue_length, mcfg.proj2d_out)
-        if tensors["queue.buffer"].shape != queue.buffer.shape:
-            raise CheckpointError(f"{path}: queue shape mismatch")
-        queue.buffer[:] = tensors["queue.buffer"]
-        queue.size, queue.cursor = _queue_state(tensors["queue.state"], cfg.queue_length, path)
-
-    return TrainState(config=cfg, pair=SiamesePair(online=online, target=target),
-                      opt_buffers=buffers, queue=queue, step=int(step))
+        if group == "opt":
+            state.opt_buffers[key] = arr.astype(np.float64)
+        else:
+            want[...] = arr  # queue.state's is a copy: _queue_state reads it below
+    missing = next((name for name in fresh if name not in tensors), None)
+    if missing is not None:
+        raise CheckpointError(f"{path}: tensor {missing} is missing")
+    if state.queue is not None:
+        state.queue.size, state.queue.cursor = _queue_state(tensors["queue.state"],
+                                                            cfg.queue_length, path)
+    return state

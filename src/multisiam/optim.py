@@ -16,21 +16,27 @@ from .tensor import Tensor
 __all__ = ["sgd_step", "lars_step"]
 
 
-def sgd_step(params: dict[str, Tensor], lr: float, momentum: float,
-             weight_decay: float, buffers: dict[str, np.ndarray]) -> None:
-    """w <- w - lr * buf, buf <- momentum * buf + (g + wd * w)."""
+def _momentum_step(params: dict[str, Tensor], lr: float, momentum: float,
+                   buffers: dict[str, np.ndarray], direction) -> None:
+    """buf <- momentum * buf + direction(p), then w <- w - lr * buf, for each
+    parameter p with a grad."""
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in params.items():
             if p.grad is None:
                 continue
-            g = p.grad + weight_decay * p.data
+            delta = direction(p)
             buf = buffers.get(name)
             if buf is None:
-                buf = np.zeros_like(p.data)
-                buffers[name] = buf
+                buf = buffers[name] = np.zeros_like(p.data)
             buf *= momentum
-            buf += g
+            buf += delta
             p.data -= lr * buf
+
+
+def sgd_step(params: dict[str, Tensor], lr: float, momentum: float,
+             weight_decay: float, buffers: dict[str, np.ndarray]) -> None:
+    """w <- w - lr * buf, buf <- momentum * buf + (g + wd * w)."""
+    _momentum_step(params, lr, momentum, buffers, lambda p: p.grad + weight_decay * p.data)
 
 
 def lars_step(params: dict[str, Tensor], lr: float, momentum: float,
@@ -41,22 +47,12 @@ def lars_step(params: dict[str, Tensor], lr: float, momentum: float,
     Bias-like tensors (ndim <= 1) and zero-norm tensors use ratio 1 and skip
     weight decay.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, p in params.items():
-            if p.grad is None:
-                continue
-            if p.data.ndim <= 1:
-                g = p.grad.copy()
-                ratio = 1.0
-            else:
-                g = p.grad + weight_decay * p.data
-                w_norm = float(np.linalg.norm(p.data))
-                g_norm = float(np.linalg.norm(g))
-                ratio = trust_coeff * w_norm / (g_norm + eps) if w_norm > 0.0 else 1.0
-            buf = buffers.get(name)
-            if buf is None:
-                buf = np.zeros_like(p.data)
-                buffers[name] = buf
-            buf *= momentum
-            buf += ratio * g
-            p.data -= lr * buf
+    def direction(p):
+        if p.data.ndim <= 1:
+            return p.grad
+        g = p.grad + weight_decay * p.data
+        w_norm = float(np.linalg.norm(p.data))
+        ratio = trust_coeff * w_norm / (float(np.linalg.norm(g)) + eps) if w_norm > 0.0 else 1.0
+        return ratio * g
+
+    _momentum_step(params, lr, momentum, buffers, direction)

@@ -15,10 +15,10 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .metrics import adjusted_rand_index, embedding_spread
-from .model import ModelConfig, backbone_forward, init_params
+from .model import ModelConfig, backbone_forward
 from .objectives import kmeans
 from .scenes import LabeledImage, downsample_mask
-from .train import PURPOSE_EVAL, PURPOSE_PARAMS, TrainState, rng_stream
+from .train import PURPOSE_EVAL, TrainState, init_state, rng_stream
 from .views import resize_bilinear
 
 __all__ = ["ProbeReport", "probe_image", "probe_backbone", "paired_probe",
@@ -56,10 +56,11 @@ def _eval_rng(seed: int, idx: int) -> np.random.Generator:
 
 def _trained_and_random(state: TrainState, probe) -> list:
     """``probe(params)`` of the trained online backbone, then of its random-init
-    twin built from the run's seed. Finite weights can still overflow the
-    features (a conv1 of 1e300 does), which then score nothing: arithmetic
-    that overflows or turns invalid stops the probe with a CheckpointError."""
-    twin = init_params(state.model_config, rng_stream(state.config.seed, PURPOSE_PARAMS))
+    twin, the one of a fresh ``init_state`` of the run's config. Finite weights
+    can still overflow the features (a conv1 of 1e300 does), which then score
+    nothing: arithmetic that overflows or turns invalid stops the probe with a
+    CheckpointError."""
+    twin = init_state(state.config).pair.online
     results = []
     for which, params in (("trained", state.pair.online), ("random-init", twin)):
         try:

@@ -3,7 +3,8 @@
 Reproducibility discipline: one master seed derives independent generator
 streams keyed by (seed, purpose, step), so a run resumed from a checkpoint
 replays exactly the same randomness as an uninterrupted one. Checkpoints are
-taken at accumulation boundaries; mid-window grads are not serialized.
+taken at accumulation boundaries, which save and load both enforce: mid-window
+grads are not serialized.
 """
 
 from __future__ import annotations
@@ -214,8 +215,9 @@ def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> 
     need(cfg.kmeans_iters >= 1, "kmeans_iters", "must be at least 1")
     need(cfg.queue_length >= 1, "queue_length", "must be at least 1")
     need(cfg.seed >= 0, "seed", "must be non-negative")
-    need(cfg.out_size >= 8 and cfg.out_size % 8 == 0, "out_size",
-         "must be a positive multiple of the backbone stride 8")
+    stride = model_config_for(cfg).total_stride
+    need(cfg.out_size >= stride and cfg.out_size % stride == 0, "out_size",
+         f"must be a positive multiple of the backbone stride {stride}")
     need(cfg.corpus_images >= 1, "corpus_images", "must be at least 1")
     need(cfg.eval_images >= 1, "eval_images", "must be at least 1")
     for field_name, allowed in _CHOICES.items():
@@ -231,7 +233,7 @@ def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> 
     need(cfg.normalize_offset or (cfg.alignment == "offset" and cfg.loss_mode != "moco"),
          "normalize_offset", f"alignment={cfg.alignment} with loss_mode={cfg.loss_mode} "
          "has no offsets to normalize", also=("alignment", "loss_mode"))
-    feature_pixels = (cfg.out_size // 8) ** 2
+    feature_pixels = (cfg.out_size // stride) ** 2
     need(cfg.k <= feature_pixels, "k",
          f"must not exceed the {feature_pixels} feature-map pixels at out_size={cfg.out_size}",
          also=("out_size",))

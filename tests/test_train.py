@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -403,15 +404,19 @@ def test_checkpoint_rejects_f32_dtype_tag(tmp_path):
 @pytest.mark.parametrize("name,buffer", [("backbone.conv1.b", np.zeros(3)),
                                          ("backbone.conv1.w", np.zeros((16, 3, 3))),
                                          ("backbone.conv9.b", np.zeros(16))])
-def test_checkpoint_rejects_mismatched_optimizer_buffer(tmp_path, small_corpus, name, buffer):
+def test_checkpoint_rejects_mismatched_optimizer_buffer(tmp_path, capsys, small_corpus, name,
+                                                        buffer):
     state, _ = run_steps(FAST, small_corpus, n=1)
     assert set(state.opt_buffers) == set(state.pair.online)
     state.opt_buffers[name] = buffer
     path = tmp_path / "run.ckpt"
     CK.save_checkpoint(state, path)
-    with pytest.raises(CK.CheckpointError, match=f"optimizer buffer {name}"):
+    with pytest.raises(CK.CheckpointError, match=re.escape(f"opt.{name}")):
         CK.load_checkpoint(path)
+    capsys.readouterr()
     assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"opt.{name}" in err and err.count("\n") == 1, err
 
 
 def _saved_checkpoint_bytes(tmp_path):
@@ -535,11 +540,11 @@ def test_checkpoint_queue_state_must_be_reachable(tmp_path, capsys, state, accep
         assert (queue.size, queue.cursor) == tuple(map(int, state))
         assert _eval_exit_code(tmp_path, path) == 0
         return
-    with pytest.raises(CK.CheckpointError, match="queue state"):
+    with pytest.raises(CK.CheckpointError, match=r"queue\.state"):
         CK.load_checkpoint(path)
     assert _eval_exit_code(tmp_path, path) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: queue state") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {path}: queue.state") and err.count("\n") == 1, err
 
 
 def test_checkpoint_dims_whose_product_overflows_int64_exit_runtime(tmp_path, capsys):
@@ -614,7 +619,8 @@ def test_checkpoint_with_finite_values_loads_the_saved_state(tmp_path):
 @pytest.mark.parametrize("loss_mode, old, new, message", [
     # one byte: the buffer of conv1.b is read as a second conv2.b
     ("moco", "opt.backbone.conv1.b", "opt.backbone.conv2.b", "appears twice"),
-    ("moco", "opt.backbone.conv1.b", "ppt.backbone.conv1.b", "is in none of the groups"),
+    ("moco", "opt.backbone.conv1.b", "ppt.backbone.conv1.b",
+     "loss_mode=moco keeps no tensor ppt.backbone.conv1.b"),
     ("moco", "queue.state", "queue.stats", "loss_mode=moco keeps no tensor queue.stats"),
     ("cluster", "queue.buffer", "queue.buffer", "loss_mode=cluster keeps no tensor queue.buffer"),
 ], ids=["repeated", "unknown-group", "unknown-queue-name", "queue-without-moco"])
@@ -636,6 +642,87 @@ def test_checkpoint_rejects_names_it_would_not_read(tmp_path, capsys, loss_mode,
     assert _eval_exit_code(tmp_path, path) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("drop", ["online", "target", "queue"])
+def test_checkpoint_rejects_a_missing_tensor(tmp_path, capsys, drop):
+    state = _moco_state_with_buffers()
+    if drop == "queue":
+        state.queue, missing = None, "queue.buffer"
+    else:
+        # the optimizer buffer of the dropped parameter stays in the file
+        del getattr(state.pair, drop)["backbone.conv2.w"]
+        missing = f"{drop}.backbone.conv2.w"
+    path = tmp_path / "partial.ckpt"
+    CK.save_checkpoint(state, path)
+    with pytest.raises(CK.CheckpointError, match=re.escape(f"tensor {missing} is missing")):
+        CK.load_checkpoint(path)
+    capsys.readouterr()
+    assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: tensor {missing}") and err.count("\n") == 1, err
+
+
+WINDOWED = dataclasses.replace(FAST, steps=4, accumulation_steps=2)
+
+
+def test_checkpoint_save_rejects_a_state_inside_an_accumulation_window(tmp_path, small_corpus):
+    # the window's grads are not saved: a resumed run would apply half of them
+    state, _ = run_steps(WINDOWED, small_corpus, n=1)
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(CK.CheckpointError, match="step 1 is inside an accumulation window"):
+        CK.save_checkpoint(state, path)
+    assert list(tmp_path.iterdir()) == []
+    run_steps(WINDOWED, small_corpus, n=1, state=state)
+    CK.save_checkpoint(state, path)
+    assert CK.load_checkpoint(path).step == 2
+
+
+@pytest.mark.parametrize("step, accepted", [(0, True), (2, True), (4, True), (1, False),
+                                            (3, False), (5, False), (6, False), (999, False)])
+def test_checkpoint_step_must_be_an_accumulation_boundary_of_the_schedule(tmp_path, capsys,
+                                                                           step, accepted):
+    path = tmp_path / "run.ckpt"
+    CK.save_checkpoint(TR.init_state(WINDOWED), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 8, step)  # after the magic and the u32 version
+    path.write_bytes(bytes(blob))
+    if accepted:
+        assert CK.load_checkpoint(path).step == step
+        return
+    with pytest.raises(CK.CheckpointError, match=f"step {step} is no accumulation boundary"):
+        CK.load_checkpoint(path)
+    capsys.readouterr()
+    assert _eval_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: step {step}") and err.count("\n") == 1, err
+
+
+# the default config, each ablation variant of the benchmark, and a window of two
+ROUNDTRIP_VARIANTS = [{}, {"loss_mode": "moco"}, {"alignment": "roi"},
+                      {"loss_mode": "wo_kmeans", "alignment": "none"}, {"dense": True},
+                      {"optimizer": "lars", "k": 5}, {"self_attention": False, "symmetrize": False},
+                      {"accumulation_steps": 2}]
+
+
+@pytest.mark.parametrize("extra", ROUNDTRIP_VARIANTS, ids=str)
+def test_checkpoint_load_gives_back_what_save_wrote(tmp_path, small_corpus, extra):
+    state = TR.init_state(dataclasses.replace(FAST, steps=4, queue_length=64, **extra))
+    for step in (0, 2):
+        run_steps(state.config, small_corpus, n=step - state.step, state=state)
+        path = tmp_path / f"step{step}.ckpt"
+        CK.save_checkpoint(state, path)
+        loaded = CK.load_checkpoint(path)
+        assert (loaded.step, loaded.config) == (step, state.config)
+        saved, got = CK._named_tensors(state), CK._named_tensors(loaded)
+        assert list(got) == list(saved)
+        for name, arr in saved.items():
+            assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes(), name
+        assert all(p.requires_grad for p in loaded.pair.online.values())
+        assert not any(p.requires_grad for p in loaded.pair.target.values())
+        again = tmp_path / f"step{step}.again.ckpt"
+        CK.save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_resume_matches_uninterrupted_run(tmp_path, small_corpus):
