@@ -12,12 +12,14 @@ of a [C,N,H,W] batch on its own, in one Lloyd loop for the whole batch.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (Tensor, _require_maps, add, concat, l2_normalize, logsumexp, matmul, mul,
                      negate, reduce_mean, reduce_sum, reshape, scale, select, sub, transpose)
+from .views import resize_weights, separable
 
 __all__ = [
     "ClusterResult",
@@ -53,13 +55,15 @@ class ClusterResult:
                                      # ||x||^2 + ||c||^2 - 2 x.c form of assignment
 
 
-def _normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Rows of ``x`` over their norms, floored at ``eps``. The squares and the
-    quotients share one buffer, in the memory order numpy gives ``x * x``,
-    so a strided ``x`` keeps the order in which its norms are summed."""
+def _normalize_rows(x: np.ndarray, eps: float = 1e-12, with_norms: bool = False):
+    """Rows of ``x`` over their norms, floored at ``eps`` (and, ``with_norms``,
+    those [..., 1] floored norms). The squares and the quotients share one
+    buffer, in the memory order numpy gives ``x * x``, so a strided ``x``
+    keeps the order in which its norms are summed."""
     out = x * x
-    norms = np.sqrt(out.sum(axis=-1, keepdims=True))
-    return np.divide(x, np.maximum(norms, eps), out=out)
+    norms = np.maximum(np.sqrt(out.sum(axis=-1, keepdims=True)), eps)
+    out = np.divide(x, norms, out=out)
+    return (out, norms) if with_norms else out
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,10 +89,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return np.array(centroids)
 
 
-def _pairwise_sq_dists(points: np.ndarray, points_sq: np.ndarray,
-                       centroids: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
+                       products: np.ndarray | None = None) -> np.ndarray:
     """[P,n,c] points, with their [P,1,n] squared norms, against [P,k,c]
-    centroids: [P,k,n] squared distances, k-major.
+    centroids: [P,k,n] squared distances, k-major, or with the [P,k,n] x.c
+    ``products`` when they are taken another way (``_Upsampled``).
 
     Each distance is ``(||x||^2 + ||c||^2) - 2 x.c``, clamped at zero against
     cancellation. The x.c products are one GEMM per map of its [k,c]
@@ -99,7 +104,7 @@ def _pairwise_sq_dists(points: np.ndarray, points_sq: np.ndarray,
     subnormals, so doubling the products gives the bytes of doubling the
     points first.
     """
-    prod = centroids @ points.transpose(0, 2, 1)
+    prod = centroids @ points.transpose(0, 2, 1) if products is None else products
     prod *= 2.0
     d2 = np.add(points_sq, (centroids * centroids).sum(-1, keepdims=True))
     d2 -= prod
@@ -162,9 +167,39 @@ def _record_costs(history: list[list[float]], active: np.ndarray, d2: np.ndarray
         history[pair].append(cost)
 
 
+class _Upsampled:
+    """A [C,P,h,w] batch at the pixels of its ``resize_bilinear`` upsamples u to
+    ``size``. ``points`` is [P,n,C], channel-major in memory so that passes
+    over its rows stream along n, and u / ||u|| under the cosine metric.
+    ``products`` (x.c) and ``sums`` (of members) for the maps ``active`` run
+    on the h*w feature pixels f: the upsample of the [k,h,w] products f.c, and
+    the adjoint upsample of the membership times f, both over ||u|| if cosine."""
+
+    def __init__(self, maps: np.ndarray, size: tuple[int, int], cosine: bool):
+        c, pairs, h, w = maps.shape
+        self.grid, self.size = (h, w), size
+        self.rows, self.cols = resize_weights((h, w), size)
+        self.feats = maps.transpose(1, 0, 2, 3).reshape(pairs, c, h * w)  # [P, C, h*w]
+        up = separable(self.feats.reshape(pairs * c, h, w), self.rows, self.cols)
+        self.points, self.norms = up.reshape(pairs, c, -1).transpose(0, 2, 1), None
+        if cosine:
+            self.points, norms = _normalize_rows(self.points, with_norms=True)
+            self.norms = norms.transpose(0, 2, 1)  # [P, 1, n]
+
+    def products(self, centroids: np.ndarray, active: np.ndarray) -> np.ndarray:
+        fc = (centroids @ self.feats[active]).reshape(-1, *self.grid)
+        prod = separable(fc, self.rows, self.cols).reshape(*centroids.shape[:2], -1)
+        return prod if self.norms is None else np.divide(prod, self.norms[active], out=prod)
+
+    def sums(self, member: np.ndarray, active: np.ndarray) -> np.ndarray:
+        member = member if self.norms is None else member / self.norms[active]
+        back = separable(member.reshape(-1, *self.size), self.rows.T, self.cols.T)
+        return back.reshape(*member.shape[:2], -1) @ self.feats[active].transpose(0, 2, 1)
+
+
 def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int = 10,
-                 rng: np.random.Generator | None = None,
-                 init: np.ndarray | None = None) -> list[ClusterResult]:
+                 rng: np.random.Generator | None = None, init: np.ndarray | None = None,
+                 size: tuple[int, int] | None = None) -> list[ClusterResult]:
     """Lloyd clustering of the pixels of each map of a [C,P,H,W] batch; one
     ClusterResult per map, in batch order.
 
@@ -173,7 +208,8 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     re-normalized. Empty clusters are repaired by promoting the point farthest
     from its centroid. Each map is seeded by k-means++ from ``rng`` in batch
     order; ``init`` ([P,K,C]) overrides the seeding (for oracle comparisons
-    under a shared start).
+    under a shared start). With ``size`` = (H, W), each map is clustered at
+    the pixels of its bilinear upsample to [H,W] (``_Upsampled``).
 
     All maps share one Lloyd loop and a map leaves it once its assignments
     stop changing. The arithmetic per map is that of clustering it alone:
@@ -191,6 +227,9 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     """
     _require_maps(maps, "kmeans_batch")
     c, pairs, h, w = maps.shape
+    h, w = (h, w) if size is None else map(operator.index, size)  # the grid clustered
+    if min(h, w) < 1:
+        raise ValueError(f"cannot cluster an empty grid of {h}x{w} pixels")
     n = h * w
     if k < 1 or k > n:
         raise ValueError(f"cluster count {k} outside [1, {n}]")
@@ -199,8 +238,10 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     if metric not in ("cosine", "euclidean"):
         raise ValueError(f"unknown metric {metric!r}")
 
-    points = maps.reshape(c, pairs, n).transpose(1, 2, 0).copy()  # [P, n, c]
-    if metric == "cosine":
+    basis = None if size is None else _Upsampled(maps, (h, w), metric == "cosine")
+    points = (maps.reshape(c, pairs, n).transpose(1, 2, 0).copy() if basis is None
+              else basis.points)  # [P, n, c]
+    if metric == "cosine" and basis is None:  # an upsample is normalized already
         points = _normalize_rows(points)
     if init is not None:
         centroids = np.array(init, dtype=np.float64)
@@ -224,35 +265,36 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
                                 centroids.copy())
     assign = None
     for step in range(max_iter):
-        d2 = _pairwise_sq_dists(pts, pts_sq, cen)
+        d2 = _pairwise_sq_dists(pts, pts_sq, cen, basis and basis.products(cen, active))
         if step:  # the last update's cost, before a repair moves a centroid
             _record_costs(history, active, d2, assign * n + offsets[:len(active)])
         new_assign = _nearest(d2)
         member = _membership(new_assign, k)
-        size = member.sum(axis=2)
-        if not size.all():
-            for row in np.flatnonzero((size == 0).any(axis=1)):
+        counts = member.sum(axis=2)
+        if not counts.all():
+            for row in np.flatnonzero((counts == 0).any(axis=1)):
                 new_assign[row] = _repair_empty(pts[row], pts_sq[row], cen[row], d2[row],
                                                 new_assign[row])
                 member[row] = _membership(new_assign[row], k)
-                size[row] = member[row].sum(axis=1)
+                counts[row] = member[row].sum(axis=1)
         if step:
             moved = (new_assign != assign).any(axis=1)
             if not moved.all():
                 # a converged map keeps its last update, and a repair made now
                 left = active[~moved]
                 assignments[left], centroids[left] = assign[~moved], cen[~moved]
-                active, pts, pts_sq, cen, new_assign, member, size = (
+                active, pts, pts_sq, cen, new_assign, member, counts = (
                     active[moved], pts[moved], pts_sq[moved], cen[moved], new_assign[moved],
-                    member[moved], size[moved])
+                    member[moved], counts[moved])
         assign = new_assign
         if not active.size:
             break
         # an empty cluster keeps its centroid
-        np.divide(member @ pts, size[:, :, None], out=cen, where=size[:, :, None] > 0)
+        sums = member @ pts if basis is None else basis.sums(member, active)
+        np.divide(sums, counts[:, :, None], out=cen, where=counts[:, :, None] > 0)
     else:  # out of iterations: the last update's cost needs its own distances
-        _record_costs(history, active, _pairwise_sq_dists(pts, pts_sq, cen),
-                      assign * n + offsets[:len(active)])
+        d2 = _pairwise_sq_dists(pts, pts_sq, cen, basis and basis.products(cen, active))
+        _record_costs(history, active, d2, assign * n + offsets[:len(active)])
     assignments[active], centroids[active] = assign, cen
 
     results = []
@@ -270,16 +312,16 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
 
 
 def kmeans(target_map: np.ndarray, k: int, metric: str = "cosine", max_iter: int = 10,
-           rng: np.random.Generator | None = None,
-           init: np.ndarray | None = None) -> ClusterResult:
-    """Lloyd clustering of the pixels of one [C,H,W] map: ``kmeans_batch`` on
-    a batch of one, with ``init`` a [K,C] start."""
+           rng: np.random.Generator | None = None, init: np.ndarray | None = None,
+           size: tuple[int, int] | None = None) -> ClusterResult:
+    """Lloyd clustering of one [C,H,W] map's pixels, or its upsample's at ``size``:
+    ``kmeans_batch`` on a batch of one, with ``init`` a [K,C] start."""
     if target_map.ndim != 3:
         raise ValueError(f"kmeans expects one [C,H,W] map, got shape {target_map.shape}")
     if init is not None:
         init = np.asarray(init, dtype=np.float64)[None]
     return kmeans_batch(target_map[:, None], k, metric=metric, max_iter=max_iter, rng=rng,
-                        init=init)[0]
+                        init=init, size=size)[0]
 
 
 # ---------------------------------------------------------------------------

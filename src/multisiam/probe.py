@@ -19,7 +19,6 @@ from .model import ModelConfig, backbone_forward
 from .objectives import kmeans
 from .scenes import LabeledImage, downsample_mask
 from .train import PURPOSE_EVAL, TrainState, init_state, rng_stream
-from .views import resize_bilinear
 
 __all__ = ["ProbeReport", "probe_image", "probe_backbone", "paired_probe",
            "paired_clusters", "full_resolution_clusters"]
@@ -117,9 +116,7 @@ def paired_clusters(state: TrainState, corpus: list[LabeledImage]) -> list:
 
 def full_resolution_clusters(params, mcfg: ModelConfig, scene: LabeledImage, k: int,
                              metric: str, max_iter: int, rng) -> np.ndarray:
-    """Cluster a bilinearly upsampled feature map at mask resolution."""
+    """Cluster the bilinear upsample of a feature map at mask resolution."""
     fmap = backbone_forward(params, scene.image, mcfg).data
-    h, w = scene.instance_mask.shape
-    upsampled = resize_bilinear(fmap, (h, w))
-    cluster = kmeans(upsampled, k, metric=metric, max_iter=max_iter, rng=rng)
-    return cluster.assignments
+    return kmeans(fmap, k, metric=metric, max_iter=max_iter, rng=rng,
+                  size=scene.instance_mask.shape).assignments

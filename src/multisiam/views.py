@@ -22,6 +22,7 @@ __all__ = [
     "sample_view_pair",
     "render_view",
     "resize_bilinear",
+    "resize_weights",
     "bilinear_sample",
     "separable",
     "cell_centers",
@@ -237,16 +238,21 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) / n * (hi - lo)
 
 
-def resize_bilinear(img: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
-    """Resize a [C,H,W] array to out_size with pixel-center bilinear sampling:
-    the weights of ``bilinear_sample`` at the cell centers of the whole
-    image, one matrix for both axes when they match (a square resize)."""
-    _, h, w = img.shape
-    out_h, out_w = out_size
+def resize_weights(in_size: tuple[int, int], out_size: tuple[int, int]):
+    """The (rows, cols) weights, [out_h, h] and [out_w, w], of a pixel-center
+    bilinear resize from in_size to out_size: those of ``bilinear_sample`` at
+    the cell centers of the whole image, one matrix for both axes when they
+    match (a square resize)."""
+    (h, w), (out_h, out_w) = in_size, out_size
     cols = _interp_weights(cell_centers(0.0, float(w), out_w), w)
     rows = cols if (h, out_h) == (w, out_w) else _interp_weights(
         cell_centers(0.0, float(h), out_h), h)
-    return separable(img, rows, cols)
+    return rows, cols
+
+
+def resize_bilinear(img: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
+    """Resize a [C,H,W] array to out_size by its ``resize_weights``."""
+    return separable(img, *resize_weights(img.shape[1:], out_size))
 
 
 def _color_jitter(img: np.ndarray, p: PhotoParams) -> np.ndarray:

@@ -7,6 +7,7 @@ from multisiam import objectives as O
 from multisiam import tensor as T
 from multisiam.metrics import adjusted_rand_index
 from multisiam.tensor import Tensor
+from multisiam.views import resize_bilinear
 
 
 def reference_lloyd(points, init, max_iter=10):
@@ -305,6 +306,75 @@ def test_kmeans_batch_repairs_empty_clusters_per_map():
         assert_same_bytes(result, loop_kmeans(maps[:, p], 3, "euclidean", init=init[p]))
     assert len(np.unique(results[0].assignments)) >= 2
     assert results[0].cost_history[-1] == pytest.approx(0.0, abs=1e-18)
+
+
+# (map shape, size): the eval upsample, a non-square one, and the map's own size
+UPSAMPLES = [((32, 8, 8), (64, 64)), ((6, 5, 7), (24, 40)), ((32, 8, 8), (8, 8))]
+
+
+def upsample_maps(shape, seed, count):
+    # relu-like maps as the backbone gives, with a floor so no pixel is all zero
+    rng = np.random.default_rng(seed)
+    return [np.maximum(rng.standard_normal(shape), 0.0) + 0.01 for _ in range(count)]
+
+
+def unit_pixels(fmap, metric):
+    points = fmap.reshape(fmap.shape[0], -1).T
+    if metric == "cosine":
+        points = points / np.linalg.norm(points, axis=1, keepdims=True)
+    return points
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("shape,size", UPSAMPLES, ids=["64x64", "24x40", "own-size"])
+def test_kmeans_at_size_matches_clustering_the_resize(shape, size, metric):
+    # the products and member sums taken on the map's own pixels: the same
+    # assignments and iterations as clustering the explicit resize, under a
+    # shared rng (k-means++ seeding) and under a shared init
+    for seed, fmap in enumerate(upsample_maps(shape, 40, 6)):
+        resized = resize_bilinear(fmap, size)
+        init = unit_pixels(resized, metric)[[5, 300 % resized[0].size, 17]]
+        for kwargs in ({"init": init}, {}):
+            got = O.kmeans(fmap, 3, metric=metric, size=size,
+                           rng=np.random.default_rng(seed), **kwargs)
+            want = O.kmeans(resized, 3, metric=metric, rng=np.random.default_rng(seed),
+                            **kwargs)
+            assert got.assignments.shape == size and got.centroid_map.shape == resized.shape
+            assert_near_loop(got, as_oracle_tuple(want), atol=1e-14, cost_rtol=1e-13)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("shape,size", UPSAMPLES[:2], ids=["64x64", "24x40"])
+def test_kmeans_at_size_repairs_as_clustering_the_resize(shape, size, metric):
+    # a duplicated seed leaves its second copy empty, which the repair fills
+    for fmap in upsample_maps(shape, 41, 3):
+        resized = resize_bilinear(fmap, size)
+        init = unit_pixels(resized, metric)[[9, 9, 200]]
+        got = O.kmeans(fmap, 3, metric=metric, size=size, init=init)
+        want = O.kmeans(resized, 3, metric=metric, init=init)
+        assert_near_loop(got, as_oracle_tuple(want), atol=1e-14, cost_rtol=1e-13)
+        assert len(np.unique(got.assignments)) == 3
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_batch_at_size_matches_one_map_at_a_time(metric):
+    # maps leave the shared loop at different iterations
+    maps = mixed_maps(np.random.default_rng(42))
+    results = O.kmeans_batch(maps, 3, metric=metric, size=(13, 22),
+                             rng=np.random.default_rng(3))
+    single_rng = np.random.default_rng(3)
+    for p, result in enumerate(results):
+        alone = O.kmeans(maps[:, p], 3, metric=metric, size=(13, 22), rng=single_rng)
+        assert_same_bytes(result, as_oracle_tuple(alone))
+    assert len({len(r.cost_history) for r in results}) > 1
+
+
+@pytest.mark.parametrize("size,error", [((0, 8), ValueError), ((8,), ValueError),
+                                        ((8, 8, 8), ValueError), ((-2, -3), ValueError),
+                                        ((8.0, 8), TypeError)])
+def test_kmeans_rejects_a_size_that_is_not_a_grid(size, error):
+    with pytest.raises(error):
+        O.kmeans(np.ones((2, 4, 4)), 2, size=size)
 
 
 def test_kmeans_batch_rejects_a_lone_map():
@@ -637,11 +707,11 @@ real = O._pairwise_sq_dists
 calls = [0]
 
 
-def every_other_call_by_parity(points, points_sq, centroids):
+def every_other_call_by_parity(points, points_sq, centroids, products=None):
     # odd calls are honest; even calls assign point i of each map to cluster i mod k
     calls[0] += 1
     if calls[0] % 2:
-        return real(points, points_sq, centroids)
+        return real(points, points_sq, centroids, products)
     n, k = points.shape[1], centroids.shape[1]
     d2 = np.ones((len(points), k, n))  # k-major, as the real distances
     d2[:, np.arange(n) % k, np.arange(n)] = 0.0
@@ -653,10 +723,13 @@ O._pairwise_sq_dists = every_other_call_by_parity
 points = np.repeat(np.array([[5.0, 0.0], [0.0, 5.0]]), 8, axis=0)
 points = points + np.random.default_rng(0).normal(0.0, 0.01, points.shape)
 fmap = points.T.reshape(2, 4, 4)
-try:
-    O.kmeans(fmap, 2, metric="euclidean", init=[[5.0, 0.0], [0.0, 5.0]])
-except O.ClusteringError as err:
-    print("raised", err)
+# the map's own pixels, and its 8x8 upsample with the products in the feature basis
+for size in (None, (8, 8)):
+    calls[0] = 0
+    try:
+        O.kmeans(fmap, 2, metric="euclidean", init=[[5.0, 0.0], [0.0, 5.0]], size=size)
+    except O.ClusteringError as err:
+        print("raised", err)
 """
 
 
@@ -672,7 +745,9 @@ def test_kmeans_cost_increase_raises_typed_error(flags):
     done = subprocess.run([sys.executable, *flags, "-c", _COST_RISE_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised Lloyd cost increased"), done.stdout
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2, done.stdout
+    assert all(line.startswith("raised Lloyd cost increased") for line in lines), done.stdout
 
 
 def test_kmeans_cost_increase_exits_runtime(tmp_path, monkeypatch):

@@ -860,10 +860,14 @@ def faults_per_call(call, warm=3, timed=5):
 # k-means first, on a heap that no training step has grown yet
 fmap = np.random.default_rng(0).standard_normal((32, 64, 64))
 kmeans_faults = faults_per_call(lambda: O.kmeans(fmap, 3, rng=np.random.default_rng(0)))
+# and the call viz makes: an 8x8 map clustered at its 64x64 upsample
+small = np.maximum(np.random.default_rng(1).standard_normal((32, 8, 8)), 0.0)
+upsample_faults = faults_per_call(
+    lambda: O.kmeans(small, 3, rng=np.random.default_rng(0), size=(64, 64)))
 cfg = TR.TrainConfig(corpus_images=16)
 corpus = scenes.generate(scenes.SceneSpec(seed=0, size=(cfg.out_size, cfg.out_size)), 16)
 state = TR.init_state(cfg)
-print(faults_per_call(lambda: TR.train_step(state, corpus)), kmeans_faults)
+print(faults_per_call(lambda: TR.train_step(state, corpus)), kmeans_faults, upsample_faults)
 """
 
 
@@ -878,9 +882,10 @@ def test_warm_step_and_full_resolution_kmeans_keep_their_memory_mapped():
     done = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    step_faults, kmeans_faults = map(float, done.stdout.split())
+    step_faults, kmeans_faults, upsample_faults = map(float, done.stdout.split())
     assert step_faults < 500
     assert kmeans_faults < 500
+    assert upsample_faults < 500
 
 
 # ---------------------------------------------------------------------------
