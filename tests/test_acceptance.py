@@ -288,8 +288,10 @@ VARIANTS = ([{"loss_mode": m} for m in ("cluster", "wo_kmeans", "moco")]
             + [{"alignment": a} for a in ("roi", "offset", "none")]
             + [{"normalize_offset": v} for v in (True, False)]
             + [{"dense": v} for v in (True, False)]
-            # roi alignment resolves residual=auto to True, so False differs there
-            + [{"residual": True}, {"alignment": "roi", "residual": False}]
+            # residual=auto resolves to False at the default offset alignment and
+            # to True at roi alignment, so residual=False changes the model there
+            + [{"residual": True}, {"residual": False},
+               {"alignment": "roi", "residual": False}]
             + [{"k": k} for k in (3, 4, 5)])
 
 
