@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import unit_normalize
+
 __all__ = ["adjusted_rand_index", "embedding_spread", "smoothed_endpoints"]
 
 
@@ -50,8 +52,7 @@ def embedding_spread(rows) -> float:
     if rows.ndim != 2 or rows.shape[0] < 2:
         return 0.0
     centered = rows - rows.mean(axis=0, keepdims=True)
-    norms = np.maximum(np.linalg.norm(centered, axis=1, keepdims=True), 1e-12)
-    return float((centered / norms).std(axis=0).mean())
+    return float(unit_normalize(centered, -1).std(axis=0).mean())
 
 
 def smoothed_endpoints(series, window: int = 25) -> tuple[float, float]:

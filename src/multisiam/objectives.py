@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, _require_maps, add, concat, l2_normalize, logsumexp, matmul, mul,
-                     negate, reduce_mean, reduce_sum, reshape, scale, select, sub, transpose)
+                     negate, reduce_mean, reduce_sum, reshape, scale, select, sub, transpose,
+                     unit_normalize)
 from .views import resize_weights, separable
 
 __all__ = [
@@ -45,25 +46,13 @@ class ClusteringError(RuntimeError):
 
 @dataclass
 class ClusterResult:
-    """Per-pixel cluster targets over an HxW grid."""
+    """The clusters of the pixels of an HxW grid."""
 
     centroids: np.ndarray      # [K, C]
     assignments: np.ndarray    # [H, W] int
-    centroid_map: np.ndarray   # [C, H, W], centroid_map[:, i, j] == centroids[assignments[i, j]]
     cost_history: tuple[float, ...]  # per Lloyd update, the within-cluster sum of squared
                                      # distances (working space), in the clamped
                                      # ||x||^2 + ||c||^2 - 2 x.c form of assignment
-
-
-def _normalize_rows(x: np.ndarray, eps: float = 1e-12, with_norms: bool = False):
-    """Rows of ``x`` over their norms, floored at ``eps`` (and, ``with_norms``,
-    those [..., 1] floored norms). The squares and the quotients share one
-    buffer, in the memory order numpy gives ``x * x``, so a strided ``x``
-    keeps the order in which its norms are summed."""
-    out = x * x
-    norms = np.maximum(np.sqrt(out.sum(axis=-1, keepdims=True)), eps)
-    out = np.divide(x, norms, out=out)
-    return (out, norms) if with_norms else out
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,7 +172,7 @@ class _Upsampled:
         up = separable(self.feats.reshape(pairs * c, h, w), self.rows, self.cols)
         self.points, self.norms = up.reshape(pairs, c, -1).transpose(0, 2, 1), None
         if cosine:
-            self.points, norms = _normalize_rows(self.points, with_norms=True)
+            self.points, norms = unit_normalize(self.points, -1, with_norms=True)
             self.norms = norms.transpose(0, 2, 1)  # [P, 1, n]
 
     def products(self, centroids: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -242,7 +231,7 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     points = (maps.reshape(c, pairs, n).transpose(1, 2, 0).copy() if basis is None
               else basis.points)  # [P, n, c]
     if metric == "cosine" and basis is None:  # an upsample is normalized already
-        points = _normalize_rows(points)
+        points = unit_normalize(points, -1)
     if init is not None:
         centroids = np.array(init, dtype=np.float64)
         if centroids.shape != (pairs, k, c):
@@ -303,11 +292,8 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
         for prev, cur in zip(cost_history, cost_history[1:]):
             if cur > prev + 1e-9 * max(1.0, abs(prev)):
                 raise ClusteringError(f"Lloyd cost increased: {prev} -> {cur}")
-        cen, assign = centroids[pair], assignments[pair]
-        results.append(ClusterResult(centroids=cen,
-                                     assignments=assign.reshape(h, w),
-                                     centroid_map=cen[assign].T.reshape(c, h, w),
-                                     cost_history=tuple(cost_history)))
+        results.append(ClusterResult(centroids[pair], assignments[pair].reshape(h, w),
+                                     tuple(cost_history)))
     return results
 
 
@@ -328,38 +314,34 @@ def kmeans(target_map: np.ndarray, k: int, metric: str = "cosine", max_iter: int
 # losses
 
 
-def _mean_pixels(per_pixel: Tensor) -> Tensor:
-    """Per-sample spatial mean of an [N,H,W] map: an [N] vector."""
-    n, h, w = per_pixel.shape
-    return reduce_mean(reshape(per_pixel, (n, h * w)), axis=-1)
+def _cluster_targets(clusters, target_map: np.ndarray | None = None) -> np.ndarray:
+    """[N,n,C] per-pixel targets of one ClusterResult per sample: each pixel's
+    centroid or, given the constant [C,N,H,W] ``target_map`` the clusters were
+    built on, the mean of the unit-normalized member pixels of its cluster."""
+    assign = np.stack([r.assignments.reshape(-1) for r in clusters])  # [N, n]
+    if target_map is None:
+        table = np.stack([r.centroids for r in clusters])
+    else:
+        c, samples, h, w = target_map.shape
+        pix = unit_normalize(target_map.reshape(c, samples, h * w).transpose(1, 2, 0), -1)
+        member = _membership(assign, clusters[0].centroids.shape[0])
+        # an empty cluster is no pixel's target; its zero sum stays zero
+        table = (member @ pix) / np.maximum(member.sum(axis=2), 1.0)[:, :, None]
+    return table[np.arange(len(clusters))[:, None], assign]
 
 
-def _cosine_map(pred_map: Tensor, const_map: Tensor) -> Tensor:
-    """Per-pixel cosine between a predicted map and a constant target map."""
-    return reduce_sum(mul(l2_normalize(pred_map, axis=0),
-                          l2_normalize(const_map, axis=0)), axis=0)
+def _pixel_cosine_loss(pred_map: Tensor, target: np.ndarray) -> Tensor:
+    """Per-sample mean over the pixels of -<unit(pred), target>, against a
+    constant [C,N,H,W] ``target``: unit pixels make it a negated cosine."""
+    per_pixel = reduce_sum(mul(l2_normalize(pred_map, axis=0), Tensor(target)), axis=0)
+    return negate(reduce_mean(reshape(per_pixel, (pred_map.shape[1], -1)), axis=-1))
 
 
 def loss_1d(online_pred: Tensor, target_proj: np.ndarray) -> Tensor:
     """Negated cosine between the online prediction and the constant target
     projection, per column of [E,N] inputs; lies in [-1, 1]."""
     q = l2_normalize(online_pred, axis=0)
-    z = l2_normalize(Tensor(target_proj), axis=0)
-    return negate(reduce_sum(mul(q, z), axis=0))
-
-
-def _dense_targets(clusters, target: np.ndarray) -> np.ndarray:
-    """[C,N,H,W] per-pixel targets of a [C,N,H,W] target batch: the mean of
-    the unit-normalized member pixels of each pixel's cluster."""
-    c, samples, h, w = target.shape
-    k = clusters[0].centroids.shape[0]
-    pix = _normalize_rows(target.reshape(c, samples, h * w).transpose(1, 2, 0))
-    assign = np.stack([r.assignments.reshape(-1) for r in clusters])
-    member = _membership(assign, k)
-    # an empty cluster is no pixel's target; its zero sum stays zero
-    means = (member @ pix) / np.maximum(member.sum(axis=2), 1.0)[:, :, None]
-    slots = assign + (np.arange(samples) * k)[:, None]  # rows of the [N*K] cluster table
-    return means.reshape(-1, c)[slots].transpose(2, 0, 1).reshape(c, samples, h, w)
+    return negate(reduce_sum(mul(q, Tensor(unit_normalize(target_proj, 0))), axis=0))
 
 
 def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
@@ -373,22 +355,19 @@ def loss_2d_cluster(pred_map: Tensor, clusters, dense: bool = False,
     ``target_map``, the constant [C,N,H,W] array the clusters were built on.
     """
     _require_maps(pred_map, "loss_2d_cluster")
-    if len(clusters) != pred_map.shape[1]:
+    _, samples, h, w = pred_map.shape
+    if len(clusters) != samples:
         raise ValueError(f"{len(clusters)} cluster results for a batch of {pred_map.shape}")
     for result in clusters:
-        if pred_map.shape[-2:] != result.centroid_map.shape[1:]:
-            raise ValueError(
-                f"extent mismatch: {pred_map.shape} vs {result.centroid_map.shape}")
+        if result.assignments.shape != (h, w):
+            raise ValueError(f"extent mismatch: {pred_map.shape} vs {result.assignments.shape}")
     if dense and target_map is None:
         raise ValueError("dense clustering needs the aligned target map")
-    if dense:
-        const = Tensor(_dense_targets(clusters, target_map))
-    else:
-        const = Tensor(np.stack([r.centroid_map for r in clusters], axis=1))
-    if not dense:
-        return negate(_mean_pixels(_cosine_map(pred_map, const)))
-    return negate(_mean_pixels(reduce_sum(mul(l2_normalize(pred_map, axis=0), const),
-                                          axis=0)))
+    rows = _cluster_targets(clusters, target_map if dense else None)
+    target = rows.transpose(2, 0, 1).reshape(-1, samples, h, w)
+    if not dense:  # unit centroids; the C-contiguous copy fixes the order the norms sum in
+        target = unit_normalize(np.ascontiguousarray(target), 0)
+    return _pixel_cosine_loss(pred_map, target)
 
 
 def loss_2d_wo_kmeans(pred_map: Tensor, target_map: np.ndarray) -> Tensor:
@@ -398,7 +377,7 @@ def loss_2d_wo_kmeans(pred_map: Tensor, target_map: np.ndarray) -> Tensor:
     _require_maps(target_map, "loss_2d_wo_kmeans")
     if pred_map.shape[1:] != target_map.shape[1:]:
         raise ValueError(f"extent mismatch: {pred_map.shape} vs {target_map.shape}")
-    return negate(_mean_pixels(_cosine_map(pred_map, Tensor(target_map))))
+    return _pixel_cosine_loss(pred_map, unit_normalize(target_map, 0))
 
 
 def loss_total(l1d: Tensor, l2d: Tensor, weight: float) -> Tensor:
@@ -422,11 +401,8 @@ class NegativeQueue:
         self.size = 0
         self.cursor = 0
 
-    def __len__(self) -> int:
-        return self.size
-
     def push(self, vectors: np.ndarray) -> None:
-        v = _normalize_rows(np.asarray(vectors, dtype=np.float64))
+        v = unit_normalize(np.asarray(vectors, dtype=np.float64), -1)
         length = self.buffer.shape[0]
         if v.shape[0] >= length:
             self.buffer[:] = v[-length:]
@@ -464,10 +440,9 @@ def moco_pixel_infonce(online_proj: Tensor, target_proj: np.ndarray, clusters,
     pixels = transpose(l2_normalize(reshape(online_proj, (dim, samples, n)), axis=0),
                        (1, 2, 0))
     losses = []
-    for s, cluster in enumerate(clusters):
+    for s, positives in enumerate(unit_normalize(_cluster_targets(clusters), -1)):
         sample = select(pixels, s)
-        positives = Tensor(_normalize_rows(cluster.centroid_map.reshape(dim, n).T))
-        pos_logits = scale(reduce_sum(mul(sample, positives), axis=1), 1.0 / temperature)
+        pos_logits = scale(reduce_sum(mul(sample, Tensor(positives)), axis=1), 1.0 / temperature)
         neg_logits = scale(matmul(sample, Tensor(queue.negatives().T)), 1.0 / temperature)
         logits = concat([reshape(pos_logits, (n, 1)), neg_logits], axis=1)
         losses.append(reduce_mean(sub(logsumexp(logits, axis=1), pos_logits)))

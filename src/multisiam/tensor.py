@@ -7,7 +7,7 @@ as soon as backward() has consumed it; no higher-order derivatives.
 
 Every op takes Tensors and returns one, and converts nothing: a constant
 that joins the tape is wrapped in a Tensor by its caller, and a value that
-never joins it stays a plain ndarray.
+never joins it stays a plain ndarray (``unit_normalize`` normalizes those).
 
 Feature maps are channel-major batches [C,N,H,W]; a lone map is a batch of one.
 
@@ -41,6 +41,7 @@ __all__ = [
     "subsample",
     "global_avg_pool",
     "l2_normalize",
+    "unit_normalize",
     "matmul",
     "transpose",
     "reshape",
@@ -340,16 +341,25 @@ def global_avg_pool(t: Tensor) -> Tensor:
 _NORM_EPS = 1e-12
 
 
+def unit_normalize(x: np.ndarray, axis: int, with_norms: bool = False):
+    """``x`` over its norms along ``axis``, floored at 1e-12 so that zero slices
+    stay zero (and, ``with_norms``, those norms, ``axis`` kept). The squares and
+    the quotients share one buffer in the memory order of ``x * x``, so a strided
+    ``x`` keeps the order in which its norms are summed."""
+    out = x * x
+    norms = np.maximum(np.sqrt(out.sum(axis=axis, keepdims=True)), _NORM_EPS)
+    out = np.divide(x, norms, out=out)
+    return (out, norms) if with_norms else out
+
+
 def l2_normalize(t: Tensor, axis: int = 0) -> Tensor:
-    """Divide by max(||.||_2, 1e-12) along one axis. Zero slices stay zero."""
-    norm = np.sqrt((t.data * t.data).sum(axis=axis, keepdims=True))
-    denom = np.maximum(norm, _NORM_EPS)
-    out = t.data / denom
+    """``unit_normalize`` on the tape."""
+    out, denom = unit_normalize(t.data, axis, with_norms=True)
 
     def bw(g):
         inner = (g * t.data).sum(axis=axis, keepdims=True)
-        safe = norm > _NORM_EPS
-        corr = np.where(safe, inner / np.where(safe, norm ** 3, 1.0), 0.0)
+        safe = denom > _NORM_EPS
+        corr = np.where(safe, inner / np.where(safe, denom ** 3, 1.0), 0.0)
         _accumulate(t, g / denom - t.data * corr)
 
     return _result(out, (t,), bw)

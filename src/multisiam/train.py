@@ -223,9 +223,13 @@ def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> 
     for field_name, allowed in _CHOICES.items():
         value = getattr(cfg, field_name)
         need(value in allowed, field_name, f"{value!r} is not one of {list(allowed)}")
-    need(not cfg.dense or cfg.loss_mode == "cluster", "dense",
-         f"only loss_mode=cluster has dense targets, not loss_mode={cfg.loss_mode}",
-         also=("loss_mode",))
+    # a key that one mode alone reads would be dropped, set in another
+    for key, rule in (("dense", "loss_mode=cluster"), ("temperature", "loss_mode=moco"),
+                      ("queue_length", "loss_mode=moco"), ("trust_coeff", "optimizer=lars")):
+        mode_key, mode = rule.split("=")
+        need(getattr(cfg, key) == getattr(TrainConfig, key) or getattr(cfg, mode_key) == mode,
+             key, f"only {rule} reads it, not {mode_key}={getattr(cfg, mode_key)}",
+             also=(mode_key,))
     # loss_mode=moco aligns by roi and attends without a residual, whatever these say
     need(cfg.residual is None or (cfg.self_attention and cfg.loss_mode != "moco"), "residual",
          f"self_attention={str(cfg.self_attention).lower()} with loss_mode={cfg.loss_mode} "

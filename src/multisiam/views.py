@@ -156,7 +156,7 @@ def _sample_photo(view_index: int, rng: np.random.Generator) -> PhotoParams:
 
 def sample_view_pair(image_size: tuple[int, int], cfg: AugmentConfig,
                      rng: np.random.Generator) -> ViewPair:
-    """Draw two random-resized-crop views whose boxes overlap enough.
+    """Draw two random-resized-crop views whose boxes overlap and meet the threshold.
 
     Both boxes are redrawn on every rejected attempt. If 100 draws
     all miss the threshold, the best pair seen is returned so the sampler
@@ -171,7 +171,7 @@ def sample_view_pair(image_size: tuple[int, int], cfg: AugmentConfig,
         iou = compute_iou(box_a, box_b)
         if iou > best_iou:
             best, best_iou = (box_a, box_b), iou
-        if iou >= cfg.iou_threshold:
+        if iou > 0.0 and iou >= cfg.iou_threshold:
             break
     box_a, box_b = best
     specs = []

@@ -179,7 +179,7 @@ def test_criterion_5_loss_algebra():
                                         target_map=target.data).data.item(),
                       O.loss_2d_wo_kmeans(pred, target.data).data.item()):
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
-    assert isinstance(cluster.centroid_map, np.ndarray)
+    assert isinstance(cluster.assignments, np.ndarray)
     assert isinstance(cluster.centroids, np.ndarray)
 
     l1, l2 = Tensor(0.3), Tensor(-0.9)

@@ -73,6 +73,25 @@ def test_embedding_spread_behaviour():
     assert healthy == pytest.approx(1.0 / np.sqrt(32), rel=0.1)
 
 
+def old_embedding_spread(rows):
+    """The spread's formula before it shared ``tensor.unit_normalize``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    centered = rows - rows.mean(axis=0, keepdims=True)
+    norms = np.maximum(np.linalg.norm(centered, axis=1, keepdims=True), 1e-12)
+    return float((centered / norms).std(axis=0).mean())
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (8, 32), (256, 32), (33, 7)])
+def test_embedding_spread_matches_its_norm_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=(shape[0], 1))
+    # centered rows of norm below 1e-12, on the norm's floor
+    tiny = 1.0 + 1e-14 * rng.standard_normal(shape)
+    for batch in (rows, rows[::-1], rows[:, ::-1], np.asfortranarray(rows), tiny):
+        want = old_embedding_spread(batch)
+        assert np.float64(embedding_spread(batch)).tobytes() == np.float64(want).tobytes()
+
+
 def test_smoothed_endpoints():
     first, last = smoothed_endpoints([4.0, 2.0, 1.0, 1.0, 0.0, -2.0], window=2)
     assert first == pytest.approx(3.0)

@@ -81,14 +81,15 @@ def test_kmeans_matches_reference_under_shared_init():
 
 
 def test_kmeans_centroid_map_consistency():
+    # each pixel's target row, without dense targets, is its centroid
     rng = np.random.default_rng(3)
     fmap = rng.standard_normal((3, 4, 4))
     result = O.kmeans(fmap, 4, rng=rng)
+    rows = O._cluster_targets([result])[0]
     for i in range(4):
         for j in range(4):
-            assert np.array_equal(result.centroid_map[:, i, j],
-                                  result.centroids[result.assignments[i, j]])
-    assert isinstance(result.centroid_map, np.ndarray)
+            assert np.array_equal(rows[4 * i + j], result.centroids[result.assignments[i, j]])
+    assert isinstance(rows, np.ndarray)
 
 
 def test_kmeans_repairs_empty_clusters():
@@ -128,7 +129,7 @@ def textbook_kmeanspp(points, k, rng):
 def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
     """The one-map-at-a-time Lloyd loop, step for step: the oracle of
     kmeans_batch, byte-exact at the model's shapes. Returns centroids,
-    assignments, centroid map and costs."""
+    assignments, each pixel's centroid ([n,C] rows) and costs."""
     c, h, w = fmap.shape
     n = h * w
     points = fmap.reshape(c, n).T.copy()
@@ -165,20 +166,20 @@ def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
             if members.size:
                 centroids[idx] = members.mean(axis=0)
         history.append(float(dists()[np.arange(n), assign].sum()))
-    return centroids, assign.reshape(h, w), centroids[assign].T.reshape(c, h, w), history
+    return centroids, assign.reshape(h, w), centroids[assign], history
 
 
 def assert_same_bytes(result, want):
-    centroids, assign, centroid_map, history = want
+    centroids, assign, targets, history = want
     assert result.centroids.tobytes() == centroids.tobytes()
     assert np.array_equal(result.assignments, assign)
-    assert result.centroid_map.tobytes() == centroid_map.tobytes()
+    assert O._cluster_targets([result])[0].tobytes() == targets.tobytes()
     assert result.cost_history == tuple(history)
 
 
 def as_oracle_tuple(result):
-    """A ClusterResult in ``loop_kmeans``'s (centroids, assignments, map, costs) form."""
-    return (result.centroids, result.assignments, result.centroid_map,
+    """A ClusterResult in ``loop_kmeans``'s (centroids, assignments, targets, costs) form."""
+    return (result.centroids, result.assignments, O._cluster_targets([result])[0],
             list(result.cost_history))
 
 
@@ -186,11 +187,11 @@ def assert_near_loop(result, want, atol, cost_rtol):
     """Assignments and iteration count exactly; centroids to ``atol`` and costs
     to ``cost_rtol``. The centroid sums are GEMMs, and the BLAS picks their
     order of addition, where ``members.mean`` adds one member after another."""
-    centroids, assign, centroid_map, history = want
+    centroids, assign, targets, history = want
     assert np.array_equal(result.assignments, assign)
     assert len(result.cost_history) == len(history)
     np.testing.assert_allclose(result.centroids, centroids, rtol=0.0, atol=atol)
-    np.testing.assert_allclose(result.centroid_map, centroid_map, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(O._cluster_targets([result])[0], targets, rtol=0.0, atol=atol)
     np.testing.assert_allclose(result.cost_history, history, rtol=cost_rtol, atol=0.0)
 
 
@@ -339,7 +340,8 @@ def test_kmeans_at_size_matches_clustering_the_resize(shape, size, metric):
                            rng=np.random.default_rng(seed), **kwargs)
             want = O.kmeans(resized, 3, metric=metric, rng=np.random.default_rng(seed),
                             **kwargs)
-            assert got.assignments.shape == size and got.centroid_map.shape == resized.shape
+            assert got.assignments.shape == size
+            assert O._cluster_targets([got]).shape == (1, resized[0].size, resized.shape[0])
             assert_near_loop(got, as_oracle_tuple(want), atol=1e-14, cost_rtol=1e-13)
 
 
@@ -424,16 +426,15 @@ def test_kmeans_batch_and_dense_targets_do_not_depend_on_the_batch(shape, metric
     init = np.stack([maps[:, p].reshape(c, -1).T[rng.choice(h * w, k, replace=False)]
                      for p in range(pairs)])
     results = O.kmeans_batch(maps, k, metric=metric, init=init)
-    dense = O._dense_targets(results, maps)
+    dense = O._cluster_targets(results, maps)
     flipped = O.kmeans_batch(maps[:, ::-1], k, metric=metric, init=init[::-1])[::-1]
-    assert O._dense_targets(flipped[::-1], maps[:, ::-1]).tobytes() == \
-        dense[:, ::-1].copy().tobytes()
+    assert O._cluster_targets(flipped[::-1], maps[:, ::-1]).tobytes() == \
+        dense[::-1].tobytes()
     for p, result in enumerate(results):
         assert_same_bytes(flipped[p], as_oracle_tuple(result))
         alone = O.kmeans_batch(maps[:, p:p + 1], k, metric=metric, init=init[p:p + 1])
         assert_same_bytes(alone[0], as_oracle_tuple(result))
-        assert O._dense_targets(alone, maps[:, p:p + 1]).tobytes() == \
-            dense[:, p:p + 1].copy().tobytes()
+        assert O._cluster_targets(alone, maps[:, p:p + 1]).tobytes() == dense[p:p + 1].tobytes()
 
 
 def test_loss_1d_values():
@@ -459,7 +460,8 @@ def test_loss_2d_cluster_perfect_prediction():
     rng = np.random.default_rng(4)
     fmap = rng.standard_normal((3, 4, 4))
     cluster = O.kmeans(fmap, 3, rng=rng)
-    loss = O.loss_2d_cluster(Tensor(cluster.centroid_map[:, None]), [cluster])
+    rows = O._cluster_targets([cluster])[0]
+    loss = O.loss_2d_cluster(Tensor(rows.T.reshape(3, 1, 4, 4)), [cluster])
     assert loss.data.item() == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -508,18 +510,18 @@ def test_loss_2d_cluster_dense_matches_per_member_average():
 
 
 def loop_dense_target(cluster, target):
-    """One sample's dense targets, cluster by cluster: the reference for the
-    batched ``_dense_targets``."""
+    """One sample's [n,C] dense targets, cluster by cluster: the reference for
+    the batched ``_cluster_targets``."""
     c, h, w = target.shape
     flat_assign = cluster.assignments.reshape(-1)
-    pix = O._normalize_rows(target.reshape(c, h * w).T)
+    pix = T.unit_normalize(target.reshape(c, h * w).T, -1)
     k = cluster.centroids.shape[0]
     member_means = np.zeros((k, c))
     for idx in range(k):
         members = pix[flat_assign == idx]
         if members.size:
             member_means[idx] = members.mean(axis=0)
-    return member_means[flat_assign].T.reshape(c, h, w)
+    return member_means[flat_assign]
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 4, 3), (32, 4, 8, 8)])
@@ -531,14 +533,13 @@ def test_dense_targets_match_one_cluster_at_a_time(shape):
     c, _, h, w = shape
     assign = rng.choice([0, 2], size=(h, w))
     clusters[-1] = O.ClusterResult(centroids=np.zeros((3, c)), assignments=assign,
-                                   centroid_map=np.zeros((c, h, w)), cost_history=(0.0,))
-    got = O._dense_targets(clusters, target)
+                                   cost_history=(0.0,))
+    got = O._cluster_targets(clusters, target)
     # byte for byte each sample on its own
     for s in range(shape[1]):
-        alone = O._dense_targets(clusters[s:s + 1], target[:, s:s + 1])
-        assert alone.tobytes() == got[:, s:s + 1].copy().tobytes()
-    want = np.stack([loop_dense_target(r, target[:, s]) for s, r in enumerate(clusters)],
-                    axis=1)
+        alone = O._cluster_targets(clusters[s:s + 1], target[:, s:s + 1])
+        assert alone.tobytes() == got[s:s + 1].tobytes()
+    want = np.stack([loop_dense_target(r, target[:, s]) for s, r in enumerate(clusters)])
     assert got.shape == want.shape
     if shape == (5, 3, 4, 3):
         assert got.tobytes() == want.tobytes()
@@ -623,9 +624,9 @@ def test_queue_fifo_normalization_eviction():
     q.push(np.array([[3.0, 4.0]]))
     assert np.allclose(q.negatives(), [[0.6, 0.8]])
     q.push(np.eye(2))
-    assert len(q) == 3
+    assert q.size == 3
     q.push(np.array([[0.0, 2.0], [2.0, 0.0]]))  # wraps: evicts the oldest
-    assert len(q) == 4
+    assert q.size == 4
     flat = q.negatives()
     assert np.allclose(np.linalg.norm(flat, axis=1), 1.0)
     # the very first entry has been overwritten by the wrap-around
@@ -649,7 +650,7 @@ def test_moco_empty_queue_gives_zero_loss():
     online, target, clusters, queue = moco_setup()
     loss = O.moco_pixel_infonce(online, target, clusters, queue, 0.2)
     assert loss.data.item() == pytest.approx(0.0, abs=1e-12)
-    assert len(queue) == 16  # 16 target pixels pushed afterwards
+    assert queue.size == 16  # 16 target pixels pushed afterwards
 
 
 def test_moco_single_matching_negative_gives_ln2():
@@ -673,7 +674,7 @@ def test_moco_matches_softmax_cross_entropy_oracle():
     for s in range(2):
         g = online.data[:, s].reshape(4, 16).T
         g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        pos = clusters[s].centroid_map.reshape(4, 16).T
+        pos = clusters[s].centroids[clusters[s].assignments.reshape(-1)]
         pos = pos / np.linalg.norm(pos, axis=1, keepdims=True)
         per_pixel = []
         for i in range(16):

@@ -143,6 +143,32 @@ def test_l2_normalize_values_and_zero_guard():
     assert np.all(np.isfinite(zero.data))
 
 
+def normalize_inputs():
+    """Contiguous and strided arrays, each with an all-zero slice along both
+    axes 0 and -1."""
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal((6, 5, 4))
+    base[2] = 0.0
+    base[:, :, 1] = 0.0
+    return [base, base.transpose(2, 0, 1), base[::2, :, ::-1], base.reshape(30, 4).T]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["contiguous", "transposed", "sliced", "2d"])
+@pytest.mark.parametrize("axis", [0, -1])
+def test_unit_normalize_gives_the_bytes_and_layout_of_l2_normalize(index, axis):
+    x = normalize_inputs()[index]
+    got, norms = T.unit_normalize(x, axis, with_norms=True)
+    taped = T.l2_normalize(Tensor(x), axis).data
+    # the formula itself, with a fresh quotient array
+    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    want = x / np.maximum(norm, 1e-12)
+    for out in (got, taped):
+        assert out.tobytes() == want.tobytes() and out.strides == want.strides
+    assert norms.tobytes() == np.maximum(norm, 1e-12).tobytes()
+    assert T.unit_normalize(x, axis).tobytes() == want.tobytes()
+    assert np.isfinite(got).all() and (got[x == 0.0] == 0.0).all()  # zero slices stay zero
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_l2_normalize_gradient(seed):
     rng = np.random.default_rng(seed)

@@ -112,7 +112,9 @@ def test_dense_outside_cluster_mode_is_a_config_error(tmp_path, capsys, mode):
 
 
 # loss_mode=moco aligns by roi and attends without a residual, and without
-# self-attention there is no residual to set: each of these keys would be dropped
+# self-attention there is no residual to set; only loss_mode=moco has a
+# temperature and a queue, and only optimizer=lars a trust coefficient: each of
+# these keys would be dropped
 @pytest.mark.parametrize("key, pairs", [
     ("residual", [("loss_mode", "moco"), ("residual", "true")]),
     ("residual", [("loss_mode", "moco"), ("residual", "false")]),
@@ -121,6 +123,12 @@ def test_dense_outside_cluster_mode_is_a_config_error(tmp_path, capsys, mode):
     ("normalize_offset", [("loss_mode", "moco"), ("normalize_offset", "false")]),
     ("normalize_offset", [("alignment", "roi"), ("normalize_offset", "false")]),
     ("normalize_offset", [("alignment", "none"), ("normalize_offset", "false")]),
+    ("temperature", [("temperature", "0.5")]),
+    ("temperature", [("loss_mode", "wo_kmeans"), ("temperature", "0.5")]),
+    ("queue_length", [("queue_length", "7")]),
+    ("queue_length", [("loss_mode", "moco"), ("queue_length", "7"), ("loss_mode", "cluster")]),
+    ("trust_coeff", [("trust_coeff", "5")]),
+    ("trust_coeff", [("loss_mode", "moco"), ("trust_coeff", "5")]),
 ])
 def test_key_its_mode_ignores_is_a_config_error(tmp_path, capsys, key, pairs):
     with pytest.raises(TR.ConfigError, match=f"^{key}: "):
@@ -139,10 +147,24 @@ def test_key_its_mode_ignores_is_a_config_error(tmp_path, capsys, key, pairs):
     [("loss_mode", "wo_kmeans"), ("normalize_offset", "false"), ("residual", "true")],
     [("loss_mode", "moco"), ("residual", "auto")],
     [("self_attention", "false"), ("residual", "auto"), ("alignment", "roi")],
+    [("loss_mode", "moco"), ("temperature", "0.5"), ("queue_length", "7")],
+    [("optimizer", "lars"), ("trust_coeff", "5")],
+    [("temperature", "0.2"), ("queue_length", "1024"), ("trust_coeff", "0.001")],
 ])
 def test_keys_their_mode_reads_are_accepted(pairs):
     cfg = TR.config_from_pairs(pairs)
     assert TR.config_from_text(TR.config_to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("mode", ["--alignment=roi", "--loss_mode=moco"])
+def test_zero_iou_threshold_trains_on_overlapping_views(tmp_path, mode):
+    # among these 80 pairs' draws are disjoint boxes, which roi alignment
+    # cannot pool: the sampler redraws them
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out), "--iou_threshold=0", mode, "--steps=20",
+                     "--batch_size=4", "--corpus_images=16", "--out_size=32",
+                     "--kmeans_iters=3"]) == 0
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 20
 
 
 def test_config_text_roundtrip():
@@ -255,7 +277,7 @@ def test_no_target_gradients_in_any_mode(small_corpus, loss_mode):
     assert all(p.grad is None for p in state.pair.target.values())
     assert any(p.grad is not None for p in state.pair.online.values())
     if loss_mode == "moco":
-        assert len(state.queue) > 0
+        assert state.queue.size > 0
 
 
 def test_target_params_follow_ema_recurrence(small_corpus):
@@ -628,6 +650,8 @@ def test_checkpoint_rejects_names_it_would_not_read(tmp_path, capsys, loss_mode,
                                                     message):
     state = _moco_state_with_buffers()
     state.config = dataclasses.replace(state.config, loss_mode=loss_mode)
+    if loss_mode != "moco":  # a queue length outside moco is a config error of its own
+        state.config = dataclasses.replace(state.config, queue_length=TR.TrainConfig.queue_length)
     path = tmp_path / "edited.ckpt"
     CK.save_checkpoint(state, path)
     blob = path.read_bytes()
@@ -707,7 +731,8 @@ ROUNDTRIP_VARIANTS = [{}, {"loss_mode": "moco"}, {"alignment": "roi"},
 
 @pytest.mark.parametrize("extra", ROUNDTRIP_VARIANTS, ids=str)
 def test_checkpoint_load_gives_back_what_save_wrote(tmp_path, small_corpus, extra):
-    state = TR.init_state(dataclasses.replace(FAST, steps=4, queue_length=64, **extra))
+    queue = {"queue_length": 64} if extra.get("loss_mode") == "moco" else {}
+    state = TR.init_state(dataclasses.replace(FAST, steps=4, **queue, **extra))
     for step in (0, 2):
         run_steps(state.config, small_corpus, n=step - state.step, state=state)
         path = tmp_path / f"step{step}.ckpt"

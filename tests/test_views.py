@@ -55,6 +55,26 @@ def test_zero_threshold_accepts_first_candidate():
     assert pair.spec_b.box == expected_b
 
 
+def test_zero_threshold_redraws_a_disjoint_pair():
+    # seed 25's first two boxes do not overlap: a positive pair needs an
+    # overlap to align, so they are redrawn, as a missed threshold is
+    cfg = AugmentConfig(iou_threshold=0.0)
+    probe = np.random.default_rng(25)
+    draws = [(_sample_box(64, 64, cfg, probe), _sample_box(64, 64, cfg, probe))]
+    while compute_iou(*draws[-1]) == 0.0:
+        draws.append((_sample_box(64, 64, cfg, probe), _sample_box(64, 64, cfg, probe)))
+    assert len(draws) > 1
+    pair = sample_view_pair((64, 64), cfg, np.random.default_rng(25))
+    assert (pair.spec_a.box, pair.spec_b.box) == draws[-1] and pair.iou > 0.0
+
+
+def test_zero_threshold_pairs_always_overlap():
+    # 1.55% of first draws are disjoint at threshold 0; none of 5,000 pairs may be
+    cfg = AugmentConfig(iou_threshold=0.0)
+    rng = np.random.default_rng(0)
+    assert all(sample_view_pair((64, 64), cfg, rng).iou > 0.0 for _ in range(5000))
+
+
 def test_sampler_deterministic_and_in_bounds():
     cfg = AugmentConfig(iou_threshold=0.5, min_scale=0.08)
 
