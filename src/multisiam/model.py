@@ -11,9 +11,13 @@ padded by one row and column before and none after, ``pad=(1, 0)``: on even
 extents that computes every second row and column of the ``pad=1`` stride-1
 conv, and no other pixel, while keeping the output extent integral.
 
-Feature maps are channel-major [C,N,H,W] batches and the 1D heads work on
-[E,N] columns; only backbone_forward also takes a lone [3,H,W] view, a plain
-array, which it runs as a batch of one.
+Every projector and predictor is one kind of head: two 1x1 convs with a relu
+between them. The 2D heads run it on feature maps; the 1D heads run it on the
+pooled [C,N,1,1] maps, where a 1x1 conv is a fully connected layer, and give
+[E,N] columns.
+
+Feature maps are channel-major [C,N,H,W] batches; only backbone_forward also
+takes a lone [3,H,W] view, a plain array, which it runs as a batch of one.
 """
 
 from __future__ import annotations
@@ -88,11 +92,6 @@ def _conv_param(rng, cout, cin, k, centered=False):
     return w
 
 
-def _fc_param(rng, dout, din):
-    std = math.sqrt(2.0 / din)
-    return rng.normal(0.0, std, size=(dout, din))
-
-
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """He-normal weights, zero biases; one flat name -> Tensor map."""
     params: dict[str, np.ndarray] = {}
@@ -102,22 +101,16 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
         params[f"backbone.conv{idx}.b"] = np.zeros(width)
         cin = width
 
-    def mlp_conv(prefix, din, hidden, dout):
+    def mlp(prefix, din, hidden, dout):
         params[f"{prefix}.conv1.w"] = _conv_param(rng, hidden, din, 1)
         params[f"{prefix}.conv1.b"] = np.zeros(hidden)
         params[f"{prefix}.conv2.w"] = _conv_param(rng, dout, hidden, 1)
         params[f"{prefix}.conv2.b"] = np.zeros(dout)
 
-    def mlp_fc(prefix, din, hidden, dout):
-        params[f"{prefix}.fc1.w"] = _fc_param(rng, hidden, din)
-        params[f"{prefix}.fc1.b"] = np.zeros(hidden)
-        params[f"{prefix}.fc2.w"] = _fc_param(rng, dout, hidden)
-        params[f"{prefix}.fc2.b"] = np.zeros(dout)
-
-    mlp_conv("proj2d", cfg.feature_channels, cfg.proj2d_hidden, cfg.proj2d_out)
-    mlp_conv("pred2d", cfg.pred2d_in, cfg.pred2d_hidden, cfg.proj2d_out)
-    mlp_fc("proj1d", cfg.feature_channels, cfg.proj1d_hidden, cfg.embed_dim)
-    mlp_fc("pred1d", cfg.embed_dim, cfg.pred1d_hidden, cfg.embed_dim)
+    mlp("proj2d", cfg.feature_channels, cfg.proj2d_hidden, cfg.proj2d_out)
+    mlp("pred2d", cfg.pred2d_in, cfg.pred2d_hidden, cfg.proj2d_out)
+    mlp("proj1d", cfg.feature_channels, cfg.proj1d_hidden, cfg.embed_dim)
+    mlp("pred1d", cfg.embed_dim, cfg.pred1d_hidden, cfg.embed_dim)
     return {name: Tensor(value, requires_grad=True) for name, value in params.items()}
 
 
@@ -152,14 +145,14 @@ def backbone_forward(params: dict[str, Tensor], view: Tensor | np.ndarray,
     return select(x, 0, axis=1) if lone else x
 
 
-def _mlp_conv_forward(params, prefix, fmap):
+def _mlp_forward(params, prefix, fmap):
     hidden = relu(conv2d(fmap, params[f"{prefix}.conv1.w"], bias=params[f"{prefix}.conv1.b"]))
     return conv2d(hidden, params[f"{prefix}.conv2.w"], bias=params[f"{prefix}.conv2.b"])
 
 
 def project_2d(params: dict[str, Tensor], fmap: Tensor) -> Tensor:
     """Two-layer 1x1-conv projector; spatial extent is preserved."""
-    return _mlp_conv_forward(params, "proj2d", fmap)
+    return _mlp_forward(params, "proj2d", fmap)
 
 
 def predict_local(params: dict[str, Tensor], aligned_map: Tensor) -> Tensor:
@@ -168,25 +161,17 @@ def predict_local(params: dict[str, Tensor], aligned_map: Tensor) -> Tensor:
     if aligned_map.shape[0] != expected:
         raise ValueError(
             f"predictor expects {expected} input channels, got {aligned_map.shape[0]}")
-    return _mlp_conv_forward(params, "pred2d", aligned_map)
-
-
-def _mlp_fc_forward(params, prefix, cols):
-    # cols is [D, N]: one column per sample; the biases broadcast along N
-    h = relu(add(matmul(params[f"{prefix}.fc1.w"], cols),
-                 reshape(params[f"{prefix}.fc1.b"], (-1, 1))))
-    return add(matmul(params[f"{prefix}.fc2.w"], h),
-               reshape(params[f"{prefix}.fc2.b"], (-1, 1)))
+    return _mlp_forward(params, "pred2d", aligned_map)
 
 
 def project_predict_1d(params: dict[str, Tensor], fmap: Tensor,
                        with_predictor: bool) -> Tensor:
     """Pool the feature maps, project them, and (online branch only) predict:
     [C,N,H,W] -> [E,N]."""
-    z = _mlp_fc_forward(params, "proj1d", global_avg_pool(fmap))
+    z = _mlp_forward(params, "proj1d", global_avg_pool(fmap))
     if with_predictor:
-        z = _mlp_fc_forward(params, "pred1d", z)
-    return z
+        z = _mlp_forward(params, "pred1d", z)
+    return reshape(z, z.shape[:2])
 
 
 def self_attention_predict(aligned_map: Tensor, local_pred: Tensor,

@@ -8,6 +8,7 @@ as soon as backward() has consumed it; no higher-order derivatives.
 Every op takes Tensors and returns one, and converts nothing: a constant
 that joins the tape is wrapped in a Tensor by its caller, and a value that
 never joins it stays a plain ndarray (``unit_normalize`` normalizes those).
+``add``, ``sub`` and ``mul`` take two operands of one shape: nothing broadcasts.
 
 Feature maps are channel-major batches [C,N,H,W]; a lone map is a batch of one.
 
@@ -144,20 +145,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _check_binary_shapes(a: Tensor, b: Tensor) -> None:
-    # numpy broadcasting, e.g. a [O,1] bias against an [O,N] batch
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"operand shapes {a.shape} and {b.shape} are incompatible") from None
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Sum the upstream grad over the axes an operand was broadcast along.
-    if g.shape == shape:
-        return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=stretched, keepdims=True) if stretched else g
+    if a.shape != b.shape:
+        raise ShapeError(f"operand shapes {a.shape} and {b.shape} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +157,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes(a, b)
 
     def bw(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(g, b.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _result(a.data + b.data, (a, b), bw)
 
@@ -178,8 +167,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes(a, b)
 
     def bw(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(-g, b.shape))
+        _accumulate(a, g)
+        _accumulate(b, -g)
 
     return _result(a.data - b.data, (a, b), bw)
 
@@ -188,8 +177,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes(a, b)
 
     def bw(g):
-        _accumulate(a, _reduce_to(g * b.data, a.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.shape))
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return _result(a.data * b.data, (a, b), bw)
 
@@ -328,14 +317,14 @@ def subsample(t: Tensor, stride: int) -> Tensor:
 
 
 def global_avg_pool(t: Tensor) -> Tensor:
-    """Per-sample, per-channel spatial mean: [C,N,H,W] -> [C,N]."""
+    """Per-sample, per-channel spatial mean: [C,N,H,W] -> [C,N,1,1]."""
     _require_maps(t, "global_avg_pool")
     h, w = t.shape[-2:]
 
     def bw(g):
-        _accumulate(t, np.broadcast_to(g[..., None, None], t.shape) / (h * w))
+        _accumulate(t, np.broadcast_to(g, t.shape) / (h * w))
 
-    return _result(t.data.mean(axis=(-2, -1)), (t,), bw)
+    return _result(t.data.mean(axis=(-2, -1), keepdims=True), (t,), bw)
 
 
 _NORM_EPS = 1e-12

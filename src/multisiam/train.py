@@ -167,11 +167,12 @@ def _parse_value(key: str, field_name: str, kind, raw: str):
             if word not in _BOOL_WORDS:
                 raise ValueError
             return _BOOL_WORDS[word]
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        if kind is str:
+            return raw
+        # int() and float() also take non-ASCII digits and '_' separators
+        if not raw.isascii() or "_" in raw:
+            raise ValueError
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {getattr(kind, '__name__', kind)}") from None
 
@@ -234,6 +235,9 @@ def _validate(cfg: TrainConfig, origin: dict[str, str | None] | None = None) -> 
     need(cfg.residual is None or (cfg.self_attention and cfg.loss_mode != "moco"), "residual",
          f"self_attention={str(cfg.self_attention).lower()} with loss_mode={cfg.loss_mode} "
          "has no residual to set; leave it auto", also=("self_attention", "loss_mode"))
+    need(cfg.alignment == TrainConfig.alignment or cfg.loss_mode != "moco", "alignment",
+         f"loss_mode=moco aligns by roi whatever this says; leave it {TrainConfig.alignment}",
+         also=("loss_mode",))
     need(cfg.normalize_offset or (cfg.alignment == "offset" and cfg.loss_mode != "moco"),
          "normalize_offset", f"alignment={cfg.alignment} with loss_mode={cfg.loss_mode} "
          "has no offsets to normalize", also=("alignment", "loss_mode"))

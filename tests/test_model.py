@@ -98,6 +98,84 @@ def test_project_predict_1d_dims_and_target_path():
     assert np.array_equal(q.data, q2.data)
 
 
+def _old_draws(cfg, seed):
+    """init_params' draws as the heads were once written: the 1D heads as
+    [dout, din] fully connected weights, everything else as conv kernels."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, fan_in):
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+
+    cin = 3
+    for width in cfg.widths:
+        draw((width, cin, 3, 3), cin * 9)
+        cin = width
+    heads = {}
+    for prefix, din, hidden, dout, fc in (
+            ("proj2d", cfg.feature_channels, cfg.proj2d_hidden, cfg.proj2d_out, False),
+            ("pred2d", cfg.pred2d_in, cfg.pred2d_hidden, cfg.proj2d_out, False),
+            ("proj1d", cfg.feature_channels, cfg.proj1d_hidden, cfg.embed_dim, True),
+            ("pred1d", cfg.embed_dim, cfg.pred1d_hidden, cfg.embed_dim, True)):
+        tail = () if fc else (1, 1)
+        heads[f"{prefix}.conv1.w"] = draw((hidden, din) + tail, din)
+        heads[f"{prefix}.conv2.w"] = draw((dout, hidden) + tail, hidden)
+    return heads
+
+
+@pytest.mark.parametrize("cfg", [DESK, TOY, M.ModelConfig(alignment="roi")],
+                         ids=["desk", "toy", "roi"])
+def test_heads_hold_the_draws_of_the_old_fully_connected_layers(cfg):
+    params = M.init_params(cfg, np.random.default_rng(7))
+    for name, want in _old_draws(cfg, 7).items():
+        got = params[name].data
+        assert got.shape == want.shape[:2] + (1, 1), name
+        assert got.reshape(want.shape).tobytes() == want.tobytes(), name
+        assert not params[name.replace(".w", ".b")].data.any()
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+def test_1d_heads_match_the_fully_connected_oracle_byte_for_byte(samples):
+    # the old form: W2 @ relu(W1 @ pooled + b1[:, None]) + b2[:, None], with
+    # each [o, i, 1, 1] kernel viewed as an [o, i] matrix, and its backward
+    pair = make_pair()
+    rng = np.random.default_rng(20 + samples)
+    for name, p in pair.online.items():
+        if name.endswith(".b"):
+            p.data = rng.normal(0.0, 0.1, size=p.shape)
+    fmap = Tensor(rng.standard_normal((32, samples, 8, 8)), requires_grad=True)
+    upstream = rng.standard_normal((64, samples))
+    q = M.project_predict_1d(pair.online, fmap, with_predictor=True)
+    T.backward(T.reduce_sum(T.mul(q, Tensor(upstream))))
+
+    def layers(prefix):
+        return [(pair.online[f"{prefix}.conv{i}.w"].data[:, :, 0, 0],
+                 pair.online[f"{prefix}.conv{i}.b"].data) for i in (1, 2)]
+
+    pooled = fmap.data.mean(axis=(-2, -1))
+    acts, x = [], pooled
+    for prefix in ("proj1d", "pred1d"):
+        (w1, b1), (w2, b2) = layers(prefix)
+        pre = w1 @ x + b1[:, None]
+        hidden = np.maximum(pre, 0.0)
+        acts.append((x, pre, hidden))
+        x = w2 @ hidden + b2[:, None]
+    assert q.shape == (64, samples)
+    assert q.data.tobytes() == x.tobytes()
+
+    g = upstream
+    for prefix, (x_in, pre, hidden) in zip(("pred1d", "proj1d"), reversed(acts)):
+        (w1, _), (w2, _) = layers(prefix)
+        want = {"conv2.w": g @ hidden.T, "conv2.b": g.sum(axis=1)}
+        g = (w2.T @ g) * (pre > 0)
+        want.update({"conv1.w": g @ x_in.T, "conv1.b": g.sum(axis=1)})
+        g = w1.T @ g
+        for name, grad in want.items():
+            got = pair.online[f"{prefix}.{name}"].grad
+            assert got.reshape(grad.shape).tobytes() == grad.tobytes(), f"{prefix}.{name}"
+    want_fmap = np.broadcast_to(g[..., None, None], fmap.shape) / 64
+    assert fmap.grad.tobytes() == want_fmap.tobytes()
+
+
 def test_attention_single_pixel_passthrough():
     rng = np.random.default_rng(6)
     amap = Tensor(rng.random((5, 1, 1, 1)))

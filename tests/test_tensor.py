@@ -37,9 +37,12 @@ def test_mul_gradient_matches_partner_value():
 
 
 def test_binary_shape_mismatch_names_both_shapes():
-    with pytest.raises(T.ShapeError) as err:
-        T.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-    assert "(3,)" in str(err.value) and "(4,)" in str(err.value)
+    # shapes numpy would broadcast are rejected too
+    for a, b in [((3,), (4,)), ((3, 1), (3, 4)), ((4,), (3, 4))]:
+        for op in (T.add, T.sub, T.mul):
+            with pytest.raises(T.ShapeError) as err:
+                op(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+            assert str(a) in str(err.value) and str(b) in str(err.value), op
 
 
 def test_conv2d_identity_kernel():
@@ -128,11 +131,12 @@ def test_subsample_roundtrip_gradient():
 
 def test_global_avg_pool_values():
     const = Tensor(np.full((4, 1, 3, 3), 7.0))
-    assert np.allclose(T.global_avg_pool(const).data, np.full((4, 1), 7.0))
+    assert np.allclose(T.global_avg_pool(const).data, np.full((4, 1, 1, 1), 7.0))
     single = Tensor(np.arange(6.0).reshape(6, 1, 1, 1))
-    assert np.allclose(T.global_avg_pool(single).data, np.arange(6.0)[:, None])
+    assert T.global_avg_pool(single).shape == (6, 1, 1, 1)
+    assert np.allclose(T.global_avg_pool(single).data, np.arange(6.0).reshape(6, 1, 1, 1))
     quad = Tensor([[[[1.0, 3.0], [5.0, 7.0]]]])
-    assert T.global_avg_pool(quad).data[0, 0] == pytest.approx(4.0)
+    assert T.global_avg_pool(quad).data[0, 0, 0, 0] == pytest.approx(4.0)
 
 
 def test_l2_normalize_values_and_zero_guard():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -57,3 +58,29 @@ def test_src_keeps_every_name_the_benchmark_uses(monkeypatch):
     result = workloads.probe.probe_image(Tensor(rng.random((3, 4, 4))), labels, labels, 2,
                                          "cosine", 3, rng)
     assert len(result) == 3
+
+
+def test_gradient_suite_covers_every_tape_op(monkeypatch):
+    # a tape op is a public function that builds a node itself; every one must
+    # build a node with a parent that requires grad in some gradient case
+    from multisiam import align, checks
+    from multisiam import tensor as T
+
+    ops = {name: fn for name, fn in vars(T).items()
+           if name in T.__all__ and inspect.isfunction(fn) and "_result" in fn.__code__.co_names}
+    ops.update(flip_back=align.flip_back, roi_align=align.roi_align)
+    checked = set()
+
+    def watch(result):
+        def wrapped(data, parents, backward_fn):
+            if any(p.requires_grad for p in parents):
+                checked.add(sys._getframe(1).f_code.co_name)
+            return result(data, parents, backward_fn)
+        return wrapped
+
+    monkeypatch.setattr(T, "_result", watch(T._result))
+    monkeypatch.setattr(align, "_result", watch(align._result))
+    checks.run_gradient_suite(seeds=[0])
+    assert {"add", "conv2d", "roi_align"} <= set(ops)
+    missing = sorted(set(ops) - checked)
+    assert not missing, f"no gradient case checks the tape ops {missing}"

@@ -114,7 +114,9 @@ def test_dense_outside_cluster_mode_is_a_config_error(tmp_path, capsys, mode):
 # loss_mode=moco aligns by roi and attends without a residual, and without
 # self-attention there is no residual to set; only loss_mode=moco has a
 # temperature and a queue, and only optimizer=lars a trust coefficient: each of
-# these keys would be dropped
+# these keys would be dropped. An alignment under moco would still change the
+# run: it sets the input channels of the unused 2D predictor, whose draws shift
+# the initialization of the 1D heads
 @pytest.mark.parametrize("key, pairs", [
     ("residual", [("loss_mode", "moco"), ("residual", "true")]),
     ("residual", [("loss_mode", "moco"), ("residual", "false")]),
@@ -129,6 +131,8 @@ def test_dense_outside_cluster_mode_is_a_config_error(tmp_path, capsys, mode):
     ("queue_length", [("loss_mode", "moco"), ("queue_length", "7"), ("loss_mode", "cluster")]),
     ("trust_coeff", [("trust_coeff", "5")]),
     ("trust_coeff", [("loss_mode", "moco"), ("trust_coeff", "5")]),
+    ("alignment", [("loss_mode", "moco"), ("alignment", "roi")]),
+    ("alignment", [("alignment", "none"), ("loss_mode", "moco")]),
 ])
 def test_key_its_mode_ignores_is_a_config_error(tmp_path, capsys, key, pairs):
     with pytest.raises(TR.ConfigError, match=f"^{key}: "):
@@ -154,6 +158,27 @@ def test_key_its_mode_ignores_is_a_config_error(tmp_path, capsys, key, pairs):
 def test_keys_their_mode_reads_are_accepted(pairs):
     cfg = TR.config_from_pairs(pairs)
     assert TR.config_from_text(TR.config_to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key, raw", [("steps", "\u0663"), ("lr_base", "1_0"),
+                                      ("k", "\uff13"), ("momentum", "0.\u0669")],
+                         ids=["arabic-indic-digit", "underscore", "fullwidth-digit",
+                              "arabic-indic-decimal"])
+def test_numbers_take_plain_ascii_forms_only(tmp_path, capsys, key, raw):
+    # int() and float() accept these: '\u0663' is 3 and '1_0' is 10
+    with pytest.raises(TR.ConfigError, match=f"^{key}: cannot parse"):
+        TR.config_from_pairs([(key, raw)])
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out), f"--{key}={raw}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: cannot parse") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_plain_number_forms_are_accepted():
+    cfg = TR.config_from_pairs([("steps", "+3"), ("lr_base", "1e1"), ("momentum", ".5"),
+                                ("weight_decay", " 0 ")])
+    assert (cfg.steps, cfg.lr_base, cfg.momentum, cfg.weight_decay) == (3, 10.0, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("mode", ["--alignment=roi", "--loss_mode=moco"])
@@ -605,7 +630,7 @@ def _first_value_offset(blob, name):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["online.backbone.conv4.b", "target.proj2d.conv1.w",
-                                  "opt.pred1d.fc2.w", "queue.buffer"])
+                                  "opt.pred1d.conv2.w", "queue.buffer"])
 def test_checkpoint_rejects_non_finite_values(tmp_path, capsys, name, value):
     path = tmp_path / "moco.ckpt"
     CK.save_checkpoint(_moco_state_with_buffers(), path)
@@ -789,7 +814,7 @@ def test_moco_checkpoint_preserves_queue(tmp_path, small_corpus):
 def test_non_finite_loss_aborts(small_corpus):
     state = TR.init_state(FAST)
     # the final 1d layer has no relu after it, so the inf reaches the loss
-    state.pair.online["pred1d.fc2.w"].data[:] = np.inf
+    state.pair.online["pred1d.conv2.w"].data[:] = np.inf
     with pytest.raises(TR.TrainingError, match="non-finite"):
         TR.train_step(state, small_corpus)
 
