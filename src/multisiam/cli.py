@@ -48,10 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
+    # ASCII digits only: int() also takes '\u0663' for 3 and '1_0' for 10
+    value = int(raw) if raw.isascii() and raw.isdigit() else 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
     return value

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .tensor import (Tensor, _require_maps, add, concat, l2_normalize, logsumexp, matmul, mul,
-                     negate, reduce_mean, reduce_sum, reshape, scale, select, sub, transpose,
-                     unit_normalize)
+from .tensor import (_NORM_EPS, Tensor, _require_maps, add, concat, l2_normalize, logsumexp,
+                     matmul, mul, negate, reduce_mean, reduce_sum, reshape, scale, select, sub,
+                     transpose, unit_normalize)
 from .views import resize_weights, separable
 
 __all__ = [
@@ -55,34 +56,31 @@ class ClusterResult:
                                      # ||x||^2 + ||c||^2 - 2 x.c form of assignment
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding (Arthur & Vassilvitskii, 2007) of [n,c] points: the
-    first centroid uniformly, each next one with probability proportional to
-    a point's squared distance to its nearest centroid so far. One buffer
-    serves every subtract-and-square pass, and no pass follows the last
-    pick, which nothing reads."""
-    n = points.shape[0]
-    centroids = [points[int(rng.integers(n))]]
-    diff = np.empty_like(points)
+def _kmeanspp_init(row, dists, n: int, k: int, rng: np.random.Generator) -> list[int]:
+    """The k indices that k-means++ (Arthur & Vassilvitskii, 2007) picks of one
+    map's n points: the first uniformly, each next one with probability
+    proportional to D², a point's squared distance to its nearest pick so far.
+    Point i is ``row(i)``; ``dists(c)`` gives the [k,n] distances to [k,c]
+    centroids as Lloyd's assignment takes them (``_pairwise_sq_dists``), so D²
+    rounds as they do. No D² follows the last pick, which nothing reads."""
+    picks = [int(rng.integers(n))]
     d2 = None
     for _ in range(1, k):
-        np.subtract(points, centroids[-1], out=diff)
-        sq = np.multiply(diff, diff, out=diff).sum(axis=1)
+        sq = dists(row(picks[-1])[None])[0]
         d2 = sq if d2 is None else np.minimum(d2, sq, out=d2)
         total = d2.sum()
         if not total > 0.0:  # also NaN, which the non-finite loss check reports
-            pick = int(rng.integers(n))
+            picks.append(int(rng.integers(n)))
         else:
-            pick = int(rng.choice(n, p=d2 / total))
-        centroids.append(points[pick])
-    return np.array(centroids)
+            picks.append(int(rng.choice(n, p=d2 / total)))
+    return picks
 
 
 def _pairwise_sq_dists(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
                        products: np.ndarray | None = None) -> np.ndarray:
     """[P,n,c] points, with their [P,1,n] squared norms, against [P,k,c]
-    centroids: [P,k,n] squared distances, k-major, or with the [P,k,n] x.c
-    ``products`` when they are taken another way (``_Upsampled``).
+    centroids: [P,k,n] squared distances, k-major; ``points`` may be None
+    given the [P,k,n] x.c ``products`` taken another way (``_Upsampled``).
 
     Each distance is ``(||x||^2 + ||c||^2) - 2 x.c``, clamped at zero against
     cancellation. The x.c products are one GEMM per map of its [k,c]
@@ -128,19 +126,19 @@ def _membership(assign: np.ndarray, k: int) -> np.ndarray:
     return (assign[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
 
 
-def _repair_empty(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
-                  d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
+def _repair_empty(row, dists, centroids: np.ndarray, d2: np.ndarray,
+                  assign: np.ndarray) -> np.ndarray:
     """Promote the globally farthest point into each empty cluster of one map,
-    given its [k,n] distances; updates ``centroids`` in place and returns the
-    new assignments."""
+    given its [k,n] distances, with ``row`` and ``dists`` as in seeding;
+    updates ``centroids`` in place and returns the new assignments."""
     k, n = d2.shape
     for _repair in range(k):
         empties = [idx for idx in range(k) if not (assign == idx).any()]
         if not empties:
             break
         pick = int(d2[assign, np.arange(n)].argmax())
-        centroids[empties[0]] = points[pick]
-        d2 = _pairwise_sq_dists(points[None], points_sq[None], centroids[None])[0]
+        centroids[empties[0]] = row(pick)
+        d2 = dists(centroids)
         assign = _nearest(d2)
         assign[pick] = empties[0]
     return assign
@@ -157,23 +155,32 @@ def _record_costs(history: list[list[float]], active: np.ndarray, d2: np.ndarray
 
 
 class _Upsampled:
-    """A [C,P,h,w] batch at the pixels of its ``resize_bilinear`` upsamples u to
-    ``size``. ``points`` is [P,n,C], channel-major in memory so that passes
-    over its rows stream along n, and u / ||u|| under the cosine metric.
-    ``products`` (x.c) and ``sums`` (of members) for the maps ``active`` run
-    on the h*w feature pixels f: the upsample of the [k,h,w] products f.c, and
-    the adjoint upsample of the membership times f, both over ||u|| if cosine."""
+    """A [C,P,h,w] batch at the points x of its ``resize_bilinear`` upsamples u
+    to ``size``, never built as [P,n,C]: x is u, or u / ||u|| (floored at 1e-12)
+    under cosine. ||u||^2, clamped at 0, is each map's [h*w,h*w] Gram matrix of
+    its feature pixels f, one GEMM per map, with the resize weights on both
+    sides; ``pts_sq`` is the [P,1,n] ||x||^2, and ``row`` builds one point. The
+    x.c ``products`` and member ``sums`` of the maps ``active`` run on f: the
+    upsample of the [k,h,w] f.c and the adjoint upsample of the membership
+    times f, both over ||u|| if cosine."""
 
     def __init__(self, maps: np.ndarray, size: tuple[int, int], cosine: bool):
         c, pairs, h, w = maps.shape
         self.grid, self.size = (h, w), size
         self.rows, self.cols = resize_weights((h, w), size)
         self.feats = maps.transpose(1, 0, 2, 3).reshape(pairs, c, h * w)  # [P, C, h*w]
-        up = separable(self.feats.reshape(pairs * c, h, w), self.rows, self.cols)
-        self.points, self.norms = up.reshape(pairs, c, -1).transpose(0, 2, 1), None
-        if cosine:
-            self.points, norms = unit_normalize(self.points, -1, with_norms=True)
-            self.norms = norms.transpose(0, 2, 1)  # [P, 1, n]
+        gram = (self.feats.transpose(0, 2, 1) @ self.feats).reshape(pairs, h, w, h, w)
+        # ||u||^2 at (i, j): sum of rows[i,a] rows[i,a'] cols[j,b] cols[j,b'] gram[a,b,a',b']
+        half = ((self.cols @ gram.transpose(0, 1, 3, 2, 4)) * self.cols).sum(-1)  # [P,h,h,W]
+        sq = ((self.rows @ half.transpose(0, 3, 1, 2)) * self.rows).sum(-1)  # [P,W,H]
+        sq = np.maximum(sq.transpose(0, 2, 1).reshape(pairs, 1, -1), 0.0)  # [P, 1, n]
+        self.norms = np.maximum(np.sqrt(sq), _NORM_EPS) if cosine else None
+        self.pts_sq = sq if self.norms is None else sq / (self.norms * self.norms)
+
+    def row(self, pair: int, idx: int) -> np.ndarray:
+        i, j = divmod(idx, self.size[1])
+        point = (self.feats[pair].reshape(-1, *self.grid) @ self.cols[j]) @ self.rows[i]
+        return point if self.norms is None else point / self.norms[pair, 0, idx]
 
     def products(self, centroids: np.ndarray, active: np.ndarray) -> np.ndarray:
         fc = (centroids @ self.feats[active]).reshape(-1, *self.grid)
@@ -198,7 +205,8 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     from its centroid. Each map is seeded by k-means++ from ``rng`` in batch
     order; ``init`` ([P,K,C]) overrides the seeding (for oracle comparisons
     under a shared start). With ``size`` = (H, W), each map is clustered at
-    the pixels of its bilinear upsample to [H,W] (``_Upsampled``).
+    the pixels of its bilinear upsample to [H,W], which is never built: the
+    loop works in the map's feature basis (``_Upsampled``).
 
     All maps share one Lloyd loop and a map leaves it once its assignments
     stop changing. The arithmetic per map is that of clustering it alone:
@@ -207,12 +215,13 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     batch. The GEMM's rounding follows the BLAS, so centroids and costs can
     differ in the last bits from means taken one cluster at a time.
 
-    Distances are k-major, [P,K,n] (see ``_pairwise_sq_dists``), and a point
-    joins the first of its equally near centroids, as ``np.argmin`` would
-    pick. An update's cost is read off the next iteration's distance matrix,
-    at the assignments the centroids were just computed from; only a map
-    that runs out of ``max_iter`` needs one more distance matrix. Nothing
-    else reads the cost, so it moves no assignment or centroid.
+    Seeding, assignment and repair take every distance from
+    ``_pairwise_sq_dists``. Distances are k-major, [P,K,n], and a point joins
+    the first of its equally near centroids, as ``np.argmin`` would pick. An
+    update's cost is read off the next iteration's distance matrix, at the
+    assignments the centroids were just computed from; only a map that runs
+    out of ``max_iter`` needs one more distance matrix. Nothing else reads
+    the cost, so it moves no assignment or centroid.
     """
     _require_maps(maps, "kmeans_batch")
     c, pairs, h, w = maps.shape
@@ -228,30 +237,37 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
         raise ValueError(f"unknown metric {metric!r}")
 
     basis = None if size is None else _Upsampled(maps, (h, w), metric == "cosine")
-    points = (maps.reshape(c, pairs, n).transpose(1, 2, 0).copy() if basis is None
-              else basis.points)  # [P, n, c]
-    if metric == "cosine" and basis is None:  # an upsample is normalized already
+    points = None if basis else maps.reshape(c, pairs, n).transpose(1, 2, 0).copy()  # [P,n,c]
+    if metric == "cosine" and basis is None:  # an upsample is normalized in its basis
         points = unit_normalize(points, -1)
+    points_sq = basis.pts_sq if basis else (points ** 2).sum(-1)[:, None, :]
+    row = basis.row if basis else lambda pair, idx: points[pair, idx]
+
+    def dists(pair: int, cen: np.ndarray) -> np.ndarray:
+        """Map ``pair``'s [k,n] squared distances to its [k,c] centroids ``cen``."""
+        one = slice(pair, pair + 1)
+        return _pairwise_sq_dists(None if basis else points[one], points_sq[one], cen[None],
+                                  basis and basis.products(cen[None], [pair]))[0]
+
     if init is not None:
         centroids = np.array(init, dtype=np.float64)
         if centroids.shape != (pairs, k, c):
             raise ValueError(f"init shape {centroids.shape} does not match ({pairs}, {k}, {c})")
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        centroids = np.stack([_kmeanspp_init(p, k, rng) for p in points])
+        rng = np.random.default_rng(0) if rng is None else rng
+        centroids = np.array([[row(pair, idx) for idx in _kmeanspp_init(
+            partial(row, pair), partial(dists, pair), n, k, rng)] for pair in range(pairs)])
 
     assignments = np.zeros((pairs, n), dtype=np.intp)
     history: list[list[float]] = [[] for _ in range(pairs)]
     # each point's flat index at cluster 0 of a [P,k,n] distance matrix; the
     # active maps are packed, so the first len(active) rows serve them
     offsets = np.arange(pairs)[:, None] * (k * n) + np.arange(n)
-    # the maps still iterating: their points, the points' [1,n] squared norms
-    # (the same every iteration), their working centroids and their
-    # assignments; a map's centroids and assignments are written back when
-    # it leaves
-    active, pts, pts_sq, cen = (np.arange(pairs), points, (points ** 2).sum(-1)[:, None, :],
-                                centroids.copy())
+    # the maps still iterating: their points (None at a size), the points'
+    # [1,n] squared norms (the same every iteration), their working centroids
+    # and their assignments; a map's centroids and assignments are written
+    # back when it leaves
+    active, pts, pts_sq, cen = np.arange(pairs), points, points_sq, centroids.copy()
     assign = None
     for step in range(max_iter):
         d2 = _pairwise_sq_dists(pts, pts_sq, cen, basis and basis.products(cen, active))
@@ -261,11 +277,12 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
         member = _membership(new_assign, k)
         counts = member.sum(axis=2)
         if not counts.all():
-            for row in np.flatnonzero((counts == 0).any(axis=1)):
-                new_assign[row] = _repair_empty(pts[row], pts_sq[row], cen[row], d2[row],
-                                                new_assign[row])
-                member[row] = _membership(new_assign[row], k)
-                counts[row] = member[row].sum(axis=1)
+            for slot in np.flatnonzero((counts == 0).any(axis=1)):
+                pair = int(active[slot])
+                new_assign[slot] = _repair_empty(partial(row, pair), partial(dists, pair),
+                                                 cen[slot], d2[slot], new_assign[slot])
+                member[slot] = _membership(new_assign[slot], k)
+                counts[slot] = member[slot].sum(axis=1)
         if step:
             moved = (new_assign != assign).any(axis=1)
             if not moved.all():
@@ -273,8 +290,8 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
                 left = active[~moved]
                 assignments[left], centroids[left] = assign[~moved], cen[~moved]
                 active, pts, pts_sq, cen, new_assign, member, counts = (
-                    active[moved], pts[moved], pts_sq[moved], cen[moved], new_assign[moved],
-                    member[moved], counts[moved])
+                    active[moved], pts if basis else pts[moved], pts_sq[moved], cen[moved],
+                    new_assign[moved], member[moved], counts[moved])
         assign = new_assign
         if not active.size:
             break

@@ -265,13 +265,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     else:
         xp = np.zeros((cin, n, h + before + after, wd + before + after))
         xp[:, :, before:before + h, before:before + wd] = x.data
-        cols = np.empty((cin, kh, kw, n, ho, wo))
-        for di in range(kh):
-            for dj in range(kw):
-                cols[:, di, dj] = xp[:, :, di:di + (ho - 1) * stride + 1:stride,
-                                     dj:dj + (wo - 1) * stride + 1:stride]
-        del xp
-        mat = cols.reshape(cin * kh * kw, n * ho * wo)
+        # every tap's [C_in,N,Ho,Wo] window of xp as one [C_in,kh,kw,N,Ho,Wo] view,
+        # which the reshape copies in one pass
+        s = xp.strides
+        mat = np.lib.stride_tricks.as_strided(
+            xp, (cin, kh, kw, n, ho, wo), (s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride)
+        ).reshape(cin * kh * kw, n * ho * wo)
+        del xp  # before the GEMM allocates its output
     out = w.data.reshape(cout, -1) @ mat
     if bias is not None:
         if bias.shape != (cout,):

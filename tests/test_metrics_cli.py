@@ -260,8 +260,10 @@ def assert_one_error_line(capsys, *fragments):
         assert fragment in err
 
 
+# int() reads '1_0' as 10 and '\u0663' (Arabic-Indic three) as 3; counts take ASCII digits only
 @pytest.mark.parametrize("argv", [["eval", "--images", "0"], ["viz", "--images", "-1"],
-                                  ["viz", "--images=0"]])
+                                  ["viz", "--images=0"], ["eval", "--images=1_0"],
+                                  ["viz", "--images", "\u0663"]])
 def test_cli_rejects_non_positive_image_counts(tiny_checkpoints, tmp_path, capsys, argv):
     out = tmp_path / "out"
     argv = argv[:1] + ["--checkpoint", str(tiny_checkpoints["k3"]), "--out", str(out)] + argv[1:]
@@ -271,7 +273,7 @@ def test_cli_rejects_non_positive_image_counts(tiny_checkpoints, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", ["0", "-2", "two"])
+@pytest.mark.parametrize("seeds", ["0", "-2", "two", "1_0", "\u0663"])
 def test_cli_gradcheck_rejects_non_positive_seeds(tmp_path, capsys, seeds):
     out = tmp_path / "out"
     assert cli.main(["gradcheck", f"--seeds={seeds}", "--out", str(out)]) == 1

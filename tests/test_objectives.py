@@ -108,22 +108,25 @@ def test_kmeans_rejects_oversized_k():
         O.kmeans(np.zeros((2, 2, 2)), 5)
 
 
-def textbook_kmeanspp(points, k, rng):
-    """k-means++ seeding (Arthur & Vassilvitskii, 2007) with fresh arrays for
-    every pass: the oracle of the buffered ``_kmeanspp_init``, draw for draw."""
+def textbook_picks(points, k, rng):
+    """The indices k-means++ seeding (Arthur & Vassilvitskii, 2007) picks of
+    [n,c] points, with D² = ((x - c) ** 2).sum() in fresh arrays for every
+    pass: the oracle of ``_kmeanspp_init``, draw for draw."""
     n = points.shape[0]
-    first = int(rng.integers(n))
-    centroids = [points[first]]
-    d2 = ((points - points[first]) ** 2).sum(axis=1)
+    picks = [int(rng.integers(n))]
+    d2 = ((points - points[picks[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
-            pick = int(rng.integers(n))
+            picks.append(int(rng.integers(n)))
         else:
-            pick = int(rng.choice(n, p=d2 / total))
-        centroids.append(points[pick])
-        d2 = np.minimum(d2, ((points - points[pick]) ** 2).sum(axis=1))
-    return np.array(centroids)
+            picks.append(int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, ((points - points[picks[-1]]) ** 2).sum(axis=1))
+    return picks
+
+
+def textbook_kmeanspp(points, k, rng):
+    return points[textbook_picks(points, k, rng)]
 
 
 def loop_kmeans(fmap, k, metric="cosine", max_iter=10, rng=None, init=None):
@@ -369,6 +372,42 @@ def test_kmeans_batch_at_size_matches_one_map_at_a_time(metric):
         alone = O.kmeans(maps[:, p], 3, metric=metric, size=(13, 22), rng=single_rng)
         assert_same_bytes(result, as_oracle_tuple(alone))
     assert len({len(r.cost_history) for r in results}) > 1
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("shape,size", [((32, 16, 8, 8), None), ((32, 1, 8, 8), (64, 64))],
+                         ids=["train", "eval"])
+def test_kmeanspp_picks_the_textbook_pixels(monkeypatch, shape, size, metric):
+    # seeding's D² is the clamped ||x||^2 + ||c||^2 - 2 x.c of assignment, taken
+    # in the feature basis at a size; it picks the pixels the textbook
+    # ((x - c) ** 2).sum() picks, seed for seed
+    picks, real = [], O._kmeanspp_init
+    monkeypatch.setattr(O, "_kmeanspp_init", lambda *args: picks.append(real(*args)) or picks[-1])
+    for seed in range(50):
+        maps = np.maximum(np.random.default_rng(seed).standard_normal(shape), 0.0)
+        picks.clear()
+        O.kmeans_batch(maps, 3, metric=metric, max_iter=1, rng=np.random.default_rng(seed),
+                       size=size)
+        assert len(picks) == shape[1]
+        oracle_rng = np.random.default_rng(seed)
+        for p, got in enumerate(picks):
+            fmap = maps[:, p] if size is None else resize_bilinear(maps[:, p], size)
+            assert got == textbook_picks(unit_pixels(fmap, metric), 3, oracle_rng), (seed, p)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_at_size_holds_less_than_its_upsample(metric):
+    # the eval's 4,096-point clustering never holds a [4096, 32] float64 array
+    import tracemalloc
+
+    fmap = upsample_maps((32, 8, 8), 44, 1)[0]
+    tracemalloc.start()
+    try:
+        O.kmeans(fmap, 3, metric=metric, size=(64, 64), rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 32 * 8, peak
 
 
 @pytest.mark.parametrize("size,error", [((0, 8), ValueError), ((8,), ValueError),
@@ -713,8 +752,8 @@ def every_other_call_by_parity(points, points_sq, centroids, products=None):
     calls[0] += 1
     if calls[0] % 2:
         return real(points, points_sq, centroids, products)
-    n, k = points.shape[1], centroids.shape[1]
-    d2 = np.ones((len(points), k, n))  # k-major, as the real distances
+    n, k = points_sq.shape[-1], centroids.shape[1]  # points is None at a size
+    d2 = np.ones((len(points_sq), k, n))  # k-major, as the real distances
     d2[:, np.arange(n) % k, np.arange(n)] = 0.0
     return d2
 

@@ -95,6 +95,63 @@ def test_strided_conv_equals_subsampled_conv(seed, h, w):
         assert np.allclose(a.grad, b.grad, rtol=1e-12, atol=0.0)
 
 
+def tap_loop_conv(x, w, b, stride, pad, g):
+    """conv2d's output and its (x, w, b) gradients under the upstream gradient
+    ``g``, with the im2col columns filled one tap at a time and the input
+    gradient scattered back one tap at a time: the oracle of the one-copy
+    im2col."""
+    cin, n, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    before, after = (pad, pad) if isinstance(pad, int) else pad
+    ho = (h + before + after - kh) // stride + 1
+    wo = (wd + before + after - kw) // stride + 1
+    xp = np.zeros((cin, n, h + before + after, wd + before + after))
+    xp[:, :, before:before + h, before:before + wd] = x
+    cols = np.empty((cin, kh, kw, n, ho, wo))
+    taps = [(di, dj, (slice(None), slice(None), slice(di, di + (ho - 1) * stride + 1, stride),
+                      slice(dj, dj + (wo - 1) * stride + 1, stride)))
+            for di in range(kh) for dj in range(kw)]
+    for di, dj, window in taps:
+        cols[:, di, dj] = xp[window]
+    mat = cols.reshape(cin * kh * kw, n * ho * wo)
+    out = w.reshape(cout, -1) @ mat
+    out += b[:, None]
+    gm = g.reshape(cout, -1)
+    dxp = np.zeros_like(xp)
+    for di, dj, window in taps:
+        dxp[window] += (w[:, :, di, dj].T @ gm).reshape(cin, n, ho, wo)
+    return (out.reshape(cout, n, ho, wo), dxp[:, :, before:before + h, before:before + wd],
+            (gm @ mat.T).reshape(w.shape), gm.sum(axis=1))
+
+
+# (x shape, w shape, stride, pad): the four backbone layers on a batch of 16
+# 64x64 views, a head's 1x1 conv, then 1x1 and 3x3 kernels at both strides under
+# both pad forms
+CONV_CASES = [((3, 16, 64, 64), (16, 3, 3, 3), 2, (1, 0)),
+              ((16, 16, 32, 32), (32, 16, 3, 3), 2, (1, 0)),
+              ((32, 16, 16, 16), (32, 32, 3, 3), 2, (1, 0)),
+              ((32, 16, 8, 8), (32, 32, 3, 3), 1, 1),
+              ((34, 16, 8, 8), (64, 34, 1, 1), 1, 0),
+              ((4, 3, 6, 5), (5, 4, 1, 1), 1, 1),
+              ((4, 3, 7, 5), (5, 4, 1, 1), 2, 0),
+              ((4, 3, 6, 8), (5, 4, 3, 3), 1, (1, 0)),
+              ((4, 3, 7, 5), (5, 4, 3, 3), 2, 1)]
+
+
+@pytest.mark.parametrize("xs,ws,stride,pad", CONV_CASES, ids=str)
+def test_conv2d_one_copy_im2col_matches_the_tap_loop(xs, ws, stride, pad):
+    rng = np.random.default_rng(sum(xs) + sum(ws))
+    arrays = [rng.standard_normal(xs), rng.standard_normal(ws), rng.standard_normal(ws[0])]
+    x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+    out = T.conv2d(x, w, stride=stride, pad=pad, bias=b)
+    g = rng.standard_normal(out.shape)
+    T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+    want = tap_loop_conv(*arrays, stride, pad, g)
+    for got, expected in zip((out.data, x.grad, w.grad, b.grad), want):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("pad", [-1, (1, -1), (1,), (1, 0, 0), 1.0, (1.0, 0), "1", True, None])
 def test_conv2d_rejects_bad_pad(pad):
     x = Tensor(np.zeros((1, 1, 4, 4)))
