@@ -18,6 +18,7 @@ from .metrics import adjusted_rand_index, embedding_spread
 from .model import ModelConfig, backbone_forward
 from .objectives import kmeans
 from .scenes import LabeledImage, downsample_mask
+from .tensor import Tensor
 from .train import PURPOSE_EVAL, TrainState, init_state, rng_stream
 
 __all__ = ["ProbeReport", "probe_image", "probe_backbone", "paired_probe",
@@ -55,16 +56,17 @@ def _eval_rng(seed: int, idx: int) -> np.random.Generator:
 
 def _trained_and_random(state: TrainState, probe) -> list:
     """``probe(params)`` of the trained online backbone, then of its random-init
-    twin, the one of a fresh ``init_state`` of the run's config. Finite weights
-    can still overflow the features (a conv1 of 1e300 does), which then score
-    nothing: arithmetic that overflows or turns invalid stops the probe with a
+    twin, the one of a fresh ``init_state`` of the run's config. Both are
+    passed detached, so the probe builds no tape. Finite weights can still
+    overflow the features (a conv1 of 1e300 does), which then score nothing:
+    arithmetic that overflows or turns invalid stops the probe with a
     CheckpointError."""
     twin = init_state(state.config).pair.online
     results = []
     for which, params in (("trained", state.pair.online), ("random-init", twin)):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                results.append(probe(params))
+                results.append(probe({name: Tensor(p.data) for name, p in params.items()}))
         except FloatingPointError as err:
             raise CheckpointError(f"the {which} weights overflow the probe ({err})") from None
     return results

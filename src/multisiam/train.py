@@ -23,7 +23,7 @@ from .model import (ModelConfig, SiamesePair, backbone_forward, ema_update,
 from .objectives import (LOSS_MODES, NegativeQueue, kmeans_batch, loss_1d,
                          loss_2d_cluster, loss_2d_wo_kmeans, loss_total, moco_pixel_infonce)
 from .tensor import Tensor, backward, reduce_mean, zero_grads
-from .views import AugmentConfig, render_view, sample_view_pair
+from .views import render_view, sample_view_pair
 
 __all__ = [
     "TrainConfig",
@@ -38,7 +38,6 @@ __all__ = [
     "PURPOSE_EVAL",
     "effective_lr",
     "model_config_for",
-    "augment_config_for",
     "init_state",
     "image_loss",
     "train_step",
@@ -336,15 +335,15 @@ def model_config_for(cfg: TrainConfig) -> ModelConfig:
     return ModelConfig(alignment=cfg.alignment)
 
 
-def augment_config_for(cfg: TrainConfig) -> AugmentConfig:
-    return AugmentConfig(iou_threshold=cfg.iou_threshold, min_scale=cfg.min_scale,
-                         out_size=(cfg.out_size, cfg.out_size))
-
-
 def init_state(cfg: TrainConfig) -> TrainState:
     _validate(cfg)
     mcfg = model_config_for(cfg)
     pair = init_siamese_pair(mcfg, rng_stream(cfg.seed, PURPOSE_PARAMS))
+    if cfg.loss_mode == "moco":
+        # its loss reads no 2D predictor; the draw stays, so the 1D heads' draws do too
+        for params in (pair.online, pair.target):
+            for name in [n for n in params if n.startswith("pred2d.")]:
+                del params[name]
     queue = NegativeQueue(cfg.queue_length, mcfg.proj2d_out) if cfg.loss_mode == "moco" else None
     return TrainState(config=cfg, pair=pair, opt_buffers={}, queue=queue, step=0)
 
@@ -424,13 +423,12 @@ def train_step(state: TrainState, corpus) -> StepMetrics:
 
     sampler_rng = rng_stream(cfg.seed, PURPOSE_SAMPLER, step)
     kmeans_rng = rng_stream(cfg.seed, PURPOSE_KMEANS, step)
-    aug = augment_config_for(cfg)
 
     indices = sampler_rng.integers(0, len(corpus), size=cfg.batch_size)
     views, specs = [], []
     for idx in indices:
         scene = corpus[int(idx)]
-        view_pair = sample_view_pair(scene.instance_mask.shape, aug, sampler_rng)
+        view_pair = sample_view_pair(scene.instance_mask.shape, cfg, sampler_rng)
         specs.append((view_pair.spec_a, view_pair.spec_b))
         views.append([render_view(scene.image, s) for s in specs[-1]])
     # an overflow surfaces as the typed non-finite checks below, not as
@@ -440,7 +438,7 @@ def train_step(state: TrainState, corpus) -> StepMetrics:
             pair, cfg, state.model_config, views, specs, kmeans_rng, state.queue)
         if not np.isfinite(loss.data):
             raise TrainingError(
-                f"non-finite loss at step {step}: loss={loss.data!r}, "
+                f"non-finite loss at step {step}: loss={loss.item()!r}, "
                 f"l1d={l1_values!r}, l2d={l2_values!r}")
         backward(loss)
 

@@ -1,9 +1,10 @@
 """Positive view pairs: IoU-constrained crop sampling and view rendering.
 
 A view is a continuous crop box in source-image pixel coordinates plus a flip
-flag and a photometric recipe. Two views form a positive pair only when their
-boxes overlap by at least the configured IoU threshold; overlap is measured on
-the unflipped boxes since flipping does not move content regions.
+flag and a photometric recipe. Two views form a positive pair when their boxes
+overlap by the configured IoU threshold, which the sampler tries a bounded
+number of times to meet; overlap is measured on the unflipped boxes since
+flipping does not move content regions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "PhotoParams",
     "ViewSpec",
     "ViewPair",
-    "AugmentConfig",
     "compute_iou",
     "sample_view_pair",
     "render_view",
@@ -98,22 +98,6 @@ _BLUR_PROB = (1.0, 0.1)
 _SOLARIZE_PROB = (0.0, 0.2)
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """The settable part of view sampling: the pair IoU threshold, the
-    smallest crop fraction, and the rendered view size."""
-
-    iou_threshold: float = 0.5
-    min_scale: float = 0.08
-    out_size: tuple[int, int] = (64, 64)
-
-    def __post_init__(self):
-        if not 0.0 <= self.iou_threshold < 1.0:
-            raise ValueError("iou_threshold must lie in [0, 1)")
-        if not 0.0 < self.min_scale <= 1.0:
-            raise ValueError("min_scale must lie in (0, 1]")
-
-
 def compute_iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
     ix = max(0.0, min(a.x1, b.x1) - max(a.x0, b.x0))
@@ -123,7 +107,7 @@ def compute_iou(a: Box, b: Box) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def _sample_box(img_h: int, img_w: int, cfg: AugmentConfig, rng: np.random.Generator) -> Box:
+def _sample_box(img_h: int, img_w: int, cfg, rng: np.random.Generator) -> Box:
     bw = bh = None
     for _ in range(10):
         frac = rng.uniform(cfg.min_scale, 1.0)
@@ -154,13 +138,17 @@ def _sample_photo(view_index: int, rng: np.random.Generator) -> PhotoParams:
                        grayscale, blur_sigma, solarize)
 
 
-def sample_view_pair(image_size: tuple[int, int], cfg: AugmentConfig,
+def sample_view_pair(image_size: tuple[int, int], cfg,
                      rng: np.random.Generator) -> ViewPair:
-    """Draw two random-resized-crop views whose boxes overlap and meet the threshold.
+    """Draw two random-resized-crop views of an image of ``image_size`` (H, W).
 
-    Both boxes are redrawn on every rejected attempt. If 100 draws
-    all miss the threshold, the best pair seen is returned so the sampler
-    never loops forever.
+    ``cfg`` is the run's ``TrainConfig``, of which the sampler reads three
+    fields: ``iou_threshold``, ``min_scale`` and ``out_size``, the side of
+    the square views. Both boxes are redrawn until they overlap by at least
+    ``iou_threshold``, at most 100 times. If every draw misses, the pair with
+    the best IoU seen is returned, so a pair can fall short of the threshold:
+    at ``min_scale`` 0.08 none does up to 0.7, but 1.9% of pairs do at 0.8
+    and 64% at 0.9. ``ViewPair.iou`` holds the IoU of the pair returned.
     """
     img_h, img_w = image_size
     best: tuple[Box, Box] | None = None
@@ -178,7 +166,7 @@ def sample_view_pair(image_size: tuple[int, int], cfg: AugmentConfig,
     for view_index, box in enumerate((box_a, box_b)):
         flipped = rng.random() < 0.5
         photo = _sample_photo(view_index, rng)
-        specs.append(ViewSpec(box, flipped, photo, cfg.out_size))
+        specs.append(ViewSpec(box, flipped, photo, (cfg.out_size, cfg.out_size)))
     return ViewPair(specs[0], specs[1], best_iou)
 
 

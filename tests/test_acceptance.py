@@ -23,7 +23,7 @@ from multisiam.checks import GRADCHECK_TOLERANCE, run_gradient_suite
 from multisiam.metrics import adjusted_rand_index, smoothed_endpoints
 from multisiam.probe import paired_probe
 from multisiam.tensor import Tensor, concat, logsumexp, reduce_mean, reshape, sub
-from multisiam.views import AugmentConfig, Box, NEUTRAL_PHOTO, ViewSpec, _sample_box, compute_iou, sample_view_pair
+from multisiam.views import Box, NEUTRAL_PHOTO, ViewSpec, _sample_box, compute_iou, sample_view_pair
 
 
 def announce(number, text):
@@ -112,7 +112,7 @@ def test_criterion_2_geometry_oracles():
 
 
 def test_criterion_3_sampler_properties():
-    cfg = AugmentConfig(iou_threshold=0.5)
+    cfg = TR.TrainConfig(iou_threshold=0.5)
     rng = np.random.default_rng(3)
     pairs = [sample_view_pair((64, 64), cfg, rng) for _ in range(10_000)]
     violations = sum(p.iou < 0.5 for p in pairs)
@@ -299,6 +299,19 @@ VARIANTS = ([{"loss_mode": m} for m in ("cluster", "wo_kmeans", "moco")]
 def test_criterion_9_variants_are_valid_configs(extra):
     pairs = [(key, str(value).lower()) for key, value in extra.items()]
     assert TR.config_from_pairs(pairs) == TR.TrainConfig(**extra)
+
+
+@pytest.mark.parametrize("extra", VARIANTS, ids=str)
+def test_criterion_9_variants_give_every_online_parameter_a_gradient(extra):
+    # inside an accumulation window the grads stay on the parameters; one
+    # without a grad, even a zero one, is state that the loss never reads
+    cfg = TR.TrainConfig(steps=2, accumulation_steps=2, batch_size=2, out_size=32,
+                         corpus_images=4, kmeans_iters=3, **extra)
+    corpus = S.generate(S.SceneSpec(seed=0, size=(32, 32)), cfg.corpus_images)
+    state = TR.init_state(cfg)
+    TR.train_step(state, corpus)
+    assert not [name for name, p in state.pair.online.items() if p.grad is None]
+    assert state.pair.target.keys() == state.pair.online.keys()
 
 
 def test_criterion_9_variant_coverage():

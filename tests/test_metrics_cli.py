@@ -7,8 +7,10 @@ import pytest
 
 from multisiam import cli
 from multisiam import scenes as S
+from multisiam import tensor as T
+from multisiam.checkpoint import load_checkpoint
 from multisiam.metrics import adjusted_rand_index, embedding_spread, smoothed_endpoints
-from multisiam.probe import probe_image
+from multisiam.probe import paired_clusters, paired_probe, probe_image
 from multisiam.tensor import Tensor
 from multisiam.viz import PALETTE, cluster_panel, compose_panels, write_ppm
 
@@ -251,6 +253,25 @@ def test_cli_eval_and_viz_repeat_byte_for_byte(tiny_checkpoints, tmp_path):
     assert panels and panels == sorted(p.name for p in (second / "viz").glob("viz_*.ppm"))
     for name in panels:
         assert (first / "viz" / name).read_bytes() == (second / "viz" / name).read_bytes()
+
+
+def test_eval_and_viz_build_no_tape(tiny_checkpoints, monkeypatch):
+    # both only read features, so a node that requires grad is a tape that
+    # nothing consumes
+    state = load_checkpoint(tiny_checkpoints["k3"])
+    corpus = cli._eval_corpus(state.config, 2)
+    result, built = T._result, []
+
+    def watch(data, parents, backward_fn):
+        out = result(data, parents, backward_fn)
+        built.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(T, "_result", watch)
+    for call in (paired_probe, paired_clusters):
+        built.clear()
+        call(state, corpus)
+        assert built and not any(built), call.__name__
 
 
 def assert_one_error_line(capsys, *fragments):

@@ -84,3 +84,61 @@ def test_gradient_suite_covers_every_tape_op(monkeypatch):
     assert {"add", "conv2d", "roi_align"} <= set(ops)
     missing = sorted(set(ops) - checked)
     assert not missing, f"no gradient case checks the tape ops {missing}"
+
+
+def _multisiam_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (module, name) pairs a parsed file reads from ``multisiam`` modules:
+    a name it imports from one and loads, or an attribute it loads off one."""
+    modules: dict[str, str] = {}  # local name -> multisiam module
+    imported: dict[str, tuple[str, str]] = {}  # local name -> (module, name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if (node.level, node.module) in ((1, None), (0, "multisiam")):
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif node.level == 1 or (node.module or "").startswith("multisiam."):
+            module = node.module.rpartition(".")[2]
+            imported.update((a.asname or a.name, (module, a.name)) for a in node.names)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            reads.add(imported[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def _loaded_beyond_its_definition(tree: ast.Module, name: str) -> bool:
+    for stmt in tree.body:
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name == name):
+            continue
+        if any(isinstance(node, ast.Name) and node.id == name
+               and isinstance(node.ctx, ast.Load) for node in ast.walk(stmt)):
+            return True
+    return False
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # a name in a src/ module's __all__ that only tests read is code in src/
+    # that only tests call; readers are the other src/ modules, perfbench/,
+    # and the name's own module beyond its definition
+    package = ROOT / "src" / "multisiam"
+    src = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(package.glob("*.py"))}
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PERFBENCH.glob("*.py"))]
+    unread, checked = [], 0
+    for module, tree in src.items():
+        exported = [name for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                    for name in ast.literal_eval(stmt.value)]
+        readers = set().union(*(_multisiam_reads(t) for m, t in src.items() if m != module),
+                              *map(_multisiam_reads, bench))
+        checked += len(exported)
+        unread += [f"{module}.{name}" for name in exported
+                   if (module, name) not in readers
+                   and not _loaded_beyond_its_definition(tree, name)]
+    assert checked > 100  # the parse found the package
+    assert not unread, f"exported names that only tests read: {unread}"

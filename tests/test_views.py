@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from multisiam import views
-from multisiam.views import (AugmentConfig, Box, PhotoParams, NEUTRAL_PHOTO, ViewSpec,
+from multisiam.train import TrainConfig
+from multisiam.views import (Box, PhotoParams, NEUTRAL_PHOTO, ViewSpec,
                              bilinear_sample, compute_iou, render_view, resize_bilinear,
                              sample_view_pair, _color_jitter, _gaussian_blur, _sample_box,
                              _sample_photo)
@@ -37,7 +38,7 @@ def test_iou_symmetric_and_scale_covariant(seed):
 
 
 def test_sampled_pairs_respect_threshold():
-    cfg = AugmentConfig(iou_threshold=0.5)
+    cfg = TrainConfig(iou_threshold=0.5)
     rng = np.random.default_rng(0)
     for _ in range(1000):
         pair = sample_view_pair((64, 64), cfg, rng)
@@ -46,7 +47,7 @@ def test_sampled_pairs_respect_threshold():
 
 
 def test_zero_threshold_accepts_first_candidate():
-    cfg = AugmentConfig(iou_threshold=0.0)
+    cfg = TrainConfig(iou_threshold=0.0)
     probe = np.random.default_rng(123)
     expected_a = _sample_box(64, 64, cfg, probe)
     expected_b = _sample_box(64, 64, cfg, probe)
@@ -58,7 +59,7 @@ def test_zero_threshold_accepts_first_candidate():
 def test_zero_threshold_redraws_a_disjoint_pair():
     # seed 25's first two boxes do not overlap: a positive pair needs an
     # overlap to align, so they are redrawn, as a missed threshold is
-    cfg = AugmentConfig(iou_threshold=0.0)
+    cfg = TrainConfig(iou_threshold=0.0)
     probe = np.random.default_rng(25)
     draws = [(_sample_box(64, 64, cfg, probe), _sample_box(64, 64, cfg, probe))]
     while compute_iou(*draws[-1]) == 0.0:
@@ -70,13 +71,13 @@ def test_zero_threshold_redraws_a_disjoint_pair():
 
 def test_zero_threshold_pairs_always_overlap():
     # 1.55% of first draws are disjoint at threshold 0; none of 5,000 pairs may be
-    cfg = AugmentConfig(iou_threshold=0.0)
+    cfg = TrainConfig(iou_threshold=0.0)
     rng = np.random.default_rng(0)
     assert all(sample_view_pair((64, 64), cfg, rng).iou > 0.0 for _ in range(5000))
 
 
 def test_sampler_deterministic_and_in_bounds():
-    cfg = AugmentConfig(iou_threshold=0.5, min_scale=0.08)
+    cfg = TrainConfig(iou_threshold=0.5, min_scale=0.08)
 
     def draw():
         rng = np.random.default_rng(7)
@@ -91,7 +92,7 @@ def test_sampler_deterministic_and_in_bounds():
 
 
 def test_acceptance_rate_monotone_in_threshold():
-    cfg = AugmentConfig()
+    cfg = TrainConfig()
     rng = np.random.default_rng(11)
     ious = []
     for _ in range(4000):
@@ -260,7 +261,7 @@ def test_color_jitter_matches_hsv_oracle_on_sampled_recipes():
 def test_views_without_jitter_render_byte_identically(monkeypatch):
     rng = np.random.default_rng(15)
     img = rng.random((3, 24, 24))
-    cfg = AugmentConfig(out_size=(16, 16))
+    cfg = TrainConfig(out_size=16)
     pairs = [sample_view_pair((24, 24), cfg, rng) for _ in range(60)]
     specs = [s for pair in pairs for s in (pair.spec_a, pair.spec_b)
              if s.photometric.hue == 0.0]
