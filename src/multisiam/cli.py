@@ -170,7 +170,7 @@ def cmd_train(ns, overrides) -> int:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")
     first, last = metrics[0], metrics[-1]
-    print(f"trained {cfg.steps} steps: loss {first.loss:+.4f} -> {last.loss:+.4f}, "
+    print(f"trained {cfg.steps} steps: loss {first.loss:+.4g} -> {last.loss:+.4g}, "
           f"feature_std {last.feature_std:.4f}")
     print(f"manifest: {out / 'manifest.json'}")
     return EXIT_OK

@@ -153,6 +153,17 @@ def test_cli_train_outputs(tmp_path):
     assert (out / "final.ckpt").exists()
 
 
+def test_cli_train_summary_stays_short_for_a_huge_loss(tmp_path, capsys):
+    # a temperature of 1e-300 gives a finite loss near 9e298
+    argv = ["train", "--out", str(tmp_path / "run"), "--steps=1", "--batch_size=2",
+            "--out_size=32", "--corpus_images=4", "--kmeans_iters=3", "--loss_mode=moco",
+            "--temperature=1e-300"]
+    assert cli.main(argv) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("trained 1 steps: loss +") and len(summary) < 80, summary
+    assert float(summary.split()[4].rstrip(",")) > 1e298, summary
+
+
 def test_cli_metrics_reproducible(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["train", "--out", str(out_a)] + TINY) == 0
