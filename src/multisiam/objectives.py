@@ -42,7 +42,8 @@ LOSS_MODES = ("cluster", "wo_kmeans", "moco")
 
 class ClusteringError(RuntimeError):
     """Raised when a Lloyd iteration raises the clustering cost, which exact
-    arithmetic rules out."""
+    arithmetic rules out, or when k-means++ seeding's D² sums to infinity,
+    which leaves it no distribution to draw from."""
 
 
 @dataclass
@@ -62,7 +63,9 @@ def _kmeanspp_init(row, dists, n: int, k: int, rng: np.random.Generator) -> list
     proportional to D², a point's squared distance to its nearest pick so far.
     Point i is ``row(i)``; ``dists(c)`` gives the [k,n] distances to [k,c]
     centroids as Lloyd's assignment takes them (``_pairwise_sq_dists``), so D²
-    rounds as they do. No D² follows the last pick, which nothing reads."""
+    rounds as they do. No D² follows the last pick, which nothing reads. A
+    pick is the inverse-CDF draw of ``rng.choice(n, p=D²/total)`` without its
+    per-call checks of ``p``; an infinite total raises ClusteringError."""
     picks = [int(rng.integers(n))]
     d2 = None
     for _ in range(1, k):
@@ -71,28 +74,35 @@ def _kmeanspp_init(row, dists, n: int, k: int, rng: np.random.Generator) -> list
         total = d2.sum()
         if not total > 0.0:  # also NaN, which the non-finite loss check reports
             picks.append(int(rng.integers(n)))
-        else:
-            picks.append(int(rng.choice(n, p=d2 / total)))
+            continue
+        if total == np.inf:
+            raise ClusteringError("k-means++ D² sums to infinity; the points are too far apart "
+                                  "to square their distances")
+        cdf = np.cumsum(d2 / total)
+        cdf /= cdf[-1]
+        picks.append(int(cdf.searchsorted(rng.random(), side="right")))
     return picks
 
 
 def _pairwise_sq_dists(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
-                       products: np.ndarray | None = None) -> np.ndarray:
+                       products=None) -> np.ndarray:
     """[P,n,c] points, with their [P,1,n] squared norms, against [P,k,c]
     centroids: [P,k,n] squared distances, k-major; ``points`` may be None
-    given the [P,k,n] x.c ``products`` taken another way (``_Upsampled``).
+    given ``products``, which maps [P,k,c] centroids to their [P,k,n] x.c
+    products taken another way (``_Upsampled``).
 
     Each distance is ``(||x||^2 + ||c||^2) - 2 x.c``, clamped at zero against
-    cancellation. The x.c products are one GEMM per map of its [k,c]
-    centroids with the transposed view of its [n,c] points. On OpenBLAS
-    0.3.31 that gives the bytes of the [n,c] @ [c,k] GEMM, where a contiguous
-    [c,n] copy of the points does not. The norms then broadcast along the n
-    points of a row, not along rows of k entries. Doubling is exact away from
-    subnormals, so doubling the products gives the bytes of doubling the
-    points first.
+    cancellation. The doubling lives in a [P,k,c] copy of the centroids:
+    doubling is exact away from overflow and subnormals, so (2c).x has the
+    bytes of 2(c.x) without a pass over the [P,k,n] products. The x.c
+    products are one GEMM per map of its [k,c] centroids with the transposed
+    view of its [n,c] points. On OpenBLAS 0.3.31 that gives the bytes of the
+    [n,c] @ [c,k] GEMM, where a contiguous [c,n] copy of the points does not.
+    The norms then broadcast along the n points of a row, not along rows of
+    k entries.
     """
-    prod = centroids @ points.transpose(0, 2, 1) if products is None else products
-    prod *= 2.0
+    twice = centroids * 2.0
+    prod = twice @ points.transpose(0, 2, 1) if products is None else products(twice)
     d2 = np.add(points_sq, (centroids * centroids).sum(-1, keepdims=True))
     d2 -= prod
     return np.maximum(d2, 0.0, out=d2)
@@ -157,25 +167,40 @@ def _record_costs(history: list[list[float]], active: np.ndarray, d2: np.ndarray
 class _Upsampled:
     """A [C,P,h,w] batch at the points x of its ``resize_bilinear`` upsamples u
     to ``size``, never built as [P,n,C]: x is u, or u / ||u|| (floored at 1e-12)
-    under cosine. ||u||^2, clamped at 0, is each map's [h*w,h*w] Gram matrix of
-    its feature pixels f, one GEMM per map, with the resize weights on both
-    sides; ``pts_sq`` is the [P,1,n] ||x||^2, and ``row`` builds one point. The
-    x.c ``products`` and member ``sums`` of the maps ``active`` run on f: the
-    upsample of the [k,h,w] f.c and the adjoint upsample of the membership
-    times f, both over ||u|| if cosine."""
+    under cosine. ``pts_sq`` is the [P,1,n] ||x||^2, and ``row`` builds one
+    point. The x.c ``products`` and member ``sums`` of the maps ``active`` run
+    on the feature pixels f: the upsample of the [k,h,w] f.c and the adjoint
+    upsample of the membership times f, both over ||u|| if cosine (``sums``
+    multiplies its 0/1 membership by a 1 / ||u|| taken once: the same bytes).
+
+    ||u||^2, clamped at 0, is each map's [h*w,h*w] Gram matrix of f, one GEMM
+    per map, with the resize weights on both sides: over one column index in
+    one 2D GEMM for the batch, which the Gram matrix's exact symmetry allows,
+    over one row index in one GEMM per map and feature row, and over the other
+    two as sums over an outer axis. A row of resize weights has at most two
+    nonzero taps, so any order of those sums gives the bytes of ``.sum(-1)``.
+    On OpenBLAS 0.3.31 the GEMMs give the bytes of stacked matmuls over tiny
+    blocks at the grids the tests cover (extents 1 to 16, upsampled 8x or to
+    13x22); some other shapes round differently in the last bit."""
 
     def __init__(self, maps: np.ndarray, size: tuple[int, int], cosine: bool):
         c, pairs, h, w = maps.shape
         self.grid, self.size = (h, w), size
         self.rows, self.cols = resize_weights((h, w), size)
         self.feats = maps.transpose(1, 0, 2, 3).reshape(pairs, c, h * w)  # [P, C, h*w]
-        gram = (self.feats.transpose(0, 2, 1) @ self.feats).reshape(pairs, h, w, h, w)
-        # ||u||^2 at (i, j): sum of rows[i,a] rows[i,a'] cols[j,b] cols[j,b'] gram[a,b,a',b']
-        half = ((self.cols @ gram.transpose(0, 1, 3, 2, 4)) * self.cols).sum(-1)  # [P,h,h,W]
-        sq = ((self.rows @ half.transpose(0, 3, 1, 2)) * self.rows).sum(-1)  # [P,W,H]
-        sq = np.maximum(sq.transpose(0, 2, 1).reshape(pairs, 1, -1), 0.0)  # [P, 1, n]
+        gram = self.feats.transpose(0, 2, 1) @ self.feats  # [P, (a,b), (a',b')], symmetric
+        # ||u||^2 at (i, j): sum of rows[i,a] rows[i,a'] cols[j,b] cols[j,b'] gram[a,b,a',b'];
+        # the GEMM over b reads gram[a',b',a,b], its rows in (P, a', b', a) order
+        over_b = (gram.reshape(-1, w) @ self.cols.T).reshape(pairs * h, w, h, size[1])
+        over_b *= self.cols.T[:, None, :]
+        half = over_b.sum(axis=1)  # [P*h, h, W]: (P, a'), a, j
+        del over_b
+        over_a = (self.rows @ half).reshape(pairs, h, *size)  # [P, a', H, W]
+        over_a *= self.rows.T[:, :, None]
+        sq = np.maximum(over_a.sum(axis=1), 0.0).reshape(pairs, 1, -1)
         self.norms = np.maximum(np.sqrt(sq), _NORM_EPS) if cosine else None
         self.pts_sq = sq if self.norms is None else sq / (self.norms * self.norms)
+        self.inv_norms = None if self.norms is None else 1.0 / self.norms
 
     def row(self, pair: int, idx: int) -> np.ndarray:
         i, j = divmod(idx, self.size[1])
@@ -188,7 +213,7 @@ class _Upsampled:
         return prod if self.norms is None else np.divide(prod, self.norms[active], out=prod)
 
     def sums(self, member: np.ndarray, active: np.ndarray) -> np.ndarray:
-        member = member if self.norms is None else member / self.norms[active]
+        member = member if self.norms is None else member * self.inv_norms[active]
         back = separable(member.reshape(-1, *self.size), self.rows.T, self.cols.T)
         return back.reshape(*member.shape[:2], -1) @ self.feats[active].transpose(0, 2, 1)
 
@@ -247,7 +272,7 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
         """Map ``pair``'s [k,n] squared distances to its [k,c] centroids ``cen``."""
         one = slice(pair, pair + 1)
         return _pairwise_sq_dists(None if basis else points[one], points_sq[one], cen[None],
-                                  basis and basis.products(cen[None], [pair]))[0]
+                                  basis and partial(basis.products, active=[pair]))[0]
 
     if init is not None:
         centroids = np.array(init, dtype=np.float64)
@@ -270,7 +295,8 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     active, pts, pts_sq, cen = np.arange(pairs), points, points_sq, centroids.copy()
     assign = None
     for step in range(max_iter):
-        d2 = _pairwise_sq_dists(pts, pts_sq, cen, basis and basis.products(cen, active))
+        d2 = _pairwise_sq_dists(pts, pts_sq, cen,
+                                basis and partial(basis.products, active=active))
         if step:  # the last update's cost, before a repair moves a centroid
             _record_costs(history, active, d2, assign * n + offsets[:len(active)])
         new_assign = _nearest(d2)
@@ -299,7 +325,8 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
         sums = member @ pts if basis is None else basis.sums(member, active)
         np.divide(sums, counts[:, :, None], out=cen, where=counts[:, :, None] > 0)
     else:  # out of iterations: the last update's cost needs its own distances
-        d2 = _pairwise_sq_dists(pts, pts_sq, cen, basis and basis.products(cen, active))
+        d2 = _pairwise_sq_dists(pts, pts_sq, cen,
+                                basis and partial(basis.products, active=active))
         _record_costs(history, active, d2, assign * n + offsets[:len(active)])
     assignments[active], centroids[active] = assign, cen
 

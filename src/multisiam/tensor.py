@@ -198,13 +198,15 @@ def negate(t: Tensor) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     """Elementwise max(x, 0); the subgradient at 0 is taken as 0. A NaN input
-    stays NaN, so the non-finite loss check sees it."""
-    mask = t.data > 0
+    stays NaN, so the non-finite loss check sees it. The backward reads its
+    mask off the output, out > 0, which is x > 0 for every x, NaN and -0.0
+    included, so no forward builds a mask that no backward may read."""
+    out = np.maximum(t.data, 0.0)
 
     def bw(g):
-        _accumulate(t, g * mask)
+        _accumulate(t, g * (out > 0))
 
-    return _result(np.maximum(t.data, 0.0), (t,), bw)
+    return _result(out, (t,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multisiam import objectives as O
 from multisiam import tensor as T
 from multisiam.metrics import adjusted_rand_index
 from multisiam.tensor import Tensor
-from multisiam.views import resize_bilinear
+from multisiam.views import resize_bilinear, resize_weights
 
 
 def reference_lloyd(points, init, max_iter=10):
@@ -408,6 +410,96 @@ def test_kmeans_at_size_holds_less_than_its_upsample(metric):
     finally:
         tracemalloc.stop()
     assert peak < 4096 * 32 * 8, peak
+
+
+def stacked_upsample_sq(maps, size):
+    """[P,1,n] squared norms of the upsamples of a [C,P,h,w] batch by the
+    stacked-matmul formula: each axis a matmul over tiny blocks of the Gram
+    matrix, then ``.sum(-1)``. The byte oracle of ``_Upsampled``."""
+    c, pairs, h, w = maps.shape
+    rows, cols = resize_weights((h, w), size)
+    feats = maps.transpose(1, 0, 2, 3).reshape(pairs, c, h * w)
+    gram = (feats.transpose(0, 2, 1) @ feats).reshape(pairs, h, w, h, w)
+    half = ((cols @ gram.transpose(0, 1, 3, 2, 4)) * cols).sum(-1)  # [P,h,h,W]
+    sq = ((rows @ half.transpose(0, 3, 1, 2)) * rows).sum(-1)  # [P,W,H]
+    return np.maximum(sq.transpose(0, 2, 1).reshape(pairs, 1, -1), 0.0)
+
+
+@pytest.mark.parametrize("pairs", [1, 3])
+@pytest.mark.parametrize("grid", [(1, 1), (2, 2), (4, 4), (5, 7), (8, 8), (16, 16)], ids=str)
+def test_upsampled_norms_match_the_stacked_matmul_bytes(grid, pairs):
+    # signed features and relu-like ones with an all-zero row, each at 8x and
+    # at an odd size, under both metrics
+    rng = np.random.default_rng(sum(grid) * 10 + pairs)
+    h, w = grid
+    signed = rng.standard_normal((6, pairs, h, w))
+    relu = np.maximum(rng.standard_normal((6, pairs, h, w)), 0.0)
+    relu[:, :, 0] = 0.0
+    for maps in (signed, relu):
+        for size in ((8 * h, 8 * w), (13, 22)):
+            sq = stacked_upsample_sq(maps, size)
+            assert O._Upsampled(maps, size, cosine=False).pts_sq.tobytes() == sq.tobytes()
+            basis = O._Upsampled(maps, size, cosine=True)
+            norms = np.maximum(np.sqrt(sq), T._NORM_EPS)
+            assert basis.norms.tobytes() == norms.tobytes()
+            assert basis.pts_sq.tobytes() == (sq / (norms * norms)).tobytes()
+
+
+def _seeded_draw(d2, seed):
+    """Second pick of k-means++ seeding over points whose D² to the first pick is ``d2``."""
+    rng = np.random.default_rng(seed)
+    picks = O._kmeanspp_init(lambda idx: np.zeros(1), lambda cen: d2[None].copy(), len(d2), 2, rng)
+    return picks[1], rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(0.0, 1.0)),
+                min_size=1, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_kmeanspp_draw_is_the_choice_draw(values, seed):
+    d2 = np.array(values)
+    assume(0.0 < d2.sum() < np.inf)
+    pick, rng = _seeded_draw(d2, seed)
+    assert d2[pick] > 0.0
+    oracle = np.random.default_rng(seed)
+    oracle.integers(len(d2))
+    assert pick == int(oracle.choice(len(d2), p=d2 / d2.sum()))
+    assert rng.random() == oracle.random()  # both took one double off the stream
+
+
+def test_kmeanspp_draw_stays_uniform_on_a_nan_total():
+    d2 = np.array([1.0, np.nan, 2.0, 0.0])
+    for seed in range(5):
+        pick, _ = _seeded_draw(d2, seed)
+        oracle = np.random.default_rng(seed)
+        oracle.integers(4)
+        assert pick == int(oracle.integers(4))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeanspp_raises_a_typed_error_on_an_infinite_total(seed):
+    fmap = np.random.default_rng(seed).random((2, 4, 4))
+    fmap[0, 1, 2] = 1e200  # its squared distance to any other pixel overflows
+    with pytest.raises(O.ClusteringError, match="infinity"), np.errstate(over="ignore"):
+        O.kmeans(fmap, 3, metric="euclidean", rng=np.random.default_rng(seed))
+
+
+def test_infinite_kmeanspp_total_exits_runtime(tmp_path, monkeypatch, capsys):
+    from multisiam import cli
+    from multisiam import train as TR
+
+    def far_apart(maps, *args, **kwargs):
+        maps = maps.copy()
+        maps[0, :, 0, 0] = 1e200
+        return O.kmeans_batch(maps, *args, **kwargs)
+
+    monkeypatch.setattr(TR, "kmeans_batch", far_apart)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", "--out", str(tmp_path / "run"), "--steps=1", "--batch_size=1",
+                         "--out_size=32", "--corpus_images=2", "--kmeans_metric=euclidean"])
+    assert code == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: k-means++ D² sums to infinity")
 
 
 @pytest.mark.parametrize("size,error", [((0, 8), ValueError), ((8,), ValueError),

@@ -27,6 +27,31 @@ def test_relu_bytes_and_nan():
     assert np.isnan(T.relu(Tensor([np.nan, -1.0])).data).tolist() == [True, False]
 
 
+def test_relu_gradient_at_nan_and_zeros():
+    # the backward's mask is read off the output: a NaN, -0.0 or 0.0 input
+    # passes no gradient, as x > 0 said of the input itself
+    x = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, np.nan])
+    t = Tensor(x, requires_grad=True)
+    T.backward(T.reduce_sum(T.scale(T.relu(t), 3.0)))
+    assert t.grad.tobytes() == np.array([0.0, 0.0, 0.0, 3.0, 0.0, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_relu_forward_builds_no_mask(requires_grad):
+    # the backward takes its mask off the output, so the forward's peak is the
+    # 8 MiB output alone, where a bool mask would add 1 MiB
+    import tracemalloc
+
+    x = Tensor(np.random.default_rng(0).standard_normal(1 << 20), requires_grad=requires_grad)
+    tracemalloc.start()
+    try:
+        T.relu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (8 << 20) + (1 << 19), peak
+
+
 def test_mul_gradient_matches_partner_value():
     a = Tensor(3.0, requires_grad=True)
     b = Tensor(5.0, requires_grad=True)
