@@ -50,7 +50,7 @@ def flip_back(fmap: Tensor, flipped) -> Tensor:
         return out
 
     def bw(g):
-        _accumulate(fmap, mirror(g))
+        _accumulate(fmap, mirror(g), fresh=True)
 
     return _result(mirror(fmap.data), (fmap,), bw)
 
@@ -104,7 +104,7 @@ def roi_align(fmap: Tensor, rois, out_h: int, out_w: int) -> Tensor:
         grad = np.empty_like(fmap.data)
         for s, (rows, cols) in enumerate(weights):
             grad[:, s] = separable(g[:, s], rows.T, cols.T)
-        _accumulate(fmap, grad)
+        _accumulate(fmap, grad, fresh=True)
 
     return _result(out, (fmap,), bw)
 

@@ -5,6 +5,10 @@ arithmetic, 2D cross-correlation, pooling, normalization, reductions and the
 backward pass itself. The tape is a per-forward DAG of closures that is freed
 as soon as backward() has consumed it; no higher-order derivatives.
 
+backward() writes each gradient once. An op hands a gradient array it has just
+allocated to its operand as it is; the incoming gradient, its views and its
+broadcasts are copied once, since add gives one array to both operands.
+
 Every op takes Tensors and returns one, and converts nothing: a constant
 that joins the tape is wrapped in a Tensor by its caller, and a value that
 never joins it stays a plain ndarray (``unit_normalize`` normalizes those).
@@ -133,13 +137,18 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. A first gradient is kept as it is when ``fresh``
+    says the calling op has just allocated it and holds it nowhere else; the
+    incoming gradient, its views and its broadcasts are copied once."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # store a copy, never g itself: add's backward hands one array to both operands
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
+        if fresh:
+            t.grad = np.asarray(g)  # a 0-d product is a numpy scalar
+        else:
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
     else:
         t.grad += g
 
@@ -168,7 +177,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(b, -g, fresh=True)
 
     return _result(a.data - b.data, (a, b), bw)
 
@@ -177,8 +186,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes(a, b)
 
     def bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, g * b.data, fresh=True)
+        _accumulate(b, g * a.data, fresh=True)
 
     return _result(a.data * b.data, (a, b), bw)
 
@@ -187,7 +196,7 @@ def scale(t: Tensor, s: float) -> Tensor:
     s = float(s)
 
     def bw(g):
-        _accumulate(t, g * s)
+        _accumulate(t, g * s, fresh=True)
 
     return _result(t.data * s, (t,), bw)
 
@@ -198,15 +207,16 @@ def negate(t: Tensor) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     """Elementwise max(x, 0); the subgradient at 0 is taken as 0. A NaN input
-    stays NaN, so the non-finite loss check sees it. The backward reads its
-    mask off the output, out > 0, which is x > 0 for every x, NaN and -0.0
-    included, so no forward builds a mask that no backward may read."""
-    out = np.maximum(t.data, 0.0)
+    stays NaN, so the non-finite loss check sees it. The forward builds the
+    mask x > 0 (False at NaN and -0.0) only for an input on the tape, while
+    the input is hot; the backward masks the incoming gradient in place."""
+    mask = t.data > 0 if t.requires_grad else None
 
     def bw(g):
-        _accumulate(t, g * (out > 0))
+        np.multiply(g, mask, out=g)  # g is this node's own: backward() drops it next
+        _accumulate(t, g, fresh=True)
 
-    return _result(out, (t,), bw)
+    return _result(np.maximum(t.data, 0.0), (t,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +250,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     row and column of the ``stride=1, pad=1`` output. Output extents must come
     out integral: (H + before + after - kh) divisible by stride. kh/kw are
     restricted to 1 or 3. Backward populates grads for the input, the kernel
-    and the optional per-channel bias.
+    and the optional per-channel bias. The input gradient is summed by stride
+    phase: each tap's GEMM adds into one contiguous buffer per phase, and each
+    phase is written once into the fresh gradient.
     """
     _require_maps(x, "conv2d")
     if w.ndim != 4:
@@ -285,22 +297,47 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     def bw(g):
         gm = g.reshape(cout, -1)
         if w.requires_grad:
-            _accumulate(w, (gm @ mat.T).reshape(w.shape))
+            _accumulate(w, (gm @ mat.T).reshape(w.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, gm.sum(axis=1))
+            _accumulate(bias, gm.sum(axis=1), fresh=True)
         if not x.requires_grad:
             return
         if direct:
-            _accumulate(x, (w.data.reshape(cout, cin).T @ gm).reshape(x.shape))
+            _accumulate(x, (w.data.reshape(cout, cin).T @ gm).reshape(x.shape), fresh=True)
             return
-        # scatter tap by tap: no [C_in*kh*kw, N*Ho*Wo] buffer for the whole kernel
-        dxp = np.zeros((cin, n, h + before + after, wd + before + after))
-        for di in range(kh):
-            for dj in range(kw):
-                dxp[:, :, di:di + (ho - 1) * stride + 1:stride,
-                    dj:dj + (wo - 1) * stride + 1:stride] += (
-                        w.data[:, :, di, dj].T @ gm).reshape(cin, n, ho, wo)
-        _accumulate(x, dxp[:, :, before:before + h, before:before + wd])
+        # Sum by stride phase: tap (di, dj) lands on the padded rows and columns
+        # congruent to (di, dj) mod stride, shifted (di // stride, dj // stride)
+        # cells within that phase. On g zero-padded to hq x wq cells a shift is
+        # a flat offset, so each phase's taps add, in (di, dj) order, into one
+        # contiguous buffer, which is the phase's first tap GEMM itself: a GEMM
+        # sum starts from +0.0, so it is never -0.0 and equals 0.0 + itself.
+        # One tap's GEMM at a time: no [C_in*kh*kw, ...] matrix.
+        hq, wq = ho + (kh - 1) // stride, wo + (kw - 1) // stride
+        gp = np.zeros((cout, n, hq, wq))
+        gp[:, :, :ho, :wo] = g
+        gp = gp.reshape(cout, -1)
+        dx = np.empty(x.shape)
+        for pi in range(stride):
+            for pj in range(stride):
+                # the unpadded rows and columns of this phase, and their first cell
+                y0, x0 = (pi - before) % stride, (pj - before) % stride
+                phase = dx[:, :, y0::stride, x0::stride]
+                buf = None
+                for di in range(pi, kh, stride):
+                    for dj in range(pj, kw, stride):
+                        tap = (w.data[:, :, di, dj].T @ gp).reshape(-1)
+                        if buf is None:
+                            buf = tap
+                        else:
+                            off = (di - pi) // stride * wq + (dj - pj) // stride
+                            buf[off:] += tap[:-off]
+                if buf is None:  # a phase no tap reaches, as under a strided 1x1 kernel
+                    phase[...] = 0.0
+                    continue
+                k0, l0 = (y0 + before - pi) // stride, (x0 + before - pj) // stride
+                phase[...] = buf.reshape(cin, n, hq, wq)[
+                    :, :, k0:k0 + phase.shape[2], l0:l0 + phase.shape[3]]
+        _accumulate(x, dx, fresh=True)
 
     return _result(out.reshape(cout, n, ho, wo), parents, bw)
 
@@ -313,7 +350,7 @@ def subsample(t: Tensor, stride: int) -> Tensor:
     def bw(g):
         full = np.zeros_like(t.data)
         full[..., ::stride, ::stride] = g
-        _accumulate(t, full)
+        _accumulate(t, full, fresh=True)
 
     return _result(t.data[..., ::stride, ::stride].copy(), (t,), bw)
 
@@ -324,7 +361,7 @@ def global_avg_pool(t: Tensor) -> Tensor:
     h, w = t.shape[-2:]
 
     def bw(g):
-        _accumulate(t, np.broadcast_to(g, t.shape) / (h * w))
+        _accumulate(t, np.broadcast_to(g, t.shape) / (h * w), fresh=True)
 
     return _result(t.data.mean(axis=(-2, -1), keepdims=True), (t,), bw)
 
@@ -351,7 +388,7 @@ def l2_normalize(t: Tensor, axis: int = 0) -> Tensor:
         inner = (g * t.data).sum(axis=axis, keepdims=True)
         safe = denom > _NORM_EPS
         corr = np.where(safe, inner / np.where(safe, denom ** 3, 1.0), 0.0)
-        _accumulate(t, g / denom - t.data * corr)
+        _accumulate(t, g / denom - t.data * corr, fresh=True)
 
     return _result(out, (t,), bw)
 
@@ -365,9 +402,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     return _result(a.data @ b.data, (a, b), bw)
 
@@ -419,7 +456,7 @@ def select(t: Tensor, index: int, axis: int = 0) -> Tensor:
     def bw(g):
         full = np.zeros_like(t.data)
         np.moveaxis(full, axis, 0)[index] = g
-        _accumulate(t, full)
+        _accumulate(t, full, fresh=True)
 
     return _result(np.take(t.data, index, axis=axis), (t,), bw)
 
@@ -448,7 +485,7 @@ def logsumexp(t: Tensor, axis: int = -1) -> Tensor:
     out = np.squeeze(np.log(total) + mx, axis=axis)
 
     def bw(g):
-        _accumulate(t, np.expand_dims(g, axis) * (ex / total))
+        _accumulate(t, np.expand_dims(g, axis) * (ex / total), fresh=True)
 
     return _result(out, (t,), bw)
 
