@@ -47,8 +47,9 @@ def _named_tensors(state: TrainState) -> dict[str, np.ndarray]:
 
 def save_checkpoint(state: TrainState, path) -> None:
     """Write ``state`` to ``path``. The bytes go to a sibling temporary file
-    that replaces ``path`` only once complete, so a failed save leaves an
-    existing checkpoint as it was. A state inside an accumulation window,
+    that replaces ``path`` only once complete and fsynced, so a failed save
+    leaves an existing checkpoint as it was and the rename never points
+    ``path`` at bytes not yet on disk. A state inside an accumulation window,
     whose grads a checkpoint does not hold, is refused."""
     path = Path(path)
     if state.step % state.config.accumulation_steps:
@@ -70,6 +71,8 @@ def save_checkpoint(state: TrainState, path) -> None:
             config_blob = config_to_text(state.config).encode("utf-8")
             fh.write(struct.pack("<I", len(config_blob)))
             fh.write(config_blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -7,7 +7,9 @@ and is non-negative.
 
 Each loss takes a batch ([E,N] columns, [C,N,H,W] maps) and returns the N
 per-sample losses. K-means is intra-image: ``kmeans_batch`` clusters each map
-of a [C,N,H,W] batch on its own, in one Lloyd loop for the whole batch.
+of a [C,N,H,W] batch on its own, in one Lloyd loop for the whole batch, over
+one point basis that holds the maps still iterating: a map's own pixels
+(``_Points``) or, at a size, its bilinear upsample (``_Upsampled``).
 """
 
 from __future__ import annotations
@@ -84,25 +86,18 @@ def _kmeanspp_init(row, dists, n: int, k: int, rng: np.random.Generator) -> list
     return picks
 
 
-def _pairwise_sq_dists(points: np.ndarray, points_sq: np.ndarray, centroids: np.ndarray,
-                       products=None) -> np.ndarray:
-    """[P,n,c] points, with their [P,1,n] squared norms, against [P,k,c]
-    centroids: [P,k,n] squared distances, k-major; ``points`` may be None
-    given ``products``, which maps [P,k,c] centroids to their [P,k,n] x.c
-    products taken another way (``_Upsampled``).
+def _pairwise_sq_dists(points_sq: np.ndarray, centroids: np.ndarray, products) -> np.ndarray:
+    """[P,k,n] squared distances, k-major, of points with [P,1,n] squared
+    norms ``points_sq`` to [P,k,c] centroids; ``products`` maps [P,k,c]
+    centroids to their [P,k,n] x.c products (a basis's ``products``).
 
     Each distance is ``(||x||^2 + ||c||^2) - 2 x.c``, clamped at zero against
     cancellation. The doubling lives in a [P,k,c] copy of the centroids:
     doubling is exact away from overflow and subnormals, so (2c).x has the
-    bytes of 2(c.x) without a pass over the [P,k,n] products. The x.c
-    products are one GEMM per map of its [k,c] centroids with the transposed
-    view of its [n,c] points. On OpenBLAS 0.3.31 that gives the bytes of the
-    [n,c] @ [c,k] GEMM, where a contiguous [c,n] copy of the points does not.
-    The norms then broadcast along the n points of a row, not along rows of
-    k entries.
+    bytes of 2(c.x) without a pass over the [P,k,n] products. The norms then
+    broadcast along the n points of a row, not along rows of k entries.
     """
-    twice = centroids * 2.0
-    prod = twice @ points.transpose(0, 2, 1) if products is None else products(twice)
+    prod = products(centroids * 2.0)
     d2 = np.add(points_sq, (centroids * centroids).sum(-1, keepdims=True))
     d2 -= prod
     return np.maximum(d2, 0.0, out=d2)
@@ -154,24 +149,41 @@ def _repair_empty(row, dists, centroids: np.ndarray, d2: np.ndarray,
     return assign
 
 
-def _record_costs(history: list[list[float]], active: np.ndarray, d2: np.ndarray,
-                  cells: np.ndarray) -> None:
-    """Append to each active map's history its cost: the sum of its [k,n]
-    squared distances ``d2`` at its [n] ``cells``, the flat indices into
-    ``d2`` of its points' clusters."""
-    costs = d2.take(cells).sum(axis=1)
-    for pair, cost in zip(active.tolist(), costs.tolist()):
-        history[pair].append(cost)
+class _Points:
+    """The pixels of a [C,P,h,w] batch as [P,n,C] points x, unit (floored) under
+    cosine; it holds the maps still iterating, and ``keep`` packs them.
+    ``pts_sq`` is the [P,1,n] ||x||^2. The x.c ``products`` take one GEMM per
+    map with the transposed view of its points: on OpenBLAS 0.3.31 the bytes
+    of the [n,C] @ [C,k] GEMM, which a contiguous [C,n] copy does not give."""
+
+    def __init__(self, maps: np.ndarray, cosine: bool):
+        c, pairs, h, w = maps.shape
+        pts = maps.reshape(c, pairs, h * w).transpose(1, 2, 0).copy()
+        self.pts = unit_normalize(pts, -1) if cosine else pts
+        self.pts_sq = (self.pts ** 2).sum(-1)[:, None, :]
+
+    def row(self, slot: int, idx: int) -> np.ndarray:
+        return self.pts[slot, idx]
+
+    def products(self, twice: np.ndarray, slots=slice(None)) -> np.ndarray:
+        return twice @ self.pts[slots].transpose(0, 2, 1)
+
+    def sums(self, member: np.ndarray) -> np.ndarray:
+        return member @ self.pts
+
+    def keep(self, moved: np.ndarray) -> None:
+        self.pts, self.pts_sq = self.pts[moved], self.pts_sq[moved]
 
 
 class _Upsampled:
     """A [C,P,h,w] batch at the points x of its ``resize_bilinear`` upsamples u
     to ``size``, never built as [P,n,C]: x is u, or u / ||u|| (floored at 1e-12)
-    under cosine. ``pts_sq`` is the [P,1,n] ||x||^2, and ``row`` builds one
-    point. The x.c ``products`` and member ``sums`` of the maps ``active`` run
-    on the feature pixels f: the upsample of the [k,h,w] f.c and the adjoint
-    upsample of the membership times f, both over ||u|| if cosine (``sums``
-    multiplies its 0/1 membership by a 1 / ||u|| taken once: the same bytes).
+    under cosine. It has the members of ``_Points`` and holds the maps still
+    iterating. ``pts_sq`` is the [P,1,n] ||x||^2, and ``row`` builds one
+    point. The x.c ``products`` and member ``sums`` run on the feature pixels
+    f: the upsample of the [k,h,w] f.c and the adjoint upsample of the
+    membership times f, both over ||u|| if cosine (``sums`` multiplies its
+    0/1 membership by a 1 / ||u|| taken once: the same bytes).
 
     ||u||^2, clamped at 0, is each map's [h*w,h*w] Gram matrix of f, one GEMM
     per map, with the resize weights on both sides: over one column index in
@@ -187,8 +199,9 @@ class _Upsampled:
         c, pairs, h, w = maps.shape
         self.grid, self.size = (h, w), size
         self.rows, self.cols = resize_weights((h, w), size)
-        self.feats = maps.transpose(1, 0, 2, 3).reshape(pairs, c, h * w)  # [P, C, h*w]
-        gram = self.feats.transpose(0, 2, 1) @ self.feats  # [P, (a,b), (a',b')], symmetric
+        feats = maps.transpose(1, 0, 2, 3).reshape(pairs, c, h * w)  # [P, C, h*w]
+        gram = feats.transpose(0, 2, 1) @ feats  # [P, (a,b), (a',b')], symmetric
+        self.feats = np.ascontiguousarray(feats)  # each map's GEMMs read a contiguous [C, h*w]
         # ||u||^2 at (i, j): sum of rows[i,a] rows[i,a'] cols[j,b] cols[j,b'] gram[a,b,a',b'];
         # the GEMM over b reads gram[a',b',a,b], its rows in (P, a', b', a) order
         over_b = (gram.reshape(-1, w) @ self.cols.T).reshape(pairs * h, w, h, size[1])
@@ -202,20 +215,25 @@ class _Upsampled:
         self.pts_sq = sq if self.norms is None else sq / (self.norms * self.norms)
         self.inv_norms = None if self.norms is None else 1.0 / self.norms
 
-    def row(self, pair: int, idx: int) -> np.ndarray:
+    def row(self, slot: int, idx: int) -> np.ndarray:
         i, j = divmod(idx, self.size[1])
-        point = (self.feats[pair].reshape(-1, *self.grid) @ self.cols[j]) @ self.rows[i]
-        return point if self.norms is None else point / self.norms[pair, 0, idx]
+        point = (self.feats[slot].reshape(-1, *self.grid) @ self.cols[j]) @ self.rows[i]
+        return point if self.norms is None else point / self.norms[slot, 0, idx]
 
-    def products(self, centroids: np.ndarray, active: np.ndarray) -> np.ndarray:
-        fc = (centroids @ self.feats[active]).reshape(-1, *self.grid)
-        prod = separable(fc, self.rows, self.cols).reshape(*centroids.shape[:2], -1)
-        return prod if self.norms is None else np.divide(prod, self.norms[active], out=prod)
+    def products(self, twice: np.ndarray, slots=slice(None)) -> np.ndarray:
+        fc = (twice @ self.feats[slots]).reshape(-1, *self.grid)
+        prod = separable(fc, self.rows, self.cols).reshape(*twice.shape[:2], -1)
+        return prod if self.norms is None else np.divide(prod, self.norms[slots], out=prod)
 
-    def sums(self, member: np.ndarray, active: np.ndarray) -> np.ndarray:
-        member = member if self.norms is None else member * self.inv_norms[active]
+    def sums(self, member: np.ndarray) -> np.ndarray:
+        member = member if self.norms is None else member * self.inv_norms
         back = separable(member.reshape(-1, *self.size), self.rows.T, self.cols.T)
-        return back.reshape(*member.shape[:2], -1) @ self.feats[active].transpose(0, 2, 1)
+        return back.reshape(*member.shape[:2], -1) @ self.feats.transpose(0, 2, 1)
+
+    def keep(self, moved: np.ndarray) -> None:
+        self.feats, self.pts_sq = self.feats[moved], self.pts_sq[moved]
+        if self.norms is not None:
+            self.norms, self.inv_norms = self.norms[moved], self.inv_norms[moved]
 
 
 def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int = 10,
@@ -230,8 +248,11 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     from its centroid. Each map is seeded by k-means++ from ``rng`` in batch
     order; ``init`` ([P,K,C]) overrides the seeding (for oracle comparisons
     under a shared start). With ``size`` = (H, W), each map is clustered at
-    the pixels of its bilinear upsample to [H,W], which is never built: the
-    loop works in the map's feature basis (``_Upsampled``).
+    the pixels of its bilinear upsample to [H,W], which is never built.
+
+    Seeding, Lloyd, repair and the last cost run through one point basis,
+    ``_Points`` (the map's own pixels) or ``_Upsampled``, which holds the maps
+    still iterating; nothing past its construction asks which one it is.
 
     All maps share one Lloyd loop and a map leaves it once its assignments
     stop changing. The arithmetic per map is that of clustering it alone:
@@ -261,18 +282,13 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
     if metric not in ("cosine", "euclidean"):
         raise ValueError(f"unknown metric {metric!r}")
 
-    basis = None if size is None else _Upsampled(maps, (h, w), metric == "cosine")
-    points = None if basis else maps.reshape(c, pairs, n).transpose(1, 2, 0).copy()  # [P,n,c]
-    if metric == "cosine" and basis is None:  # an upsample is normalized in its basis
-        points = unit_normalize(points, -1)
-    points_sq = basis.pts_sq if basis else (points ** 2).sum(-1)[:, None, :]
-    row = basis.row if basis else lambda pair, idx: points[pair, idx]
+    cosine = metric == "cosine"
+    basis = _Points(maps, cosine) if size is None else _Upsampled(maps, (h, w), cosine)
 
-    def dists(pair: int, cen: np.ndarray) -> np.ndarray:
-        """Map ``pair``'s [k,n] squared distances to its [k,c] centroids ``cen``."""
-        one = slice(pair, pair + 1)
-        return _pairwise_sq_dists(None if basis else points[one], points_sq[one], cen[None],
-                                  basis and partial(basis.products, active=[pair]))[0]
+    def dists(slot: int, cen: np.ndarray) -> np.ndarray:  # one packed map's [k,n]
+        one = slice(slot, slot + 1)
+        return _pairwise_sq_dists(basis.pts_sq[one], cen[None],
+                                  partial(basis.products, slots=one))[0]
 
     if init is not None:
         centroids = np.array(init, dtype=np.float64)
@@ -280,32 +296,30 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
             raise ValueError(f"init shape {centroids.shape} does not match ({pairs}, {k}, {c})")
     else:
         rng = np.random.default_rng(0) if rng is None else rng
-        centroids = np.array([[row(pair, idx) for idx in _kmeanspp_init(
-            partial(row, pair), partial(dists, pair), n, k, rng)] for pair in range(pairs)])
+        centroids = np.array([[basis.row(pair, idx) for idx in _kmeanspp_init(
+            partial(basis.row, pair), partial(dists, pair), n, k, rng)] for pair in range(pairs)])
 
     assignments = np.zeros((pairs, n), dtype=np.intp)
     history: list[list[float]] = [[] for _ in range(pairs)]
-    # each point's flat index at cluster 0 of a [P,k,n] distance matrix; the
-    # active maps are packed, so the first len(active) rows serve them
+    # the maps still iterating, packed: their batch indices, working centroids
+    # and assignments (written back as a map leaves) and the basis; offsets are
+    # each point's flat index at cluster 0 of the packed [P,k,n] distances
+    active, cen, assign = np.arange(pairs), centroids.copy(), None
     offsets = np.arange(pairs)[:, None] * (k * n) + np.arange(n)
-    # the maps still iterating: their points (None at a size), the points'
-    # [1,n] squared norms (the same every iteration), their working centroids
-    # and their assignments; a map's centroids and assignments are written
-    # back when it leaves
-    active, pts, pts_sq, cen = np.arange(pairs), points, points_sq, centroids.copy()
-    assign = None
-    for step in range(max_iter):
-        d2 = _pairwise_sq_dists(pts, pts_sq, cen,
-                                basis and partial(basis.products, active=active))
+    for step in range(max_iter + 1):
+        d2 = _pairwise_sq_dists(basis.pts_sq, cen, basis.products)
         if step:  # the last update's cost, before a repair moves a centroid
-            _record_costs(history, active, d2, assign * n + offsets[:len(active)])
+            costs = d2.take(assign * n + offsets[:len(active)]).sum(axis=1)
+            for pair, cost in zip(active.tolist(), costs.tolist()):
+                history[pair].append(cost)
+        if step == max_iter:  # out of iterations: these distances were for the cost
+            break
         new_assign = _nearest(d2)
         member = _membership(new_assign, k)
         counts = member.sum(axis=2)
         if not counts.all():
-            for slot in np.flatnonzero((counts == 0).any(axis=1)):
-                pair = int(active[slot])
-                new_assign[slot] = _repair_empty(partial(row, pair), partial(dists, pair),
+            for slot in np.flatnonzero((counts == 0).any(axis=1)).tolist():
+                new_assign[slot] = _repair_empty(partial(basis.row, slot), partial(dists, slot),
                                                  cen[slot], d2[slot], new_assign[slot])
                 member[slot] = _membership(new_assign[slot], k)
                 counts[slot] = member[slot].sum(axis=1)
@@ -315,19 +329,14 @@ def kmeans_batch(maps: np.ndarray, k: int, metric: str = "cosine", max_iter: int
                 # a converged map keeps its last update, and a repair made now
                 left = active[~moved]
                 assignments[left], centroids[left] = assign[~moved], cen[~moved]
-                active, pts, pts_sq, cen, new_assign, member, counts = (
-                    active[moved], pts if basis else pts[moved], pts_sq[moved], cen[moved],
-                    new_assign[moved], member[moved], counts[moved])
+                basis.keep(moved)
+                active, cen, new_assign, member, counts = (
+                    active[moved], cen[moved], new_assign[moved], member[moved], counts[moved])
         assign = new_assign
         if not active.size:
             break
         # an empty cluster keeps its centroid
-        sums = member @ pts if basis is None else basis.sums(member, active)
-        np.divide(sums, counts[:, :, None], out=cen, where=counts[:, :, None] > 0)
-    else:  # out of iterations: the last update's cost needs its own distances
-        d2 = _pairwise_sq_dists(pts, pts_sq, cen,
-                                basis and partial(basis.products, active=active))
-        _record_costs(history, active, d2, assign * n + offsets[:len(active)])
+        np.divide(basis.sums(member), counts[:, :, None], out=cen, where=counts[:, :, None] > 0)
     assignments[active], centroids[active] = assign, cen
 
     results = []

@@ -139,8 +139,9 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
 
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add ``g`` into ``t.grad``. A first gradient is kept as it is when ``fresh``
-    says the calling op has just allocated it and holds it nowhere else; the
-    incoming gradient, its views and its broadcasts are copied once."""
+    says no other tensor holds it: the calling op has just allocated it, or it
+    is an ``_own_view`` of the op's gradient, which ``backward`` drops after
+    the op's backward; anything else is copied once."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -151,6 +152,12 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
             t.grad[...] = g
     else:
         t.grad += g
+
+
+def _own_view(g: np.ndarray) -> bool:
+    """Whether a view ``g`` of an op's own gradient may be handed over: not a
+    transposed view, whose layout later sums would see, nor a broadcast."""
+    return g.flags.c_contiguous and g.flags.writeable
 
 
 def _check_binary_shapes(a: Tensor, b: Tensor) -> None:
@@ -428,7 +435,8 @@ def transpose(t: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def bw(g):
-        _accumulate(t, g.reshape(t.shape))
+        g = g.reshape(t.shape)
+        _accumulate(t, g, fresh=_own_view(g))
 
     return _result(t.data.reshape(shape).copy(), (t,), bw)
 
@@ -443,7 +451,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(idx)])
+            part = g[tuple(idx)]
+            _accumulate(p, part, fresh=_own_view(part))
 
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 

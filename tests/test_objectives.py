@@ -314,6 +314,30 @@ def test_kmeans_batch_repairs_empty_clusters_per_map():
     assert results[0].cost_history[-1] == pytest.approx(0.0, abs=1e-18)
 
 
+@pytest.mark.parametrize("seed,size", [(4, None), (431, (4, 4))])
+def test_kmeans_batch_repairs_at_a_packed_slot(monkeypatch, seed, size):
+    # map 1 empties a cluster after maps 0 and 2 have left the loop, so its
+    # repair runs at packed slot 0, not at its batch index
+    rng = np.random.default_rng(seed)
+    maps = rng.integers(0, 12, (1, 3, 2, 2)).astype(float)
+    init = rng.uniform(0, 12, (3, 3, 1))
+    packed = []  # how many maps were still iterating at each repair
+    real = O._repair_empty
+
+    def counted(row, dists, centroids, d2, assign):
+        packed.append(d2.base.shape[0])  # d2 is one map's row of the packed [A,k,n] matrix
+        return real(row, dists, centroids, d2, assign)
+
+    monkeypatch.setattr(O, "_repair_empty", counted)
+    results = O.kmeans_batch(maps, 3, metric="euclidean", init=init, size=size)
+    assert packed[-1] == 1
+    for p, result in enumerate(results):
+        alone = O.kmeans(maps[:, p], 3, metric="euclidean", init=init[p], size=size)
+        assert result.centroids.tobytes() == alone.centroids.tobytes()
+        assert np.array_equal(result.assignments, alone.assignments)
+        assert result.cost_history == alone.cost_history
+
+
 # (map shape, size): the eval upsample, a non-square one, and the map's own size
 UPSAMPLES = [((32, 8, 8), (64, 64)), ((6, 5, 7), (24, 40)), ((32, 8, 8), (8, 8))]
 
@@ -839,12 +863,12 @@ real = O._pairwise_sq_dists
 calls = [0]
 
 
-def every_other_call_by_parity(points, points_sq, centroids, products=None):
+def every_other_call_by_parity(points_sq, centroids, products):
     # odd calls are honest; even calls assign point i of each map to cluster i mod k
     calls[0] += 1
     if calls[0] % 2:
-        return real(points, points_sq, centroids, products)
-    n, k = points_sq.shape[-1], centroids.shape[1]  # points is None at a size
+        return real(points_sq, centroids, products)
+    n, k = points_sq.shape[-1], centroids.shape[1]
     d2 = np.ones((len(points_sq), k, n))  # k-major, as the real distances
     d2[:, np.arange(n) % k, np.arange(n)] = 0.0
     return d2

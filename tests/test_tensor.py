@@ -319,6 +319,12 @@ SHARED_INPUT_GRAPHS = {
     "sub": lambda x, y, w: T.add(T.sub(x, y), T.sub(x, x)),
     "mul": lambda x, y, w: T.add(T.mul(x, x), T.mul(x, y)),
     "concat": lambda x, y, w: T.concat([x, x, y], axis=0),
+    # reshape and concat hand over C-contiguous views of their own grad; a
+    # view along axis 1 is not contiguous and is copied
+    "reshape": lambda x, y, w: T.mul(T.reshape(T.relu(x), (2, 16)),
+                                     T.reshape(T.add(x, y), (2, 16))),
+    "concat_axis0": lambda x, y, w: T.relu(T.concat([T.mul(x, y), x, y], axis=0)),
+    "concat_axis1": lambda x, y, w: T.relu(T.concat([T.mul(x, y), x, x], axis=1)),
     "relu": lambda x, y, w: T.add(T.relu(x), T.mul(x, y)),
     "relu_of_shared": _relu_of_shared,
     "conv2d": lambda x, y, w: T.concat(

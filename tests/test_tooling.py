@@ -120,10 +120,23 @@ def _loaded_beyond_its_definition(tree: ast.Module, name: str) -> bool:
     return False
 
 
-def test_every_exported_name_has_a_reader_outside_the_tests():
-    # a name in a src/ module's __all__ that only tests read is code in src/
-    # that only tests call; readers are the other src/ modules, perfbench/,
-    # and the name's own module beyond its definition
+def _exported(tree: ast.Module) -> list[str]:
+    return [name for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for name in ast.literal_eval(stmt.value)]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")]
+
+
+def _read_only_by_tests(names_of) -> tuple[list[str], int]:
+    """The ``module.name`` of each name ``names_of`` gives of a parsed src/
+    module that has no reader outside the tests, and how many names it gave.
+    Readers are the other src/ modules, perfbench/, and the name's own module
+    beyond its definition."""
     package = ROOT / "src" / "multisiam"
     src = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(package.glob("*.py"))}
@@ -131,14 +144,26 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
              for path in sorted(PERFBENCH.glob("*.py"))]
     unread, checked = [], 0
     for module, tree in src.items():
-        exported = [name for stmt in tree.body if isinstance(stmt, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
-                    for name in ast.literal_eval(stmt.value)]
+        names = names_of(tree)
         readers = set().union(*(_multisiam_reads(t) for m, t in src.items() if m != module),
                               *map(_multisiam_reads, bench))
-        checked += len(exported)
-        unread += [f"{module}.{name}" for name in exported
+        checked += len(names)
+        unread += [f"{module}.{name}" for name in names
                    if (module, name) not in readers
                    and not _loaded_beyond_its_definition(tree, name)]
+    return unread, checked
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # a name in a src/ module's __all__ that only tests read is code in src/
+    # that only tests call
+    unread, checked = _read_only_by_tests(_exported)
     assert checked > 100  # the parse found the package
     assert not unread, f"exported names that only tests read: {unread}"
+
+
+def test_every_private_helper_has_a_reader_outside_the_tests():
+    # the same for a module-level private function or class
+    unread, checked = _read_only_by_tests(_private_definitions)
+    assert checked > 50  # the parse found the package
+    assert not unread, f"private helpers that only tests read: {unread}"

@@ -409,6 +409,49 @@ def test_failed_checkpoint_save_leaves_the_old_file(tmp_path, small_corpus, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
 
 
+def test_checkpoint_save_fsyncs_the_temporary_file_before_the_rename(tmp_path, monkeypatch):
+    path = tmp_path / "run.ckpt"
+    tmp = tmp_path / "run.ckpt.tmp"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        # the descriptor is the temporary file's, and every byte is flushed to it
+        st, want = os.fstat(fd), tmp.stat()
+        events.append(("fsync", (st.st_dev, st.st_ino) == (want.st_dev, want.st_ino),
+                       st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(CK.os, "fsync", fsync)
+    monkeypatch.setattr(CK.os, "replace", replace)
+    CK.save_checkpoint(TR.init_state(FAST), path)
+    assert events == [("fsync", True, path.stat().st_size), ("replace", tmp, path)]
+
+
+def test_failed_checkpoint_fsync_keeps_the_old_file_and_exits_runtime(tmp_path, monkeypatch,
+                                                                      capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out), "--batch_size=1", "--out_size=32", "--corpus_images=2"]
+    assert cli.main([*argv, "--steps=1"]) == 0
+    blob = (out / "final.ckpt").read_bytes()
+    capsys.readouterr()
+
+    def broken(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(CK.os, "fsync", broken)
+    # two steps: a save that went through would change the file
+    assert cli.main([*argv, "--steps=2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert (out / "final.ckpt").read_bytes() == blob
+    assert not list(out.glob("*.tmp"))
+
+
 def test_checkpoint_rejects_damage(tmp_path, small_corpus):
     state, _ = run_steps(FAST, small_corpus, n=1)
     path = tmp_path / "run.ckpt"
