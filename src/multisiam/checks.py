@@ -301,7 +301,7 @@ def _case_full_loss(rng, name, **overrides):
     specs = [tuple(replace(spec, flipped=flip) for spec, flip in zip(_overlapping_specs(rng),
                                                                       flips))
              for flips in ((True, False), (False, True))]
-    views = [[rng.random((3, 8, 8)) for _ in range(2)] for _ in specs]
+    views = np.stack([rng.random((3, 8, 8)) for _ in range(2 * len(specs))], axis=1)
     seed = int(rng.integers(1 << 30))
     queue = None
     if cfg.loss_mode == "moco":

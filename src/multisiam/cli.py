@@ -152,13 +152,7 @@ def cmd_train(ns, overrides) -> int:
 
     metrics_path = out / "metrics.jsonl"
     checkpoint_path = out / "final.ckpt"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        def on_step(row):
-            fh.write(json.dumps(asdict(row)) + "\n")
-
-        state, metrics = run_training(cfg, corpus, on_step=on_step)
-    save_checkpoint(state, checkpoint_path)
-
+    manifest_path = out / "manifest.json"
     manifest = {
         "config": config_as_dict(cfg),
         "seed": cfg.seed,
@@ -167,12 +161,28 @@ def cmd_train(ns, overrides) -> int:
         "checkpoint_paths": [checkpoint_path.name],
         **_numeric_stack(),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                       encoding="utf-8")
+    # the metrics and the manifest go to sibling temporary files, renamed into
+    # place only once the checkpoint is saved, so that a failed run leaves
+    # the directory's three files as they were
+    temps = [path.with_name(path.name + ".tmp") for path in (metrics_path, manifest_path)]
+    try:
+        with open(temps[0], "w", encoding="utf-8") as fh:
+            def on_step(row):
+                fh.write(json.dumps(asdict(row)) + "\n")
+
+            state, metrics = run_training(cfg, corpus, on_step=on_step)
+        temps[1].write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        save_checkpoint(state, checkpoint_path)
+        os.replace(temps[0], metrics_path)
+        os.replace(temps[1], manifest_path)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
     first, last = metrics[0], metrics[-1]
     print(f"trained {cfg.steps} steps: loss {first.loss:+.4g} -> {last.loss:+.4g}, "
           f"feature_std {last.feature_std:.4f}")
-    print(f"manifest: {out / 'manifest.json'}")
+    print(f"manifest: {manifest_path}")
     return EXIT_OK
 
 

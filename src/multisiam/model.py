@@ -5,16 +5,20 @@ plain data (requires_grad False) refreshed by exponential moving average, so
 the stop-gradient boundary is structural: nothing downstream of the target can
 ever join the tape.
 
-Desk-scale backbone: four 3x3 conv stages with relu and no normalization
-layers. Each of the first three stages downsamples with a stride-2 conv
-padded by one row and column before and none after, ``pad=(1, 0)``: on even
-extents that computes every second row and column of the ``pad=1`` stride-1
-conv, and no other pixel, while keeping the output extent integral.
+Desk-scale backbone: four 3x3 conv stages, a relu after each of the first
+three, and no normalization layers. Each of the first three stages
+downsamples with a stride-2 conv padded by one row and column before and none
+after, ``pad=(1, 0)``: on even extents that computes every second row and
+column of the ``pad=1`` stride-1 conv, and no other pixel, while keeping the
+output extent integral.
 
 Every projector and predictor is one kind of head: two 1x1 convs with a relu
 between them. The 2D heads run it on feature maps; the 1D heads run it on the
 pooled [C,N,1,1] maps, where a 1x1 conv is a fully connected layer, and give
 [E,N] columns.
+
+Each of these relus, the backbone's and the heads', runs inside the conv
+before it (``conv2d(..., relu=True)``), so no pre-activation map is kept.
 
 Feature maps are channel-major [C,N,H,W] batches; only backbone_forward also
 takes a lone [3,H,W] view, a plain array, which it runs as a batch of one.
@@ -126,9 +130,9 @@ def backbone_forward(params: dict[str, Tensor], view: Tensor | np.ndarray,
     maps, or one [3,H,W] array view, as a batch of one, into a [C, H/S, W/S]
     map.
 
-    relu sits between stages; the final stage stays linear so feature
-    directions are not pinned to the positive orthant (a zeroed final kernel
-    maps everything to its bias exactly).
+    Every stage but the last ends in a relu, fused into its conv; the final
+    stage stays linear so feature directions are not pinned to the positive
+    orthant (a zeroed final kernel maps everything to its bias exactly).
     """
     s = cfg.total_stride
     h, w = view.shape[-2:]
@@ -139,14 +143,14 @@ def backbone_forward(params: dict[str, Tensor], view: Tensor | np.ndarray,
     last = len(cfg.downsample)
     for idx, down in enumerate(cfg.downsample, start=1):
         x = conv2d(x, params[f"backbone.conv{idx}.w"], stride=2 if down else 1,
-                   pad=(1, 0) if down else 1, bias=params[f"backbone.conv{idx}.b"])
-        if idx != last:
-            x = relu(x)
+                   pad=(1, 0) if down else 1, bias=params[f"backbone.conv{idx}.b"],
+                   relu=idx != last)
     return select(x, 0, axis=1) if lone else x
 
 
 def _mlp_forward(params, prefix, fmap):
-    hidden = relu(conv2d(fmap, params[f"{prefix}.conv1.w"], bias=params[f"{prefix}.conv1.b"]))
+    hidden = conv2d(fmap, params[f"{prefix}.conv1.w"], bias=params[f"{prefix}.conv1.b"],
+                    relu=True)
     return conv2d(hidden, params[f"{prefix}.conv2.w"], bias=params[f"{prefix}.conv2.b"])
 
 

@@ -246,7 +246,7 @@ def _pad_pair(pad) -> tuple[int, int]:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0,
-           bias: Tensor | None = None) -> Tensor:
+           bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """Cross-correlate a [C_in,N,H,W] batch with a [C_out,C_in,kh,kw] kernel.
 
     The batch is channel-major, so one GEMM covers every sample: the im2col
@@ -260,6 +260,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
     and the optional per-channel bias. The input gradient is summed by stride
     phase: each tap's GEMM adds into one contiguous buffer per phase, and each
     phase is written once into the fresh gradient.
+
+    ``relu=True`` gives ``relu(conv2d(...))`` byte for byte as one node: the
+    relu runs in place on the output this op has just allocated, its mask is
+    built only for an output on the tape, and the backward masks its own
+    gradient in place before the conv backward, so no pre-activation array
+    outlives the forward.
     """
     _require_maps(x, "conv2d")
     if w.ndim != 4:
@@ -300,8 +306,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
         out += bias.data[:, None]
 
     parents = (x, w) if bias is None else (x, w, bias)
+    mask = None
+    if relu:
+        if any(p.requires_grad for p in parents):
+            mask = out > 0  # False at NaN and -0.0, as relu's
+        np.maximum(out, 0.0, out=out)
 
     def bw(g):
+        if mask is not None:
+            np.multiply(g, mask.reshape(g.shape), out=g)  # g is this node's own, as in relu
         gm = g.reshape(cout, -1)
         if w.requires_grad:
             _accumulate(w, (gm @ mat.T).reshape(w.shape), fresh=True)

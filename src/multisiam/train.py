@@ -357,41 +357,53 @@ def image_loss(pair: SiamesePair, cfg: TrainConfig, mcfg: ModelConfig, views, sp
     """The training loss of B images, each a pair of rendered views: the mean
     over images and view orderings (both when symmetrized).
 
-    ``views[b]`` and ``specs[b]`` hold image b's two [3,H,W] views and their
-    specs. Each branch encodes all its views as one batch, and the heads,
-    alignment and losses run over the B x orderings (online view, target
-    view) pairs, image-major. Only the k-means seeding, and the queue-ordered
-    MoCo loss, go pair by pair, in that order: ``krng`` draws each pair's
-    seeding and a MoCo ``queue`` receives the target pixels.
+    ``views`` is one [3,2B,H,W] array holding image b's two views at columns
+    2b and 2b+1, and ``specs[b]`` their specs. The target branch runs first,
+    before the online tape exists: symmetrized, it encodes the whole batch and
+    swaps each image's two maps into pair order; otherwise it encodes the
+    second views and the online branch the first. Each branch encodes its
+    views as one batch, and the heads, alignment and losses run over the B x
+    orderings (online view, target view) pairs, image-major. Only the k-means
+    seeding, and the queue-ordered MoCo loss, go pair by pair, in that order:
+    ``krng`` draws each pair's seeding and a MoCo ``queue`` receives the
+    target pixels.
 
     Returns the loss tensor, the per-pair l1d and l2d values, and the pooled
     online feature rows that ``feature_std`` is computed from.
     """
     orders = ((0, 1), (1, 0)) if cfg.symmetrize else ((0, 1),)
-    pairs = [(b, on, tg) for b in range(len(views)) for on, tg in orders]
+    pairs = [(b, on, tg) for b in range(len(specs)) for on, tg in orders]
     on_specs = [specs[b][on] for b, on, _ in pairs]
     tg_specs = [specs[b][tg] for b, _, tg in pairs]
     on_flips = [s.flipped for s in on_specs]
     tg_flips = [s.flipped for s in tg_specs]
 
-    def batch(which):
-        return Tensor(np.stack([views[b][v] for b, v in which], axis=1))
-
-    f_on = backbone_forward(pair.online, batch([(b, on) for b, on, _ in pairs]), mcfg)
-    f_tg = backbone_forward(pair.target, batch([(b, tg) for b, _, tg in pairs]), mcfg)
-    l1 = loss_1d(project_predict_1d(pair.online, f_on, with_predictor=True),
-                 project_predict_1d(pair.target, f_tg, with_predictor=False).data)
+    if cfg.symmetrize:
+        on_views = tg_views = views
+    else:
+        on_views, tg_views = views[:, 0::2], views[:, 1::2]
+    f_tg = backbone_forward(pair.target, Tensor(tg_views), mcfg)
+    if cfg.symmetrize:
+        # each image's two maps swap into pair order; take keeps C order, which
+        # the pooled sums' rounding reads (an indexed copy would not)
+        f_tg = Tensor(np.take(f_tg.data, [2 * b + tg for b, _, tg in pairs], axis=1))
+    z_tg = project_predict_1d(pair.target, f_tg, with_predictor=False).data
     if cfg.loss_mode == "moco":
         # region alignment of the raw maps happens before projection
-        keys, regions = align_pair(flip_back(f_on, on_flips), flip_back(f_tg, tg_flips),
-                                   on_specs, tg_specs, "roi")
+        tg_map = flip_back(f_tg, tg_flips)
+    else:
+        tg_map = flip_back(project_2d(pair.target, f_tg), tg_flips)
+
+    f_on = backbone_forward(pair.online, Tensor(on_views), mcfg)
+    l1 = loss_1d(project_predict_1d(pair.online, f_on, with_predictor=True), z_tg)
+    if cfg.loss_mode == "moco":
+        keys, regions = align_pair(flip_back(f_on, on_flips), tg_map, on_specs, tg_specs, "roi")
         residual = False
         pred = project_2d(pair.online, keys)
         target = project_2d(pair.target, regions).data
     else:
         keys, target_map = align_pair(flip_back(project_2d(pair.online, f_on), on_flips),
-                                      flip_back(project_2d(pair.target, f_tg), tg_flips),
-                                      on_specs, tg_specs, cfg.alignment,
+                                      tg_map, on_specs, tg_specs, cfg.alignment,
                                       normalize_offset=cfg.normalize_offset)
         residual, target = cfg.resolved_residual, target_map.data
         pred = predict_local(pair.online, keys)
@@ -425,12 +437,14 @@ def train_step(state: TrainState, corpus) -> StepMetrics:
     kmeans_rng = rng_stream(cfg.seed, PURPOSE_KMEANS, step)
 
     indices = sampler_rng.integers(0, len(corpus), size=cfg.batch_size)
-    views, specs = [], []
-    for idx in indices:
+    views = np.empty((3, 2 * cfg.batch_size, cfg.out_size, cfg.out_size))
+    specs = []
+    for b, idx in enumerate(indices):
         scene = corpus[int(idx)]
         view_pair = sample_view_pair(scene.instance_mask.shape, cfg, sampler_rng)
         specs.append((view_pair.spec_a, view_pair.spec_b))
-        views.append([render_view(scene.image, s) for s in specs[-1]])
+        for v, spec in enumerate(specs[-1]):
+            views[:, 2 * b + v] = render_view(scene.image, spec)
     # an overflow surfaces as the typed non-finite checks below, not as
     # numpy warnings on stderr
     with np.errstate(over="ignore", invalid="ignore"):

@@ -191,6 +191,59 @@ def test_conv2d_one_copy_im2col_matches_the_tap_loop(xs, ws, stride, pad):
         assert got.tobytes() == expected.tobytes()
 
 
+# 3x3 at both strides under both pad forms, a 1x1 kernel (the direct GEMM, no
+# im2col) with and without a bias, and a strided 1x1
+FUSED_RELU_CASES = [
+    ((3, 2, 8, 8), (4, 3, 3, 3), 1, 1, True),
+    ((3, 2, 8, 8), (4, 3, 3, 3), 2, (1, 0), True),
+    ((3, 2, 7, 7), (4, 3, 3, 3), 2, 1, True),
+    ((5, 2, 4, 4), (6, 5, 1, 1), 1, 0, True),
+    ((5, 2, 4, 4), (6, 5, 1, 1), 1, 0, False),
+    ((5, 2, 7, 7), (6, 5, 1, 1), 2, 0, True),
+]
+
+
+@pytest.mark.parametrize("x_on_tape", [True, False])
+@pytest.mark.parametrize("xs,ws,stride,pad,with_bias", FUSED_RELU_CASES, ids=str)
+def test_conv2d_fused_relu_matches_relu_of_conv2d(xs, ws, stride, pad, with_bias, x_on_tape):
+    rng = np.random.default_rng(sum(xs) + sum(ws) + stride)
+    arrays = [rng.standard_normal(xs), rng.standard_normal(ws), rng.standard_normal(ws[0])]
+    graphs = []
+    for fused in (True, False):
+        x = Tensor(arrays[0], requires_grad=x_on_tape)
+        w, b = Tensor(arrays[1], requires_grad=True), Tensor(arrays[2], requires_grad=True)
+        bias = b if with_bias else None
+        if fused:
+            out = T.conv2d(x, w, stride=stride, pad=pad, bias=bias, relu=True)
+        else:
+            out = T.relu(T.conv2d(x, w, stride=stride, pad=pad, bias=bias))
+        g = np.random.default_rng(7).standard_normal(out.shape)
+        T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+        graphs.append((out.data, x.grad, w.grad, b.grad))
+    (out, *grads), (want, *want_grads) = graphs
+    assert (out > 0).any() and (out == 0).any()
+    assert out.tobytes() == want.tobytes()
+    assert (grads[0] is None) == (not x_on_tape)
+    assert (grads[2] is None) == (not with_bias)
+    for got, expected in zip(grads, want_grads):
+        assert (got is None and expected is None) or got.tobytes() == expected.tobytes()
+
+
+def test_conv2d_fused_relu_keeps_nan_and_masks_it():
+    # as relu does: a NaN output stays NaN and passes no gradient
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((2, 1, 4, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(np.array([np.nan, 0.5, -0.5]), requires_grad=True)
+    out = T.conv2d(x, w, pad=1, bias=b, relu=True)
+    assert np.isnan(out.data[0]).all() and not np.isnan(out.data[1:]).any()
+    oracle = T.relu(T.conv2d(Tensor(x.data), Tensor(w.data), pad=1, bias=Tensor(b.data)))
+    assert out.data.tobytes() == oracle.data.tobytes()
+    T.backward(T.reduce_sum(T.mul(out, Tensor(np.ones(out.shape)))))
+    assert b.grad[0] == 0.0 and not w.grad[0].any()
+    assert np.isfinite(x.grad).all()
+
+
 @pytest.mark.parametrize("pad", [-1, (1, -1), (1,), (1, 0, 0), 1.0, (1.0, 0), "1", True, None])
 def test_conv2d_rejects_bad_pad(pad):
     x = Tensor(np.zeros((1, 1, 4, 4)))
@@ -312,6 +365,12 @@ def _conv2d_of_shared(x, y, w):
     return T.add(T.conv2d(h, w, pad=1), T.relu(h))
 
 
+def _conv2d_relu_of_shared(x, y, w):
+    # the fused relu masks its own grad in place, after both uses added into it
+    h = T.conv2d(x, w, pad=1, relu=True)
+    return T.add(T.mul(h, y), h)
+
+
 # graphs over leaves x, y of shape [2,1,4,4] and a 3x3 kernel w that use a
 # tensor twice, so that an op's backward meets a grad that another op holds
 SHARED_INPUT_GRAPHS = {
@@ -331,6 +390,7 @@ SHARED_INPUT_GRAPHS = {
         [T.reshape(T.conv2d(x, w, stride=2, pad=(1, 0)), (8,)),
          T.reshape(T.mul(x, y), (32,))], axis=0),
     "conv2d_of_shared": _conv2d_of_shared,
+    "conv2d_relu_of_shared": _conv2d_relu_of_shared,
 }
 
 

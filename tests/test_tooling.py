@@ -62,7 +62,8 @@ def test_src_keeps_every_name_the_benchmark_uses(monkeypatch):
 
 def test_gradient_suite_covers_every_tape_op(monkeypatch):
     # a tape op is a public function that builds a node itself; every one must
-    # build a node with a parent that requires grad in some gradient case
+    # build a node with a parent that requires grad in some gradient case, and
+    # conv2d must do so with its relu fused in too, a backward of its own
     from multisiam import align, checks
     from multisiam import tensor as T
 
@@ -74,7 +75,10 @@ def test_gradient_suite_covers_every_tape_op(monkeypatch):
     def watch(result):
         def wrapped(data, parents, backward_fn):
             if any(p.requires_grad for p in parents):
-                checked.add(sys._getframe(1).f_code.co_name)
+                op = sys._getframe(1)
+                checked.add(op.f_code.co_name)
+                if op.f_code.co_name == "conv2d" and op.f_locals["relu"]:
+                    checked.add("conv2d(relu=True)")
             return result(data, parents, backward_fn)
         return wrapped
 
@@ -82,7 +86,7 @@ def test_gradient_suite_covers_every_tape_op(monkeypatch):
     monkeypatch.setattr(align, "_result", watch(align._result))
     checks.run_gradient_suite(seeds=[0])
     assert {"add", "conv2d", "roi_align"} <= set(ops)
-    missing = sorted(set(ops) - checked)
+    missing = sorted((set(ops) | {"conv2d(relu=True)"}) - checked)
     assert not missing, f"no gradient case checks the tape ops {missing}"
 
 

@@ -369,6 +369,42 @@ def test_training_step_speed(small_corpus):
     assert time.perf_counter() - start < 2.0
 
 
+def test_warm_default_step_memory_and_tape(monkeypatch):
+    # the relu of each backbone stage and head runs in place inside its conv,
+    # and the target branch encodes the one view batch before the online tape
+    # exists: 51 tape nodes and a 32.7 MiB peak before both
+    import tracemalloc
+
+    from multisiam import align
+    from multisiam import tensor as T
+
+    cfg = TR.TrainConfig()
+    corpus = S.generate(S.SceneSpec(seed=cfg.seed, size=(cfg.out_size, cfg.out_size)),
+                        cfg.corpus_images)
+    state = TR.init_state(cfg)
+    TR.train_step(state, corpus)  # warm-up
+    built = []
+
+    def watch(result):
+        def wrapped(data, parents, backward_fn):
+            out = result(data, parents, backward_fn)
+            if out._backward_fn is not None:
+                built.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(T, "_result", watch(T._result))
+    monkeypatch.setattr(align, "_result", watch(align._result))
+    tracemalloc.start()
+    try:
+        TR.train_step(state, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 44
+    assert peak <= 28 << 20, peak / (1 << 20)
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -437,19 +473,21 @@ def test_failed_checkpoint_fsync_keeps_the_old_file_and_exits_runtime(tmp_path, 
     out = tmp_path / "run"
     argv = ["train", "--out", str(out), "--batch_size=1", "--out_size=32", "--corpus_images=2"]
     assert cli.main([*argv, "--steps=1"]) == 0
-    blob = (out / "final.ckpt").read_bytes()
+    run = ("metrics.jsonl", "final.ckpt", "manifest.json")
+    blobs = [(out / name).read_bytes() for name in run]
     capsys.readouterr()
 
     def broken(fd):
         raise OSError(5, "Input/output error")
 
     monkeypatch.setattr(CK.os, "fsync", broken)
-    # two steps: a save that went through would change the file
+    # two steps: a save that went through would change the files; the metrics
+    # and the manifest of the failed run never replace the 1-step ones
     assert cli.main([*argv, "--steps=2"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
-    assert (out / "final.ckpt").read_bytes() == blob
-    assert not list(out.glob("*.tmp"))
+    assert [(out / name).read_bytes() for name in run] == blobs
+    assert sorted(p.name for p in out.iterdir()) == sorted(run)
 
 
 def test_checkpoint_rejects_damage(tmp_path, small_corpus):
@@ -1012,7 +1050,8 @@ def test_batched_loss_equals_mean_of_single_image_losses(overrides):
     for _ in range(3):
         vp = sample_view_pair((32, 32), aug, rng)
         specs.append((vp.spec_a, vp.spec_b))
-        views.append([rng.random((3, 8, 8)) for _ in range(2)])
+        views += [rng.random((3, 8, 8)) for _ in range(2)]
+    views = np.stack(views, axis=1)  # image b's views at columns 2b and 2b+1
     assert len({s.flipped for pair_specs in specs for s in pair_specs}) == 2
     queue = None
     if cfg.loss_mode == "moco":
@@ -1029,22 +1068,22 @@ def test_batched_loss_equals_mean_of_single_image_losses(overrides):
 
     krng = np.random.default_rng(3)  # carried from image to image, like the queue
     total, single_l1, single_l2, single_pooled = 0.0, [], [], []
-    for b in range(len(views)):
-        one, l1, l2, rows = TR.image_loss(pair, cfg, mcfg, views[b:b + 1], specs[b:b + 1],
-                                          krng, single_queue)
+    for b in range(len(specs)):
+        one, l1, l2, rows = TR.image_loss(pair, cfg, mcfg, views[:, 2 * b:2 * b + 2],
+                                          specs[b:b + 1], krng, single_queue)
         backward(one)
         total += one.item()
         single_l1 += l1
         single_l2 += l2
         single_pooled += rows
 
-    assert _relative_gap(loss.data, np.array(total / len(views))) <= 1e-12
+    assert _relative_gap(loss.data, np.array(total / len(specs))) <= 1e-12
     assert _relative_gap(np.array(l1s), np.array(single_l1)) <= 1e-12
     assert _relative_gap(np.array(l2s), np.array(single_l2)) <= 1e-12
     assert _relative_gap(np.array(pooled), np.array(single_pooled)) <= 1e-12
     # relative to the largest gradient entry: some toy parameters get gradients
     # of rounding size only
-    singles = {name: p.grad / len(views) for name, p in pair.online.items()
+    singles = {name: p.grad / len(specs) for name, p in pair.online.items()
                if p.grad is not None}
     assert set(singles) == set(batched)
     scale = max(float(np.max(np.abs(g))) for g in singles.values())
@@ -1073,7 +1112,8 @@ def test_moco_image_loss_matches_hand_composed_chain(alignment, self_attention):
         vp = sample_view_pair((32, 32), aug, rng)
         specs.append(tuple(dataclasses.replace(s, flipped=f)
                            for s, f in zip((vp.spec_a, vp.spec_b), flips)))
-        views.append([rng.random((3, 8, 8)) for _ in range(2)])
+        views += [rng.random((3, 8, 8)) for _ in range(2)]
+    views = np.stack(views, axis=1)
     queue = NegativeQueue(cfg.queue_length, mcfg.proj2d_out)
     queue.push(rng.standard_normal((12, mcfg.proj2d_out)))
     want_queue = copy.deepcopy(queue)
@@ -1081,8 +1121,8 @@ def test_moco_image_loss_matches_hand_composed_chain(alignment, self_attention):
     _, _, l2s, _ = TR.image_loss(pair, cfg, mcfg, views, specs, np.random.default_rng(3), queue)
 
     on_specs, tg_specs = [s[0] for s in specs], [s[1] for s in specs]
-    f_on = backbone_forward(pair.online, Tensor(np.stack([v[0] for v in views], axis=1)), mcfg)
-    f_tg = backbone_forward(pair.target, Tensor(np.stack([v[1] for v in views], axis=1)), mcfg)
+    f_on = backbone_forward(pair.online, Tensor(views[:, 0::2]), mcfg)
+    f_tg = backbone_forward(pair.target, Tensor(views[:, 1::2]), mcfg)
     raw_on = flip_back(f_on, [s.flipped for s in on_specs])
     raw_tg = flip_back(f_tg, [s.flipped for s in tg_specs])
     rel_on, rel_tg = zip(*(intersection_relative(a, b) for a, b in zip(on_specs, tg_specs)))
