@@ -137,6 +137,23 @@ def _out_dir(ns) -> Path:
     return out
 
 
+def _write_report(path: Path, report) -> None:
+    """Write ``report`` to ``path`` as indented JSON the way ``save_checkpoint``
+    writes: to a sibling temporary file that replaces ``path`` only once
+    complete and fsynced, so a failed write leaves an existing report as it
+    was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _scene_specs(cfg: TrainConfig) -> tuple[SceneSpec, SceneSpec]:
     size = (cfg.out_size, cfg.out_size)
     return (SceneSpec(seed=cfg.seed, size=size),
@@ -200,8 +217,7 @@ def cmd_eval(ns, overrides) -> int:
     corpus = _eval_corpus(cfg, ns.images if ns.images is not None else cfg.eval_images)
     report = paired_probe(state, corpus)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "probe_report.json").write_text(json.dumps(asdict(report), indent=2) + "\n",
-                                           encoding="utf-8")
+    _write_report(out / "probe_report.json", asdict(report))
     print(f"ari_instance trained={report.ari_instance:.4f} "
           f"random={report.ari_instance_random:.4f} margin={report.margin_instance:+.4f}")
     print(f"ari_class    trained={report.ari_class:.4f} "
@@ -249,8 +265,7 @@ def cmd_gradcheck(ns, overrides) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name:28s} max_rel_err={worst[name]:.3e}")
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "gradcheck.json").write_text(json.dumps(worst, indent=2) + "\n",
-                                            encoding="utf-8")
+        _write_report(out / "gradcheck.json", worst)
     if failures:
         print(f"{failures} operation(s) exceeded tolerance {GRADCHECK_TOLERANCE}",
               file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Every numeric building block of the training pipeline lives here: pointwise
 arithmetic, 2D cross-correlation, pooling, normalization, reductions and the
-backward pass itself. The tape is a per-forward DAG of closures that is freed
-as soon as backward() has consumed it; no higher-order derivatives.
+backward pass itself. The tape is a per-forward DAG of closures that backward()
+releases node by node: once a node's own backward has run, backward() holds
+nothing of it. No higher-order derivatives.
 
 backward() writes each gradient once. An op hands a gradient array it has just
 allocated to its operand as it is; the incoming gradient, its views and its
@@ -19,10 +20,9 @@ Feature maps are channel-major batches [C,N,H,W]; a lone map is a batch of one.
 Importing this module asks glibc's allocator to keep up to 64 MiB of freed
 memory at the top of the heap (``mallopt(M_TOP_PAD)``) instead of returning it
 to the kernel, and to take every block under 32 MiB from that heap
-(``M_MMAP_THRESHOLD``). A training step frees its whole tape at the end of
-backward() and the next step allocates the same sizes again; without the pad
-every step faults that memory back in. Where there is no glibc ``mallopt``
-nothing changes.
+(``M_MMAP_THRESHOLD``). A training step frees its tape over backward() and the
+next step allocates the same sizes again; without the pad every step could
+fault that memory back in. Where there is no glibc ``mallopt`` nothing changes.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ _MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's own ceiling for its adaptive thresho
 
 
 def _keep_freed_heap() -> None:
-    # The default step frees ~22 MB of tape and im2col buffers at the end of
-    # backward(), glibc trims the heap top, and the next forward faults it
-    # back in: 5,000-6,200 minor faults and 11-19 ms of kernel time in a
-    # ~80-100 ms step. With a 64 MiB top pad a warm step takes under 30.
+    # The default step frees ~10 MiB of tape over backward() (~23 MiB while
+    # each conv kept its im2col), glibc trims the heap top, and the next
+    # forward faults it back in: 5,000-6,200 minor faults and 11-19 ms of
+    # kernel time in a ~80-100 ms step, as measured with the im2col kept.
+    # With a 64 MiB top pad a warm step takes under 30.
     # Setting the pad also freezes glibc's adaptive mmap threshold wherever
     # it stands, often at 128 KiB; then every 1 MiB array of a 4,096-pixel
     # k-means got its own mmap and 256 faults (17,000 faults, 62 ms a call
@@ -251,7 +252,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
 
     The batch is channel-major, so one GEMM covers every sample: the im2col
     slices copy without transposes and the [C_out, N*Ho*Wo] product reshapes
-    straight into the [C_out,N,Ho,Wo] output.
+    straight into the [C_out,N,Ho,Wo] output. The tape keeps no im2col: the
+    backward builds it again, the same copy, for the weight gradient's GEMM
+    (im2col @ g.T).T; a 1x1 kernel at stride 1 without padding reads the
+    input itself as its im2col.
     ``pad`` is an int or a (before, after) pair, applied to rows and columns
     alike: ``stride=2, pad=(1, 0)`` on an even extent computes every second
     row and column of the ``stride=1, pad=1`` output. Output extents must come
@@ -287,19 +291,20 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
         raise ShapeError("empty convolution output")
 
     direct = kh == kw == 1 and stride == 1 and not (before or after)
-    if direct:
-        mat = x.data.reshape(cin, n * h * wd)
-    else:
+
+    def im2col():
+        if direct:
+            return x.data.reshape(cin, n * h * wd)
         xp = np.zeros((cin, n, h + before + after, wd + before + after))
         xp[:, :, before:before + h, before:before + wd] = x.data
         # every tap's [C_in,N,Ho,Wo] window of xp as one [C_in,kh,kw,N,Ho,Wo] view,
-        # which the reshape copies in one pass
+        # which the reshape copies in one pass; xp is freed on return
         s = xp.strides
-        mat = np.lib.stride_tricks.as_strided(
+        return np.lib.stride_tricks.as_strided(
             xp, (cin, kh, kw, n, ho, wo), (s[0], s[2], s[3], s[1], s[2] * stride, s[3] * stride)
         ).reshape(cin * kh * kw, n * ho * wo)
-        del xp  # before the GEMM allocates its output
-    out = w.data.reshape(cout, -1) @ mat
+
+    out = w.data.reshape(cout, -1) @ im2col()
     if bias is not None:
         if bias.shape != (cout,):
             raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
@@ -317,7 +322,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | tuple[int, int] = 0
             np.multiply(g, mask.reshape(g.shape), out=g)  # g is this node's own, as in relu
         gm = g.reshape(cout, -1)
         if w.requires_grad:
-            _accumulate(w, (gm @ mat.T).reshape(w.shape), fresh=True)
+            _accumulate(w, (im2col() @ gm.T).T.reshape(w.shape), fresh=True)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gm.sum(axis=1), fresh=True)
         if not x.requires_grad:
@@ -520,8 +525,10 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode differentiation from a scalar loss.
 
     Populates .grad on every reachable leaf that requires grad (a tensor no
-    op produced) and frees the tape as it goes: parent links, closures, and
-    the grad of each intermediate result once it has been passed on.
+    op produced) and frees the tape as it goes: each node leaves the
+    topological order before its backward runs and drops its parent links,
+    its closure and its grad after, so a node nothing else holds is freed as
+    soon as its gradient has been passed on.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -545,7 +552,8 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()  # the list keeps no node whose backward has run
         if node._backward_fn is not None:
             if node.grad is not None:
                 node._backward_fn(node.grad)

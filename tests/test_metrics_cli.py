@@ -266,6 +266,26 @@ def test_cli_eval_and_viz_repeat_byte_for_byte(tiny_checkpoints, tmp_path):
         assert (first / "viz" / name).read_bytes() == (second / "viz" / name).read_bytes()
 
 
+def test_failed_eval_report_write_keeps_the_old_report(tiny_checkpoints, tmp_path,
+                                                      monkeypatch, capsys):
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(tiny_checkpoints["k3"]), "--out", str(out)]
+    assert cli.main([*argv, "--images", "2"]) == 0
+    blob = (out / "probe_report.json").read_bytes()
+    capsys.readouterr()
+
+    def broken(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(cli.os, "fsync", broken)
+    # three images: a write that went through would change the report
+    assert cli.main([*argv, "--images", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert (out / "probe_report.json").read_bytes() == blob
+    assert [p.name for p in out.iterdir()] == ["probe_report.json"]
+
+
 def test_eval_and_viz_build_no_tape(tiny_checkpoints, monkeypatch):
     # both only read features, so a node that requires grad is a tape that
     # nothing consumes

@@ -164,16 +164,17 @@ def backbone_convs(n, size):
 # the backbone on a batch of 16 64x64 views, a head's 1x1 conv, then 1x1 and
 # 3x3 kernels at both strides under both pad forms; then the backbone at the
 # other batch widths training runs: 8 and 4 views (a batch of 4, symmetrized
-# or one-sided), 6 (a batch of 3) and the tests' 2 views of 32x32. The input
-# gradient's GEMMs run on g padded to N*hq*wq columns, which at N=4, 6 or 2 is
-# not a multiple of 8.
+# or one-sided), 6 (a batch of 3), the tests' 2 views of 32x32 and eval's lone
+# view. The weight gradient's GEMM is (im2col @ g.T).T, which the tap loop's
+# g @ im2col.T pins byte for byte. The input gradient's GEMMs run on g padded
+# to N*hq*wq columns, which at N=4, 6, 2 or 1 is not a multiple of 8.
 CONV_CASES = backbone_convs(16, 64) + [
     ((34, 16, 8, 8), (64, 34, 1, 1), 1, 0),
     ((4, 3, 6, 5), (5, 4, 1, 1), 1, 1),
     ((4, 3, 7, 5), (5, 4, 1, 1), 2, 0),
     ((4, 3, 6, 8), (5, 4, 3, 3), 1, (1, 0)),
     ((4, 3, 7, 5), (5, 4, 3, 3), 2, 1),
-] + [case for n, size in ((8, 64), (4, 64), (6, 64), (2, 32))
+] + [case for n, size in ((8, 64), (4, 64), (6, 64), (2, 32), (1, 64))
      for case in backbone_convs(n, size)]
 
 
@@ -189,6 +190,23 @@ def test_conv2d_one_copy_im2col_matches_the_tap_loop(xs, ws, stride, pad):
     for got, expected in zip((out.data, x.grad, w.grad, b.grad), want):
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def test_taped_conv2d_keeps_no_im2col():
+    # the backward rebuilds the window copy its weight gradient reads, so the
+    # forward leaves its 1 MiB output and its relu mask, not the 4.5 MiB im2col
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((16, 16, 32, 32)), requires_grad=True)
+    w = Tensor(rng.standard_normal((32, 16, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, w, stride=2, pad=(1, 0), relu=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + (1 << 19), held / (1 << 20)
 
 
 # 3x3 at both strides under both pad forms, a 1x1 kernel (the direct GEMM, no
@@ -494,6 +512,35 @@ def test_determinism_bitwise():
     first, second = run(), run()
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def test_backward_releases_each_node_once_it_has_run():
+    # when the first of eight 1 MiB scales runs its backward, the seven above
+    # it and the reshape are gone: what is traced is its own output and its
+    # incoming gradient
+    import tracemalloc
+
+    x = Tensor(np.ones(1 << 17), requires_grad=True)
+    seen = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        t = T.scale(x, 1.0)
+        first_bw = t._backward_fn
+
+        def watched(g):
+            seen.append(tracemalloc.get_traced_memory()[0] - base)
+            first_bw(g)
+
+        t._backward_fn = watched
+        for _ in range(7):
+            t = T.scale(t, 1.0)
+        loss = T.reduce_sum(T.reshape(t, (1 << 10, 1 << 7)))
+        del t
+        T.backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 1 and seen[0] <= 3 << 20, seen[0] / (1 << 20)
 
 
 def test_tape_is_freed_after_backward():

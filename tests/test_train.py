@@ -372,7 +372,11 @@ def test_training_step_speed(small_corpus):
 def test_warm_default_step_memory_and_tape(monkeypatch):
     # the relu of each backbone stage and head runs in place inside its conv,
     # and the target branch encodes the one view batch before the online tape
-    # exists: 51 tape nodes and a 32.7 MiB peak before both
+    # exists: 51 tape nodes and a 32.7 MiB peak before both. conv2d rebuilds
+    # its im2col in the backward and backward() frees each node once it has
+    # run: a 26.9 MiB peak before both, 13.5 MiB after (the forward alone
+    # peaks at 13.1 MiB).
+    # The watch counts the nodes without keeping them.
     import tracemalloc
 
     from multisiam import align
@@ -389,7 +393,7 @@ def test_warm_default_step_memory_and_tape(monkeypatch):
         def wrapped(data, parents, backward_fn):
             out = result(data, parents, backward_fn)
             if out._backward_fn is not None:
-                built.append(out)
+                built.append(out.shape)
             return out
         return wrapped
 
@@ -402,7 +406,7 @@ def test_warm_default_step_memory_and_tape(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(built) == 44
-    assert peak <= 28 << 20, peak / (1 << 20)
+    assert peak <= 16 << 20, peak / (1 << 20)
 
 
 # ---------------------------------------------------------------------------
